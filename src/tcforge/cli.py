@@ -313,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("simulate", help="evolve a circuit file")
     pm.add_argument("circuit")
     pm.add_argument("--state", help='initial qubit state: bits or psi+/psi-')
-    pm.add_argument("--unitary", action="store_true",
-                    help="emit per-sector blocks (default)")
     pm.add_argument("--qmax", type=int)
     pm.add_argument("--out")
     pm.set_defaults(fn=cmd_simulate)

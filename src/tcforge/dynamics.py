@@ -2,10 +2,18 @@
 
 Gates are e^{-iHt}: a coupling pulse tc(r) is exp(-i r (J+a + J-a†)) with
 dimensionless r = g·t, and rz/rx(θ) are exp(-iθ J_z) / exp(-iθ J_x).
-Circuits without rx conserve the charge and evolve sector by sector
-("charge" backend).  Circuits containing rx break charge conservation but
-conserve j and the oscillator level under rx, so they evolve exactly on a
-per-j tower truncated at a computed k_max ("jtower" backend).
+
+Every circuit evolves on per-j towers span{|j,m⟩⊗|k⟩ : k ≤ k_max}, each held
+as an array [s, r, cols] over the charge diagonals s = k - r + 2j, r = j - m.
+A coupling pulse conserves s, so it is one stacked matmul built from the
+cached real eigensystems of the (2j+1)-square diagonal blocks, and rz is a
+phase on r; each run of them is multiplied out on that [s, r, r] stack before
+it reaches the columns.  rx conserves k and acts on r of the unskewed
+[k, r, cols] tower.  The callers differ only in the columns they evolve: the
+"charge" backend (no rx) evolves each diagonal's own columns and returns
+sector blocks, the "jtower" backend evolves every tower column, truncated at
+a k_max that keeps circuits with rx exact, and evolve_vacuum_state only the
+columns of its input state.
 
 All interaction times are reported in units of 2π/g.
 """
@@ -20,7 +28,7 @@ import numpy as np
 
 from . import operators as ops
 from .qubits import assemble_pi, jm_basis
-from .sectors import SectorIndex, basis_labels, enumerate_sectors, j_min2
+from .sectors import SectorIndex, enumerate_sectors, j_min2
 
 GATE_KINDS = ("tc", "rz", "rx")
 
@@ -87,32 +95,93 @@ def interaction_time(circ: Circuit) -> float:
     return float(circ.total_tc_time() / (2 * np.pi))
 
 
+def _spins(n: int) -> range:
+    return range(n, j_min2(n) - 1, -2)
+
+
 @lru_cache(maxsize=None)
-def _htc_eig(idx: SectorIndex):
-    w, v = np.linalg.eigh(ops.htc_block(idx).mat)
+def _skew(jj: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slot [s, r] of every tower label (k, r = j - m), as two [k, r] index
+    arrays.  s = k - r + 2j labels the charge diagonal: coupling pulses
+    conserve it, and it equals q - (n - 2j)/2 for every n."""
+    r = np.arange(jj + 1)
+    s = np.arange(k_max + 1)[:, None] - r + jj
+    s.setflags(write=False)
+    return s, np.broadcast_to(r, s.shape)
+
+
+@lru_cache(maxsize=None)
+def _tc_eig(jj: int, k_max: int):
+    """Real eigensystems of the coupling on each charge diagonal of the jj
+    tower, stacked [s, r, r]; slots outside 0 ≤ k ≤ k_max stay uncoupled."""
+    s, r = (a.ravel() for a in _skew(jj, k_max))
+    # tower operators do not depend on n; label them with n = 2j
+    h = ops.htc_tower(jj, jj, k_max).mat
+    a, b = np.nonzero(h)  # every nonzero element stays on one diagonal
+    blocks = np.zeros((jj + k_max + 1, jj + 1, jj + 1))
+    blocks[s[a], r[a], r[b]] = h[a, b]
+    w, v = np.linalg.eigh(blocks)
+    vt = v.transpose(0, 2, 1).astype(complex)  # complex @ complex skips a cast
+    for arr in (w, v, vt):
+        arr.setflags(write=False)
+    return w, v, vt
+
+
+@lru_cache(maxsize=None)
+def _rx_eig(jj: int):
+    w, v = np.linalg.eigh(ops.jx_operator(jj, jj, 0).mat)
     w.setflags(write=False)
     v.setflags(write=False)
     return w, v
 
 
-@lru_cache(maxsize=None)
-def _tower_eig(n: int, jj: int, k_max: int, kind: str):
-    build = {"tc": ops.htc_tower, "rx": ops.jx_operator}[kind]
-    w, v = np.linalg.eigh(build(n, jj, k_max).mat)
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return w, v
+def _evolve(gates, jj: int, k_max: int, x: np.ndarray) -> np.ndarray:
+    """Apply gates to x, an array [s, r, cols] on the jj tower truncated at
+    k_max, with s the charge diagonal (see _skew) and r = j - m.
+
+    tc and rz keep every diagonal apart, so each run of them between rx
+    gates is multiplied out as an [s, r, r] stack before it touches x.
+    """
+    w, v, vt = _tc_eig(jj, k_max)
+    m = jj / 2 - np.arange(jj + 1)
+    ident = np.tile(np.eye(jj + 1, dtype=complex), (len(w), 1, 1))
+    run = ident
+    for g in gates:
+        if g.kind == "tc":
+            run = (v * np.exp(-1j * g.param * w)[:, None, :]) @ (vt @ run)
+        elif g.kind == "rz":
+            run = np.exp(-1j * g.param * m)[:, None] * run
+        else:
+            wx, vx = _rx_eig(jj)
+            slots = _skew(jj, k_max)
+            tower = (vx * np.exp(-1j * g.param * wx)) @ vx.T @ (run @ x)[slots]
+            x = np.zeros_like(x)
+            x[slots] = tower
+            run = ident
+    return run @ x
+
+
+def _charge_blocks(gates, n: int, q_max: int) -> dict:
+    """Sector blocks with q ≤ q_max: each charge diagonal evolves only its
+    own columns, on the tower truncated at the largest k they reach."""
+    if any(g.kind == "rx" for g in gates):
+        raise ValueError("rx gates break charge conservation; use the jtower backend")
+    diagonals = {}
+    for jj in _spins(n):
+        k_max = q_max + (jj - n) // 2  # tower_k_max without rx
+        if k_max >= 0:
+            diagonals[jj] = _evolve(gates, jj, k_max, np.eye(jj + 1))
+    blocks = {}
+    for idx in enumerate_sectors(n, q_max):
+        s = idx.q - (n - idx.jj) // 2
+        r0 = max(0, idx.jj - s)  # slots r < r0 would need k < 0
+        blocks[idx] = diagonals[idx.jj][s, r0:, r0:]
+    return blocks
 
 
 def gate_block(gate: Gate, idx: SectorIndex) -> np.ndarray:
     """Unitary of one gate on one charge sector."""
-    if gate.kind == "tc":
-        w, v = _htc_eig(idx)
-        return (v * np.exp(-1j * gate.param * w)) @ v.conj().T
-    if gate.kind == "rz":
-        mvals = np.array([lab.mm / 2 for lab in basis_labels(idx)])
-        return np.diag(np.exp(-1j * gate.param * mvals))
-    raise ValueError("rx gates break charge conservation; use the jtower backend")
+    return _charge_blocks((gate,), idx.n, idx.q)[idx]
 
 
 @dataclass
@@ -131,11 +200,9 @@ class BlockUnitary:
     tc_time: float = 0.0
 
     def unitarity_defect(self) -> float:
-        worst = 0.0
-        for b in self.blocks.values():
-            d = b.shape[0]
-            worst = max(worst, np.linalg.norm(b.conj().T @ b - np.eye(d)))
-        return worst
+        """Largest ‖B†B - I‖_F over the blocks; NaN if any block has one."""
+        return float(np.max([np.linalg.norm(b.conj().T @ b - np.eye(b.shape[0]))
+                             for b in self.blocks.values()], initial=0.0))
 
 
 def tower_k_max(circ: Circuit, q_max: int, jj: int) -> int:
@@ -169,32 +236,19 @@ def apply_circuit(circ: Circuit, q_max: int, backend: str = "auto") -> BlockUnit
     if backend == "auto":
         backend = "jtower" if circ.has_rx() else "charge"
     if backend == "charge":
-        if circ.has_rx():
-            raise ValueError("rx gates break charge conservation; use the jtower backend")
-        blocks = {}
-        for idx in enumerate_sectors(circ.n, q_max):
-            u = np.eye(idx.dim, dtype=complex)
-            for g in circ.gates:
-                u = gate_block(g, idx) @ u
-            blocks[idx] = u
-        return BlockUnitary("charge", circ.n, q_max, blocks,
+        return BlockUnitary("charge", circ.n, q_max,
+                            _charge_blocks(circ.gates, circ.n, q_max),
                             tc_time=circ.total_tc_time())
     if backend != "jtower":
         raise ValueError(f"unknown backend {backend!r}")
     blocks, kmaxes = {}, {}
-    for jj in range(circ.n, j_min2(circ.n) - 1, -2):
-        k_max = tower_k_max(circ, q_max, jj)
-        kmaxes[jj] = k_max
-        d = (jj + 1) * (k_max + 1)
-        jz_diag = np.diag(ops.jz_tower(circ.n, jj, k_max).mat).real
-        u = np.eye(d, dtype=complex)
-        for g in circ.gates:
-            if g.kind == "rz":
-                u = np.exp(-1j * g.param * jz_diag)[:, None] * u
-            else:
-                w, v = _tower_eig(circ.n, jj, k_max, g.kind)
-                u = (v * np.exp(-1j * g.param * w)) @ (v.conj().T @ u)
-        blocks[jj] = u
+    for jj in _spins(circ.n):
+        k_max = kmaxes[jj] = tower_k_max(circ, q_max, jj)
+        s, r = _skew(jj, k_max)
+        d = s.size
+        x = np.zeros((jj + k_max + 1, jj + 1, d), dtype=complex)
+        x[s, r, np.arange(d).reshape(s.shape)] = 1.0  # column = tower_index
+        blocks[jj] = _evolve(circ.gates, jj, k_max, x)[s, r].reshape(d, d)
     return BlockUnitary("jtower", circ.n, q_max, blocks, kmaxes,
                         tc_time=circ.total_tc_time())
 
@@ -216,27 +270,17 @@ def vacuum_sandwich(bu: BlockUnitary) -> VacuumSandwich:
     much the circuit entangles the qubits with the oscillator.
     """
     n = bu.n
-    u_by_j: dict[int, np.ndarray] = {}
     if bu.backend == "charge":
         if bu.q_max < n:
             raise ValueError(f"vacuum sandwich needs q_max ≥ n = {n}")
-        for jj in range(n, j_min2(n) - 1, -2):
-            u = np.zeros((jj + 1, jj + 1), dtype=complex)
-            for r in range(jj + 1):
-                mm = jj - 2 * r
-                q = (mm + n) // 2
-                idx = SectorIndex(n, q, jj)
-                # k = 0 is the first basis label for q ≤ n/2 + j
-                u[r, r] = bu.blocks[idx][0, 0]
-            u_by_j[jj] = u
-    else:
-        for jj, tower in bu.blocks.items():
-            u = np.zeros((jj + 1, jj + 1), dtype=complex)
-            for r in range(jj + 1):
-                for c in range(jj + 1):
-                    u[r, c] = tower[ops.tower_index(jj, jj - 2 * r, 0),
-                                    ops.tower_index(jj, jj - 2 * c, 0)]
-            u_by_j[jj] = u
+        # |j,m⟩⊗|0⟩ is the first basis label of its sector q = m + n/2
+        u_by_j = {}
+        for jj in _spins(n):
+            qs = range((n + jj) // 2, (n - jj) // 2 - 1, -1)  # m = j .. -j
+            u_by_j[jj] = np.diag([bu.blocks[SectorIndex(n, q, jj)][0, 0]
+                                  for q in qs])
+    else:  # tower rows and columns 0..2j hold k = 0
+        u_by_j = {jj: tower[:jj + 1, :jj + 1] for jj, tower in bu.blocks.items()}
     mat = assemble_pi(n, u_by_j)
     residual = float(np.linalg.norm(mat.conj().T @ mat - np.eye(2 ** n)))
     return VacuumSandwich(n, u_by_j, mat, residual)
@@ -263,28 +307,15 @@ def evolve_vacuum_state(circ: Circuit, psi_qubits: np.ndarray,
     psi_qubits = np.asarray(psi_qubits, dtype=complex)
     if psi_qubits.shape != (2 ** n,):
         raise ValueError(f"state must have length {2 ** n}")
-    bu = apply_circuit(circ, q_max, backend="jtower")
     basis = jm_basis(n)
-    k_big = max(bu.k_max.values())
-    joint = np.zeros((2 ** n, k_big + 1), dtype=complex)
-    for jj, tower in bu.blocks.items():
-        k_max = bu.k_max[jj]
-        frames = {mm: basis[(jj, mm)] for mm in range(-jj, jj + 1, 2)}
-        n_alpha = frames[jj].shape[1]
-        for alpha in range(n_alpha):
-            init = np.zeros((jj + 1) * (k_max + 1), dtype=complex)
-            for r in range(jj + 1):
-                mm = jj - 2 * r
-                c = np.vdot(frames[mm][:, alpha], psi_qubits)
-                init[ops.tower_index(jj, mm, 0)] = c
-            if not np.any(init):
-                continue
-            fin = tower @ init
-            for r in range(jj + 1):
-                mm = jj - 2 * r
-                col = frames[mm][:, alpha]
-                for k in range(k_max + 1):
-                    amp = fin[ops.tower_index(jj, mm, k)]
-                    if amp != 0:
-                        joint[:, k] += amp * col
+    k_maxes = {jj: tower_k_max(circ, q_max, jj) for jj in _spins(n)}
+    joint = np.zeros((2 ** n, max(k_maxes.values()) + 1), dtype=complex)
+    for jj, k_max in k_maxes.items():
+        # frames[r] holds the multiplicity copies of |j, m = j - r⟩
+        frames = np.stack([basis[(jj, jj - 2 * r)] for r in range(jj + 1)])
+        r = np.arange(jj + 1)
+        x = np.zeros((jj + k_max + 1, jj + 1, frames.shape[2]), dtype=complex)
+        x[jj - r, r] = frames.conj().transpose(0, 2, 1) @ psi_qubits  # k = 0
+        tower = _evolve(circ.gates, jj, k_max, x)[_skew(jj, k_max)]
+        joint[:, :k_max + 1] += np.einsum("rpa,kra->pk", frames, tower)
     return joint

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .operators import htc_block, energy_variance_exact
+from .operators import coupling, energy_variance_exact, htc_block, jx_operator
 from .sectors import (SectorIndex, accidental_partner, basis_labels,
                       enumerate_sectors, j_min2, sector_dim)
 
@@ -189,18 +189,6 @@ def _truncated_basis(n: int, q_max: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _htc_on_basis(basis: list, index: dict) -> np.ndarray:
-    dim = len(basis)
-    h = np.zeros((dim, dim))
-    for a, (jj, mm, k) in enumerate(basis):
-        b = index.get((jj, mm - 2, k + 1))
-        if b is not None:
-            v = np.sqrt((jj + mm) * (jj - mm + 2) * (k + 1)) / 2
-            h[b, a] = v
-            h[a, b] = v
-    return h
-
-
 def _exchange_pair_terms(jj: int, jj_p: int):
     """Raising-half matrix elements of the (j, j') exchange block, as
     (row_label, col_label) in (jj, mm, k) coordinates: the row lives in the
@@ -255,7 +243,7 @@ def check_exchange_commutation(n: int, q_max: int) -> ExchangeCommutationReport:
     lowering half carries the conjugate shift)."""
     basis = _truncated_basis(n, q_max)
     index = {lab: i for i, lab in enumerate(basis)}
-    h = _htc_on_basis(basis, index)
+    h = coupling(basis)
     s, _, skipped = build_exchange_operator(n, q_max)
     comm_norm = float(np.linalg.norm(h @ s - s @ h))
     mjz = np.array([mm / 2 for (_, mm, _) in basis])
@@ -366,10 +354,5 @@ def verify_pi_universality(n: int, jj: int, tol: float = 1e-8) -> bool:
         p = np.zeros((d, d), dtype=complex)
         p[r, r] = 1.0
         gens.append(1j * p)
-    jx = np.zeros((d, d), dtype=complex)
-    for r in range(d - 1):  # row r holds m = j - r; x couples m ↔ m-1
-        mm = jj - 2 * r
-        jx[r, r + 1] = np.sqrt((jj + mm) * (jj - mm + 2)) / 4
-        jx[r + 1, r] = jx[r, r + 1]
-    gens.append(1j * jx)
+    gens.append(1j * jx_operator(n, jj, 0).mat)
     return lie_closure(gens, tol=tol).rank == d * d

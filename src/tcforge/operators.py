@@ -7,6 +7,10 @@ ordered by increasing oscillator level, with matrix elements
 
     ⟨j,m,k| H |j,m-1,k+1⟩ = sqrt((j+m)(j-m+1)(k+1)).
 
+``coupling`` writes that element once, over any list of (2j, 2m, k)
+labels: a sector, a fixed-j tower or a charge truncation.  The brute-force
+``qubits.htc_full`` on the 2^n qubit space is kept apart as the oracle.
+
 Closed forms for Tr(H² τ_{q,j}) and the sector traces of J_z and a†a are
 kept in exact rational arithmetic.
 """
@@ -62,17 +66,25 @@ def _ladder(jj: int, mm: int) -> float:
     return (jj + mm) * (jj - mm + 2) / 4.0
 
 
+def coupling(labels) -> np.ndarray:
+    """J+a + J-a† on the span of the given (jj, mm, k) labels, in their order.
+
+    Real and symmetric; a label couples to (jj, mm-2, k+1) only when that
+    label is in the list too, so the list fixes the truncation.
+    """
+    index = {lab: i for i, lab in enumerate(labels)}
+    h = np.zeros((len(labels), len(labels)))
+    for a, (jj, mm, k) in enumerate(labels):
+        b = index.get((jj, mm - 2, k + 1))
+        if b is not None:
+            h[a, b] = h[b, a] = np.sqrt(_ladder(jj, mm) * (k + 1))
+    return h
+
+
 def htc_block(idx: SectorIndex) -> SectorMatrix:
     """Coupling Hamiltonian on one sector: tridiagonal, zero diagonal."""
     labels = basis_labels(idx)
-    d = len(labels)
-    mat = np.zeros((d, d), dtype=complex)
-    for i in range(d - 1):
-        mm, k = labels[i].mm, labels[i].k
-        # couples (m, k) to (m-1, k+1), the next label in k order
-        v = np.sqrt(_ladder(idx.jj, mm) * (k + 1))
-        mat[i, i + 1] = v
-        mat[i + 1, i] = v
+    mat = coupling([(idx.jj, lab.mm, lab.k) for lab in labels])
     return SectorMatrix(idx, tuple(labels), mat)
 
 
@@ -92,47 +104,16 @@ def jx_operator(n: int, jj: int, k_max: int) -> JSectorOperator:
     """J_x on the fixed-j tower: couples m ↔ m±1 at fixed k."""
     if k_max < 0:
         raise ValueError(f"k_max must be non-negative, got {k_max}")
-    d = (jj + 1) * (k_max + 1)
-    mat = np.zeros((d, d), dtype=complex)
-    for k in range(k_max + 1):
-        for mm in range(-jj + 2, jj + 1, 2):  # element ⟨j,m|J_x|j,m-1⟩
-            v = 0.5 * np.sqrt(_ladder(jj, mm))
-            a = tower_index(jj, mm, k)
-            b = tower_index(jj, mm - 2, k)
-            mat[a, b] = v
-            mat[b, a] = v
-    return JSectorOperator(n, jj, k_max, mat)
+    off = 0.5 * np.sqrt(_ladder(jj, np.arange(jj, -jj, -2)))  # ⟨j,m|J_x|j,m-1⟩
+    spin = np.diag(off, 1) + np.diag(off, -1)
+    return JSectorOperator(n, jj, k_max, np.kron(np.eye(k_max + 1), spin))
 
 
 def htc_tower(n: int, jj: int, k_max: int) -> JSectorOperator:
     """Coupling Hamiltonian on the fixed-j tower (couples (m,k) ↔ (m-1,k+1))."""
-    d = (jj + 1) * (k_max + 1)
-    mat = np.zeros((d, d), dtype=complex)
-    for k in range(k_max):
-        for mm in range(-jj + 2, jj + 1, 2):
-            v = np.sqrt(_ladder(jj, mm) * (k + 1))
-            a = tower_index(jj, mm, k)
-            b = tower_index(jj, mm - 2, k + 1)
-            mat[a, b] = v
-            mat[b, a] = v
-    return JSectorOperator(n, jj, k_max, mat)
-
-
-def jz_tower(n: int, jj: int, k_max: int) -> JSectorOperator:
-    d = (jj + 1) * (k_max + 1)
-    diag = np.empty(d)
-    for k in range(k_max + 1):
-        for mm in range(jj, -jj - 2, -2):
-            diag[tower_index(jj, mm, k)] = mm / 2
-    return JSectorOperator(n, jj, k_max, np.diag(diag).astype(complex))
-
-
-def number_tower(n: int, jj: int, k_max: int) -> JSectorOperator:
-    d = (jj + 1) * (k_max + 1)
-    diag = np.empty(d)
-    for k in range(k_max + 1):
-        diag[k * (jj + 1):(k + 1) * (jj + 1)] = k
-    return JSectorOperator(n, jj, k_max, np.diag(diag).astype(complex))
+    labels = [(jj, mm, k) for k in range(k_max + 1)
+              for mm in range(jj, -jj - 2, -2)]
+    return JSectorOperator(n, jj, k_max, coupling(labels))
 
 
 def energy_variance_exact(idx: SectorIndex) -> Fraction:

@@ -24,15 +24,12 @@ import numpy as np
 from .operators import charge_vector
 from .sectors import (SectorIndex, accidental_partner, enumerate_sectors,
                       is_filled, j_min2, sector_dim)
+from .synthesis import wrap_pi
 
 # identifiers used in violation reports
 AFFINE_LOWEST_WEIGHT = "lowest-weight-phase-affine"
 PARTNER_EQUALITY = "partner-block-equality"
 DETERMINANT_PHASE = "determinant-phase"
-
-
-def wrap(x):
-    return (np.asarray(x) + np.pi) % (2 * np.pi) - np.pi
 
 
 @dataclass(frozen=True)
@@ -95,17 +92,17 @@ def _fit_affine(coeffs: list[float], values: list[float], tol: float):
     β ∈ [-2π, 2π).  Returns (alpha, beta, residual) or (None, None, worst)."""
     order = np.argsort(coeffs)
     c = np.asarray(coeffs, dtype=float)[order]
-    v = wrap(np.asarray(values, dtype=float)[order])
+    v = wrap_pi(np.asarray(values, dtype=float)[order])
     if len(c) == 1:
-        return float(wrap(v[0])), 0.0, 0.0
+        return float(wrap_pi(v[0])), 0.0, 0.0
     dc = c[1] - c[0]
     base = (v[1] - v[0]) / dc
     betas = [base + 2 * np.pi * w / dc for w in range(-2, 3)]
     betas = sorted((b for b in betas if -2 * np.pi <= b < 2 * np.pi), key=abs)
     worst = np.inf
     for beta in betas:
-        alpha = float(wrap(v[0] - c[0] * beta))
-        resid = float(np.abs(wrap(v - alpha - c * beta)).max())
+        alpha = float(wrap_pi(v[0] - c[0] * beta))
+        resid = float(np.abs(wrap_pi(v - alpha - c * beta)).max())
         worst = min(worst, resid)
         if resid <= tol:
             return alpha, float(beta), resid
@@ -158,7 +155,7 @@ def _det_equations(target: BlockTarget):
 def _verify_phase_system(eqs, theta_z: float, alpha: float):
     worst, worst_idx = 0.0, None
     for c, d, theta, idx in eqs:
-        r = abs(float(wrap(c * theta_z + d * alpha - theta)))
+        r = abs(float(wrap_pi(c * theta_z + d * alpha - theta)))
         if r > worst:
             worst, worst_idx = r, idx
     return worst, worst_idx

@@ -82,6 +82,16 @@ def test_reversed_circuit_inverts(gate_spec):
         assert np.abs(b - np.eye(d)).max() < 1e-9
 
 
+def test_unitarity_defect_propagates_nan():
+    # a NaN block must never read as unitary, wherever it sits
+    ok = np.eye(1, dtype=complex)
+    bad = np.full((2, 2), np.nan, dtype=complex)
+    for blocks in ({SectorIndex(2, 1, 2): bad},
+                   {SectorIndex(2, 0, 2): ok, SectorIndex(2, 1, 2): bad}):
+        defect = dyn.BlockUnitary("charge", 2, 1, blocks).unitarity_defect()
+        assert not (defect <= 1e-9)
+
+
 def test_unitarity_long_circuit():
     rng = np.random.default_rng(12)
     gates = [Gate(str(rng.choice(["tc", "rz"])), float(rng.uniform(-3, 3)))
@@ -219,3 +229,49 @@ def test_rx_circuit_exact_on_tower(n, start):
     kk = joint.shape[1]
     assert np.abs(joint - ref[:, :kk]).max() < 1e-9
     assert np.abs(ref[:, kk:]).max() < 1e-9
+
+
+def _brute_force(circ, k_cut):
+    """Dense product of the gates on (C^2)^⊗n ⊗ Fock(k ≤ k_cut)."""
+    from tcforge.qubits import htc_full, spin_ops
+    jx, _, jz = spin_ops(circ.n)
+    gens = {"tc": htc_full(circ.n, k_cut),
+            "rz": np.kron(jz, np.eye(k_cut + 1)),
+            "rx": np.kron(jx, np.eye(k_cut + 1))}
+    u = np.eye(2 ** circ.n * (k_cut + 1), dtype=complex)
+    for g in circ.gates:
+        w, v = np.linalg.eigh(gens[g.kind])
+        u = (v * np.exp(-1j * g.param * w)) @ (v.conj().T @ u)
+    return u
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3),
+       st.lists(st.tuples(st.sampled_from(["tc", "rz", "rx"]),
+                          st.floats(-2, 2, allow_nan=False)), max_size=6),
+       st.integers(0, 7))
+def test_structured_evolution_matches_brute_force(n, gate_spec, start):
+    from tcforge.qubits import project_full
+    from tcforge.sectors import enumerate_sectors
+    circ = Circuit(n, [Gate(k, p) for k, p in gate_spec])
+    # one level above the widest tower, so the cutoff never binds
+    k_cut = dyn.tower_k_max(circ, n, n) + 1
+    u = _brute_force(circ, k_cut)
+    psi0 = np.zeros(2 ** n, dtype=complex)
+    psi0[start % 2 ** n] = 1.0
+    joint = dyn.evolve_vacuum_state(circ, psi0, q_max=n)
+    ref = u[:, (start % 2 ** n) * (k_cut + 1)].reshape(2 ** n, k_cut + 1)
+    kk = joint.shape[1]
+    assert np.abs(joint - ref[:, :kk]).max() < 1e-9
+    assert np.abs(ref[:, kk:]).max() < 1e-9
+    if circ.has_rx():
+        return
+    q_max = 3
+    u = _brute_force(circ, q_max)
+    ch = dyn.apply_circuit(circ, q_max, backend="charge")
+    tw = dyn.apply_circuit(circ, q_max, backend="jtower")
+    for idx in enumerate_sectors(n, q_max):
+        want = project_full(u, idx, q_max)
+        rows = [tower_index(idx.jj, lab.mm, lab.k) for lab in basis_labels(idx)]
+        assert np.abs(ch.blocks[idx] - want).max() < 1e-9
+        assert np.abs(tw.blocks[idx.jj][np.ix_(rows, rows)] - want).max() < 1e-9

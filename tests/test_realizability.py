@@ -122,7 +122,7 @@ def test_block_recovers_rotation_angle():
     bu = dyn.apply_circuit(Circuit(n, gates), q_max, backend="charge")
     v = rz.check_block_target(rz.block_target_from_unitary(bu))
     assert v.realizable
-    dev = min(abs(float(rz.wrap(v.beta + sum(angles) + 2 * np.pi * w)))
+    dev = min(abs(float(rz.wrap_pi(v.beta + sum(angles) + 2 * np.pi * w)))
               for w in (-2, -1, 0, 1, 2))
     assert dev < 1e-8
 
