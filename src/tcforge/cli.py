@@ -185,13 +185,15 @@ def _suite_lie(n: int, q_max: int, tol: float):
         checks.append({"scope": f"rank q={s.q} 2j={s.jj}",
                        "rank": s.dim ** 2 - 1, "expected": s.dim ** 2 - 1,
                        "pass": bool(ok)})
+    failed = 0
     for s in enumerate_sectors(n, q_max):
         rep = liealg.anharmonicity_check(s)
         if not rep.matches_closed_form or (sector_dim(s) >= 2
                                            and not rep.condition_holds):
+            failed += 1
             checks.append({"scope": f"anharmonicity q={s.q} 2j={s.jj}",
                            "pass": False})
-    checks.append({"scope": "anharmonicity-closed-form", "pass": True})
+    checks.append({"scope": "anharmonicity-closed-form", "pass": failed == 0})
     return checks
 
 

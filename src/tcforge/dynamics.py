@@ -21,8 +21,10 @@ All interaction times are reported in units of 2π/g.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -47,6 +49,10 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if (isinstance(self.param, bool) or not isinstance(self.param, Real)
+                or not math.isfinite(self.param)):
+            raise ValueError(f"{self.kind} parameter must be a finite real "
+                             f"number, got {self.param!r}")
 
 
 @dataclass(frozen=True)
@@ -72,8 +78,11 @@ class Circuit:
     @staticmethod
     def from_json(text: str) -> "Circuit":
         payload = json.loads(text)
+        n = payload["n"]
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"circuit n must be an integer ≥ 1, got {n!r}")
         gates = tuple(Gate(g["kind"], float(g["param"])) for g in payload["gates"])
-        return Circuit(int(payload["n"]), gates)
+        return Circuit(n, gates)
 
 
 def simplify(circ: Circuit) -> Circuit:
@@ -140,9 +149,10 @@ def _evolve(gates, jj: int, k_max: int, x: np.ndarray) -> np.ndarray:
     k_max, with s the charge diagonal (see _skew) and r = j - m.
 
     tc and rz keep every diagonal apart, so each run of them between rx
-    gates is multiplied out as an [s, r, r] stack before it touches x.
+    gates is multiplied out as an [s, r, r] stack before it touches x.  An
+    rx-free x may hold only the first diagonals; only those are evolved.
     """
-    w, v, vt = _tc_eig(jj, k_max)
+    w, v, vt = (a[:len(x)] for a in _tc_eig(jj, k_max))
     m = jj / 2 - np.arange(jj + 1)
     ident = np.tile(np.eye(jj + 1, dtype=complex), (len(w), 1, 1))
     run = ident
@@ -170,7 +180,9 @@ def _charge_blocks(gates, n: int, q_max: int) -> dict:
     for jj in _spins(n):
         k_max = q_max + (jj - n) // 2  # tower_k_max without rx
         if k_max >= 0:
-            diagonals[jj] = _evolve(gates, jj, k_max, np.eye(jj + 1))
+            # sector blocks only come from the diagonals s ≤ k_max
+            x = np.broadcast_to(np.eye(jj + 1), (k_max + 1, jj + 1, jj + 1))
+            diagonals[jj] = _evolve(gates, jj, k_max, x)
     blocks = {}
     for idx in enumerate_sectors(n, q_max):
         s = idx.q - (n - idx.jj) // 2

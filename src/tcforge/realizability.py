@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .operators import charge_vector
-from .sectors import (SectorIndex, accidental_partner, enumerate_sectors,
-                      is_filled, j_min2, sector_dim)
+from .sectors import (SectorIndex, accidental_pairs, enumerate_sectors,
+                      j_min2, sector_dim)
 from .synthesis import wrap_pi
 
 # identifiers used in violation reports
@@ -218,6 +218,24 @@ def _solve_phase_system(eqs, tol: float, theta_z_candidates=None):
     return None
 
 
+def _phase_verdict(eqs, tol: float,
+                   theta_z_candidates=None) -> RealizabilityVerdict:
+    """Verdict on the determinant-phase system: its solution, or the worst
+    sector at θ_z = α = 0 when none exists."""
+    sol = _solve_phase_system(eqs, tol, theta_z_candidates)
+    if sol is None:
+        worst, idx = _verify_phase_system(eqs, 0.0, 0.0)
+        return RealizabilityVerdict(
+            False, violation={"constraint": DETERMINANT_PHASE,
+                              "sectors": None if idx is None
+                              else [idx.q, idx.jj],
+                              "residual": worst},
+            max_residual=worst)
+    tz, al = sol
+    worst, _ = _verify_phase_system(eqs, tz, al)
+    return RealizabilityVerdict(True, al, tz, max_residual=worst)
+
+
 def _pair_phase_candidates(v_unfilled, v_filled, jgap: int):
     """θ_z candidates from v_{q,j} = e^{-i·jgap·θ_z} v_{q',j'}."""
     tr = np.trace(v_filled.conj().T @ v_unfilled)
@@ -238,13 +256,7 @@ def _pair_phase_candidates(v_unfilled, v_filled, jgap: int):
 def check_block_target(target: BlockTarget,
                        tol: float = 1e-8) -> RealizabilityVerdict:
     """Full joint-space decision: partner equality plus determinant phases."""
-    pairs = []
-    for idx in enumerate_sectors(target.n, target.q_max):
-        if is_filled(idx):
-            continue
-        p = accidental_partner(idx)
-        if p is not None and p.q <= target.q_max:
-            pairs.append((idx, p))
+    pairs = accidental_pairs(target.n, target.q_max)
     eqs = _det_equations(target)
 
     tz_candidates = None
@@ -278,18 +290,7 @@ def check_block_target(target: BlockTarget,
                 max_residual=best_fail[0])
         tz_candidates = surviving
 
-    sol = _solve_phase_system(eqs, tol, tz_candidates)
-    if sol is None:
-        ref = _verify_phase_system(eqs, 0.0, 0.0)
-        return RealizabilityVerdict(
-            False, violation={"constraint": DETERMINANT_PHASE,
-                              "sectors": None if ref[1] is None
-                              else [ref[1].q, ref[1].jj],
-                              "residual": ref[0]},
-            max_residual=ref[0])
-    tz, al = sol
-    worst, _ = _verify_phase_system(eqs, tz, al)
-    return RealizabilityVerdict(True, al, tz, max_residual=worst)
+    return _phase_verdict(eqs, tol, tz_candidates)
 
 
 def check_symmetric_phase_constraint(n: int, q_max: int, theta_q: list[float],
@@ -304,18 +305,7 @@ def check_symmetric_phase_constraint(n: int, q_max: int, theta_q: list[float],
         c = (qq + 1) * (q - n) / 2 if q <= n else 0.0
         d = qq + 1
         eqs.append((c, d, float(th), SectorIndex(n, q, n)))
-    sol = _solve_phase_system(eqs, tol)
-    if sol is None:
-        ref = _verify_phase_system(eqs, 0.0, 0.0)
-        return RealizabilityVerdict(
-            False, violation={"constraint": DETERMINANT_PHASE,
-                              "sectors": None if ref[1] is None
-                              else [ref[1].q, ref[1].jj],
-                              "residual": ref[0]},
-            max_residual=ref[0])
-    tz, al = sol
-    worst, _ = _verify_phase_system(eqs, tz, al)
-    return RealizabilityVerdict(True, al, tz, max_residual=worst)
+    return _phase_verdict(eqs, tol)
 
 
 def state_convertible(n: int, psi: dict[tuple[int, int], complex],

@@ -16,8 +16,6 @@ freedom and the four Euler branches per axis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
@@ -84,33 +82,41 @@ def compose_rotations(gamma1: float, gamma2: float, m_hat: np.ndarray,
     return AxisAngle(vec / s, angle)
 
 
+def _euler_options(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """θ1/θ2 for all four branches; axes (..., 3) -> arrays (..., 4)."""
+    nx = np.clip(axes[..., 0], -1.0, 1.0)
+    two_gamma = np.arccos(nx)
+    sin_tg = np.sin(two_gamma)
+    beta = np.where(sin_tg < 1e-12, 0.0,
+                    np.arctan2(axes[..., 2], -axes[..., 1]) / 2)
+    betas = np.stack([beta, beta + np.pi, beta + np.pi / 2, beta - np.pi / 2],
+                     axis=-1)
+    betas = wrap_pi(betas)
+    theta1 = np.stack([two_gamma, two_gamma, -two_gamma, -two_gamma], axis=-1)
+    return theta1, betas / np.sqrt(2)
+
+
 def euler_embed(axis: np.ndarray) -> list[tuple[float, float]]:
     """Four (θ1, θ2) pairs conjugating the x axis of the charge-1 block
     onto ``axis``: n_x = cos(2γ), n_y = -sin(2γ)cos(2β), n_z = sin(2γ)sin(2β),
     with θ1 = 2γ and θ2 = β/√2."""
-    nx, ny, nz = axis
-    two_gamma = float(np.arccos(np.clip(nx, -1.0, 1.0)))
-    sin_tg = np.sin(two_gamma)
-    beta = 0.0 if sin_tg < 1e-12 else float(np.arctan2(nz, -ny)) / 2
-    out = []
-    for tg, b in ((two_gamma, beta), (two_gamma, beta + np.pi),
-                  (-two_gamma, beta + np.pi / 2), (-two_gamma, beta - np.pi / 2)):
-        b = float(wrap_pi(b))
-        out.append((tg, b / np.sqrt(2)))
-    return out
+    theta1, theta2 = _euler_options(np.asarray(axis, dtype=float))
+    return [(float(t1), float(t2)) for t1, t2 in zip(theta1, theta2)]
 
 
 def _perp(axis: np.ndarray) -> np.ndarray:
-    probe = np.array([1.0, 0, 0]) if abs(axis[0]) < 0.9 else np.array([0, 1.0, 0])
+    """A unit vector perpendicular to each axis; axis (..., 3)."""
+    probe = np.where(np.abs(axis[..., :1]) < 0.9, [1.0, 0, 0], [0, 1.0, 0])
     v = np.cross(axis, probe)
-    return v / np.linalg.norm(v)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 @dataclass
 class TwoStepFamily:
     """One-parameter family of axis pairs with
     exp(iγ n̂2·σ)·exp(iγ n̂1·σ) = exp(iα μ̂·σ), parametrised by a rotation
-    of the pair about the target axis μ̂."""
+    of the pair about the target axis μ̂.  mu may carry leading batch axes
+    (..., 3), all sharing the one angle α."""
 
     mu: np.ndarray
     alpha: float
@@ -134,19 +140,22 @@ class TwoStepFamily:
         self._g1 = np.cross(self.mu, self._g0)
 
     def axes(self, theta):
-        """(n̂1, n̂2) at family parameter theta; vectorizes over theta."""
-        theta = np.asarray(theta, dtype=float)
-        g = (np.cos(theta)[..., None] * self._g0
-             + np.sin(theta)[..., None] * self._g1)
+        """(n̂1, n̂2) at family parameter theta (G,), each (..., G, 3)."""
+        theta = np.asarray(theta, dtype=float)[..., None]
+        mu = np.asarray(self.mu)[..., None, :]
+        g = (np.cos(theta) * self._g0[..., None, :]
+             + np.sin(theta) * self._g1[..., None, :])
         sin_a = np.sin(self.alpha)
         if abs(sin_a) < 1e-12:  # identity target: antipodal pair, any axis
             return g, -g
-        e_hat = (self._a * self.mu - self._b * g) / sin_a
-        f_hat = (-self._b * self.mu - self._a * g) / sin_a
+        e_hat = (self._a * mu - self._b * g) / sin_a
+        f_hat = (-self._b * mu - self._a * g) / sin_a
         w_hat = np.cross(f_hat, e_hat)
         n1 = self._u * e_hat + self._w * w_hat
         n2 = self._u * e_hat - self._w * w_hat
-        return n1, n2
+        # at the 2-step boundary (d → 1) rounding in d leaves |n| off 1
+        return (n1 / np.linalg.norm(n1, axis=-1, keepdims=True),
+                n2 / np.linalg.norm(n2, axis=-1, keepdims=True))
 
 
 def solve_two_step(target: AxisAngle, step_angle: float) -> Optional[TwoStepFamily]:
@@ -178,107 +187,83 @@ class Decomposition:
 _KIND_ORDER = {"0-step": 0, "1-step": 1, "2-step": 2, "3-step": 3, "4-step": 4}
 
 
-def _euler_options(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """θ1/θ2 for all four branches; axes (..., 3) -> arrays (..., 4)."""
-    nx = np.clip(axes[..., 0], -1.0, 1.0)
-    two_gamma = np.arccos(nx)
-    sin_tg = np.sin(two_gamma)
-    beta = np.where(sin_tg < 1e-12, 0.0,
-                    np.arctan2(axes[..., 2], -axes[..., 1]) / 2)
-    betas = np.stack([beta, beta + np.pi, beta + np.pi / 2, beta - np.pi / 2],
-                     axis=-1)
-    betas = wrap_pi(betas)
-    theta1 = np.stack([two_gamma, two_gamma, -two_gamma, -two_gamma], axis=-1)
-    return theta1, betas / np.sqrt(2)
-
-
-def _chain_cost(theta2s: np.ndarray) -> np.ndarray:
-    """Euler-angle contribution |t₁| + Σ|tᵢ₊₁-tᵢ| + |tₛ| along the chain."""
-    cost = np.abs(theta2s[..., 0]) + np.abs(theta2s[..., -1])
-    for i in range(theta2s.shape[-1] - 1):
-        cost = cost + np.abs(theta2s[..., i + 1] - theta2s[..., i])
-    return cost
-
-
-@lru_cache(maxsize=None)
-def _combo_table(s: int) -> np.ndarray:
-    return np.array(list(product(range(4), repeat=s)), dtype=int)
-
-
-def _best_over_branches(axes_list: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _best_over_branches(
+        axes_list: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Min chain cost over the 4^s Euler branch combos, per grid point.
 
-    axes_list holds gadget axes, each (G, 3).  Returns (cost (G,), combo
-    (G, s)) with the branch indices achieving it.
+    The chain cost |t₁| + Σ|tᵢ₊₁-tᵢ| + |tₛ| of the θ2 angles couples only
+    neighbouring factors, so its minimum is a shortest path through the
+    four branches of each factor: s - 1 (G, 4, 4) steps, not 4^s combos.
+    axes_list holds gadget axes, each (G, 3).  Returns (cost (G,), θ1 (G, s),
+    θ2 (G, s)) of the branch combo achieving it.
     """
-    s = len(axes_list)
-    t2 = np.stack([_euler_options(a)[1] for a in axes_list], axis=1)  # (G,s,4)
-    combos = _combo_table(s)  # (C, s)
-    sel = t2[:, np.arange(s), combos]  # (G, C, s)
-    cost = _chain_cost(sel)  # (G, C)
-    pick = np.argmin(cost, axis=1)
-    return cost[np.arange(cost.shape[0]), pick], combos[pick]
+    t1, t2 = _euler_options(np.stack(axes_list, axis=1))  # (G, s, 4)
+    g = np.arange(len(t2))
+    cost = np.abs(t2[:, 0])  # cheapest chain ending in each branch
+    back = []
+    for i in range(1, t2.shape[1]):
+        step = cost[:, :, None] + np.abs(t2[:, i, None, :] - t2[:, i - 1, :, None])
+        back.append(np.argmin(step, axis=1))
+        cost = step.min(axis=1)
+    cost = cost + np.abs(t2[:, -1])
+    picks = [np.argmin(cost, axis=1)]
+    for b in reversed(back):
+        picks.append(b[g, picks[-1]])
+    combo = np.stack(picks[::-1], axis=1)[..., None]  # (G, s, 1)
+    return (cost[g, picks[0]], np.take_along_axis(t1, combo, -1)[..., 0],
+            np.take_along_axis(t2, combo, -1)[..., 0])
 
 
-def _golden_min(fn: Callable[[float], float], lo: float, hi: float,
-                iters: int = 60) -> float:
-    invphi = (np.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return (a + b) / 2
+ZOOM_POINTS = 65    # grid points per coordinate and round
+ZOOM_ROUNDS = 6     # one full-period grid, then five zoom rounds
 
 
-GRID_POINTS = 64
+def _zoom_min(objective: Callable, center, step: float,
+              rounds: int = ZOOM_ROUNDS, points: int = ZOOM_POINTS):
+    """Grid-zoom minimisation of a vectorized objective.
+
+    Each round evaluates ``objective`` once, on ``points`` evenly spaced
+    values per coordinate spanning center ± step, recentres on the cheapest
+    and shrinks step to one grid spacing; the incumbent stays on the grid.
+    ``center`` is a scalar or a (d,) vector, and objective maps the (G,) or
+    (G, d) points to a tuple of arrays whose first is the (G,) cost.
+    Returns the final point and the objective's entries there.
+    """
+    center = np.asarray(center, dtype=float)
+    ticks = np.linspace(-1.0, 1.0, points)
+    offsets = ticks if center.ndim == 0 else np.stack(
+        np.meshgrid(*[ticks] * center.size, indexing="ij"),
+        axis=-1).reshape(-1, center.size)
+    for _ in range(rounds):
+        xs = center + step * offsets
+        out = objective(xs)
+        i = int(np.argmin(out[0]))
+        center, step = xs[i], step * 2 / (points - 1)
+    return center, tuple(o[i] for o in out)
 
 
-def _optimize_chain(axes_fn: Callable, ks: tuple[int, ...],
-                    grid: int = GRID_POINTS, refine: bool = True):
+def _optimize_chain(axes_fn: Callable, ks: tuple[int, ...]):
     """Minimize interaction time over the family parameter and branches.
 
     axes_fn(thetas (G,)) must return the list of gadget axes, each (G, 3),
-    in time order.  Returns (tau, thetastar, axes, eulers).
+    in time order.  Returns (tau, axes, eulers).
     """
-    thetas = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
-    axes_list = axes_fn(thetas)
-    cost, _ = _best_over_branches(axes_list)
-    i0 = int(np.argmin(cost))
-    t_star = thetas[i0]
-    if refine:
-        span = 2 * np.pi / grid
+    def objective(thetas):
+        axes = axes_fn(thetas)
+        return _best_over_branches(axes) + (np.stack(axes, axis=1),)
 
-        def f(theta):
-            c, _ = _best_over_branches(axes_fn(np.array([theta])))
-            return float(c[0])
-
-        t_star = _golden_min(f, t_star - span, t_star + span, iters=36)
-    axes_star = [a[0] for a in axes_fn(np.array([t_star]))]
-    _, combos = _best_over_branches([a[None, :] for a in axes_star])
-    eulers = []
-    for a, b in zip(axes_star, combos[0]):
-        eulers.append(euler_embed(a)[b])
-    chain = _chain_cost(np.array([[e[1] for e in eulers]]))[0]
-    core = sum(ks) * CORE_R
-    tau = (core + chain) / (2 * np.pi)
-    return tau, t_star, axes_star, tuple(eulers)
+    _, (chain, t1, t2, axes) = _zoom_min(objective, np.pi, np.pi)
+    tau = (sum(ks) * CORE_R + chain) / (2 * np.pi)
+    return float(tau), axes, tuple((float(a), float(b)) for a, b in zip(t1, t2))
 
 
-def _steps_to_circuit(steps, eulers) -> Circuit:
+def _gadgets(steps, eulers) -> tuple[Gate, ...]:
+    """The five-gate gadget of every factor, in time order."""
     gates: list[Gate] = []
     for (k, _axis), (t1, t2) in zip(steps, eulers):
         gates += [Gate("tc", t2), Gate("rz", t1), Gate("tc", k * CORE_R),
                   Gate("rz", -t1), Gate("tc", -t2)]
-    return simplify(Circuit(2, gates))
+    return tuple(gates)
 
 
 def _verify_steps(steps, target: np.ndarray, atol: float = 1e-9) -> None:
@@ -316,7 +301,7 @@ def decompose_fixed_angle(u: np.ndarray) -> Decomposition:
             n1, n2 = fam.axes(th)
             return [-n1, -n2]  # gadget realizes exp(-ikδ n̂·σ)
 
-        tau, _, gaxes, eulers = _optimize_chain(axes_fn, (k, k))
+        tau, gaxes, eulers = _optimize_chain(axes_fn, (k, k))
         steps = ((k, -gaxes[0]), (k, -gaxes[1]))
         _verify_steps(steps, u)
         candidates.append(Decomposition(kind, steps, eulers, tau))
@@ -326,22 +311,13 @@ def decompose_fixed_angle(u: np.ndarray) -> Decomposition:
 
     # 3-step: peel one fixed-angle rotation about the target axis (either
     # sign), then 2-step the remainder.  For targets at angle π the axis is
-    # free, so search it on a sphere grid as well.
-    degenerate = aa.axis is None and aa.angle > np.pi - 1e-9
-    if degenerate:
-        plans = [(mu, 1.0, False) for mu in _fibonacci_sphere(192)]
+    # free and searched first.
+    if aa.axis is None and aa.angle > np.pi - 1e-9:
+        plans = [(_degenerate_axis(u), 1.0)]
     else:
-        plans = [] if aa.axis is None else [(aa.axis, 1.0, True),
-                                            (aa.axis, -1.0, True)]
-    best3: Optional[Decomposition] = None
-    for mu, sign, refine in plans:
-        cand = _three_step(u, mu, sign, refine=refine)
-        if cand is not None and (best3 is None or cand.tau < best3.tau):
-            best3 = cand
-    if best3 is not None:
-        if degenerate:  # refine the free axis locally
-            best3 = _refine_degenerate_axis(u, best3)
-        candidates.append(best3)
+        plans = [] if aa.axis is None else [(aa.axis, 1.0), (aa.axis, -1.0)]
+    candidates += [c for c in (_three_step(u, mu, sign) for mu, sign in plans)
+                   if c is not None]
 
     # 1-step: the target is itself a rotation by the fixed angle
     if aa.axis is not None and abs(np.cos(aa.angle) - np.cos(DELTA)) < 1e-12:
@@ -358,8 +334,8 @@ def decompose_fixed_angle(u: np.ndarray) -> Decomposition:
     return min(candidates, key=lambda d: (d.tau, _KIND_ORDER[d.kind]))
 
 
-def _three_step(u: np.ndarray, mu: np.ndarray, sign: float,
-                refine: bool) -> Optional[Decomposition]:
+def _three_step(u: np.ndarray, mu: np.ndarray,
+                sign: float) -> Optional[Decomposition]:
     """3-step candidate with fixed last factor exp(i·sign·δ·μ̂·σ)."""
     rest = aa_matrix(-sign * DELTA, mu) @ u
     aar = su2_axis_angle(rest)
@@ -369,54 +345,58 @@ def _three_step(u: np.ndarray, mu: np.ndarray, sign: float,
 
     def axes_fn(th):
         n1, n2 = fam.axes(th)
-        fixed = np.broadcast_to(-sign * mu, n1.shape).copy()
-        return [-n1, -n2, fixed]
+        return [-n1, -n2, np.broadcast_to(-sign * mu, n1.shape)]
 
-    tau, _, gaxes, eulers = _optimize_chain(axes_fn, (1, 1, 1), refine=refine)
+    tau, gaxes, eulers = _optimize_chain(axes_fn, (1, 1, 1))
     steps = ((1, -gaxes[0]), (1, -gaxes[1]), (1, sign * mu))
-    if refine:
-        _verify_steps(steps, u)
+    _verify_steps(steps, u)
     return Decomposition("3-step", steps, eulers, tau)
 
 
-def _refine_degenerate_axis(u: np.ndarray, seed: Decomposition) -> Decomposition:
-    """Local sphere refinement of the free third axis for angle-π targets."""
-    best = seed
-    mu0 = np.array(seed.steps[-1][1], dtype=float)
-    scale = 0.2
-    for round_idx in range(5):
-        e1 = _perp(mu0)
-        e2 = np.cross(mu0, e1)
-        improved = False
-        final = round_idx == 4
-        for da in np.linspace(-scale, scale, 5):
-            for db in np.linspace(-scale, scale, 5):
-                mu = mu0 + da * e1 + db * e2
-                mu /= np.linalg.norm(mu)
-                cand = _three_step(u, mu, 1.0, refine=final)
-                if cand is not None and cand.tau < best.tau:
-                    best = cand
-                    mu0 = mu
-                    improved = True
-        if not improved:
-            scale /= 4
-    if not best.steps:
-        return best
-    final = _three_step(u, np.array(best.steps[-1][1], dtype=float), 1.0,
-                        refine=True)
-    return final if final is not None and final.tau <= best.tau + 1e-12 else best
+def _degenerate_axis(u: np.ndarray) -> np.ndarray:
+    """Third-factor axis μ̂ of the fastest 3-step product for an angle-π
+    target u = -I.  Every remainder exp(-iδ μ̂·σ)·u then has the same angle,
+    about ±μ̂, so one TwoStepFamily spans all candidate axes: each μ̂ costs
+    its cheapest point on a coarse θ grid (16 points: it only ranks axes,
+    and keeps the 192-axis scan to one small batch; _three_step refines θ).
+    A Fibonacci-sphere scan picks the start, then zoom rounds over
+    tangent-plane offsets refine it."""
+    probe = np.array([0.0, 0, 1.0])
+    rest = su2_axis_angle(aa_matrix(-DELTA, probe) @ u)
+    side = float(rest.axis @ probe)  # remainder axis is side·μ̂
+    thetas = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+
+    def cost(mus):
+        n1, n2 = TwoStepFamily(side * mus, rest.angle, DELTA).axes(thetas)
+        fixed = np.broadcast_to(-mus[:, None, :], n1.shape)
+        c = _best_over_branches([a.reshape(-1, 3) for a in (-n1, -n2, fixed)])
+        return c[0].reshape(len(mus), -1).min(axis=1)
+
+    sphere = _fibonacci_sphere(192)
+    mu0 = sphere[int(np.argmin(cost(sphere)))]
+    e1 = _perp(mu0)
+    e2 = np.cross(mu0, e1)
+
+    def tangent(ab):
+        mus = mu0 + ab[:, :1] * e1 + ab[:, 1:] * e2
+        mus /= np.linalg.norm(mus, axis=1, keepdims=True)
+        return cost(mus), mus
+
+    _, (_, mu) = _zoom_min(tangent, np.zeros(2), 0.2, rounds=8, points=5)
+    return mu
 
 
 def a_gate(u: np.ndarray) -> Circuit:
     """Circuit acting as u on the two-qubit charge-1 sector and as the
     identity on charges 0 and 2 (and on the whole singlet tower)."""
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or np.abs(u.conj().T @ u - np.eye(2)).max() > 1e-9:
+    if u.shape != (2, 2) or not (
+            np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-9):
         raise ValueError("a_gate target must be a 2x2 unitary")
-    if abs(np.linalg.det(u) - 1) > 1e-10:
+    if not (abs(np.linalg.det(u) - 1) <= 1e-10):
         raise ValueError("a_gate target must have determinant 1")
     dec = decompose_fixed_angle(u)
-    return _steps_to_circuit(dec.steps, dec.eulers)
+    return simplify(Circuit(2, _gadgets(dec.steps, dec.eulers)))
 
 
 F_PHI1 = 0.5 * np.arccos(7 / 16)
@@ -468,6 +448,9 @@ def compile_two_qubit(phi00: float, phi_psi_plus: float, phi11: float,
     Tries the four F/F† placements, plus the F-free shortcut available when
     φ00 + φ11 ≡ 0 (mod 2π), and keeps the fastest.
     """
+    if not np.all(np.isfinite([phi00, phi_psi_plus, phi11])):
+        raise ValueError("phases must be finite, got "
+                         f"{(phi00, phi_psi_plus, phi11)!r}")
     theta = wrap_pi((phi00 + phi11) / 2)
     theta_p = wrap_pi((phi11 - phi00) / 2)
     f_circ, fd_circ = f_gate(), f_gate_dagger()
@@ -555,30 +538,20 @@ def _published_sqrt_iswap() -> SynthesisResult:
     fam = solve_two_step(su2_axis_angle(rest), DELTA)
     a1_ref = _axis_from_angles(*_SQRT_ISWAP_SEED["n1"])
     a2_ref = _axis_from_angles(*_SQRT_ISWAP_SEED["n2"])
-    lo, hi, pts = 0.0, 2 * np.pi, 4096
-    for _ in range(3):  # locate the family point nearest the seed
-        th = np.linspace(lo, hi, pts)
+
+    def miss(th):  # distance of the family point from the seed axes
         n1s, n2s = fam.axes(th)
-        miss = np.linalg.norm(n1s - a1_ref, axis=1) + np.linalg.norm(
-            n2s - a2_ref, axis=1)
-        i = int(np.argmin(miss))
-        step = (hi - lo) / (pts - 1)
-        lo, hi, pts = th[i] - step, th[i] + step, 257
-    t_star = (lo + hi) / 2
-    n1, n2 = (v[0] for v in fam.axes(np.array([t_star])))
+        return (np.linalg.norm(n1s - a1_ref, axis=-1)
+                + np.linalg.norm(n2s - a2_ref, axis=-1), n1s, n2s)
+
+    _, (_, n1, n2) = _zoom_min(miss, np.pi, np.pi)
     steps = ((1, n1), (1, n2), (1, -mu.axis))
     _verify_steps(steps, u_a)
     seed_t2 = [_SQRT_ISWAP_SEED[k][1] for k in ("n1", "n2", "n")]
-    gates: list[Gate] = []
-    eulers = []
-    for (k, ax), t2_ref in zip(steps, seed_t2):
-        opts = euler_embed(-ax)
-        t1, t2 = min(opts, key=lambda e: abs(e[1] - t2_ref))
-        eulers.append((t1, t2))
-        gates += [Gate("tc", t2), Gate("rz", t1), Gate("tc", k * CORE_R),
-                  Gate("rz", -t1), Gate("tc", -t2)]
+    eulers = [min(euler_embed(-ax), key=lambda e: abs(e[1] - t2_ref))
+              for (_k, ax), t2_ref in zip(steps, seed_t2)]
     circuit = Circuit(2, fd.gates + (Gate("rz", theta),) + fd.gates
-                      + tuple(gates))
+                      + _gadgets(steps, eulers))
     target = _phase_target(phi00, phi_p, phi11)
     vs = vacuum_sandwich(apply_circuit(circuit, 2))
     residual = float(np.abs(vs.matrix - target).max())

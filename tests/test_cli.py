@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 from tcforge.cli import main
@@ -124,3 +125,20 @@ def test_report_table(tmp_path):
     assert abs(float(rows["swap"]) - 1.273) < 0.01
     assert abs(float(rows["iswap"]) - 2.546) < 0.01
     assert abs(float(rows["sqrt_iswap"]) - 2.688) < 0.01
+
+
+def test_verify_lie_closed_form_check_is_computed(monkeypatch):
+    from tcforge import cli, liealg
+
+    def closed(checks):
+        return [c for c in checks if c["scope"] == "anharmonicity-closed-form"]
+
+    assert closed(cli._suite_lie(2, 4, 1e-8)) == [
+        {"scope": "anharmonicity-closed-form", "pass": True}]
+    real = liealg.anharmonicity_check
+
+    def mismatch(idx):
+        return dataclasses.replace(real(idx), matches_closed_form=False)
+
+    monkeypatch.setattr(liealg, "anharmonicity_check", mismatch)
+    assert closed(cli._suite_lie(2, 4, 1e-8))[0]["pass"] is False

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,6 +173,22 @@ def test_circuit_json_round_trip_exact():
     assert again.n == circ.n
     for a, b in zip(again.gates, circ.gates):
         assert a.kind == b.kind and a.param == b.param
+
+
+def test_gate_rejects_non_finite_or_non_real_params():
+    for bad in (np.nan, np.inf, -np.inf, 1j, True, "0.5", None):
+        with pytest.raises(ValueError):
+            Gate("tc", bad)
+    for good in (0, 0.5, np.float64(-1.25), np.int64(3)):
+        assert Gate("rz", good).param == good
+
+
+def test_from_json_rejects_bad_qubit_count():
+    for n in (2.7, 2.0, 0, -1, True, "2"):
+        with pytest.raises(ValueError):
+            Circuit.from_json('{"n": %s, "gates": []}' % json.dumps(n))
+    with pytest.raises(ValueError):
+        Circuit.from_json('{"n": 2, "gates": [{"kind": "tc", "param": NaN}]}')
 
 
 @settings(max_examples=50)

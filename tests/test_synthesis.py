@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +94,18 @@ def test_two_step_recomposition(seed, theta):
         assert np.abs(got - syn.aa_matrix(alpha, mu)).max() < 1e-9
 
 
+def test_two_step_family_broadcasts_over_axes():
+    rng = np.random.default_rng(5)
+    mus = np.stack([rand_axis(rng) for _ in range(4)])
+    thetas = np.linspace(0, 2 * np.pi, 7)
+    n1s, n2s = syn.TwoStepFamily(mus, 0.4, DELTA).axes(thetas)
+    assert n1s.shape == (4, 7, 3)
+    for mu, b1, b2 in zip(mus, n1s, n2s):
+        n1, n2 = syn.TwoStepFamily(mu, 0.4, DELTA).axes(thetas)
+        assert np.abs(b1 - n1).max() < 1e-15 and np.abs(b2 - n2).max() < 1e-15
+    assert np.abs(np.linalg.norm(n1s, axis=-1) - 1).max() < 1e-15
+
+
 # -------------------------------------------------------------------- euler
 
 def test_euler_embed_examples():
@@ -112,6 +126,26 @@ def test_euler_branches_reproduce_axis(seed):
     for t1, t2 in syn.euler_embed(axis):
         got = syn._axis_from_angles(t1, t2)
         assert np.abs(got - axis).max() < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 4))
+def test_best_over_branches_matches_brute_force(seed, s):
+    rng = np.random.default_rng(seed)
+    axes = [np.stack([rand_axis(rng) for _ in range(5)]) for _ in range(s)]
+    cost, t1, t2 = syn._best_over_branches(axes)
+    for g in range(5):
+        options = [syn.euler_embed(a[g]) for a in axes]
+        chains = [[options[i][b][1] for i, b in enumerate(combo)]
+                  for combo in product(range(4), repeat=s)]
+        want = min(abs(c[0]) + abs(c[-1])
+                   + sum(abs(c[i + 1] - c[i]) for i in range(s - 1))
+                   for c in chains)
+        assert abs(cost[g] - want) < 1e-12
+        got = list(t2[g])
+        assert abs(abs(got[0]) + abs(got[-1]) + sum(
+            abs(got[i + 1] - got[i]) for i in range(s - 1)) - cost[g]) < 1e-12
+        assert all(tuple(p) in options[i] for i, p in enumerate(zip(t1[g], t2[g])))
 
 
 def test_gadget_realizes_fixed_rotation():
@@ -243,6 +277,21 @@ def test_compile_phase_triple_round_trip():
         res = syn.compile_two_qubit(*phis)
         assert res.residual < 1e-8
         assert res.tau <= 3.92 + 1e-6
+
+
+def test_compile_two_step_boundary_triple():
+    # its 3-step remainder sits on the 2-step boundary cos α = cos 2δ, where
+    # rounding once left the family axes off unit norm
+    res = syn.compile_two_qubit(1.4884739462014362, 2.4012876269253036,
+                                -2.439352522382718)
+    assert res.residual < 1e-8
+    assert res.tau <= 3.92
+
+
+def test_compile_rejects_non_finite_phases():
+    for phases in ((np.nan, 0.0, 0.0), (0.0, np.inf, 0.0)):
+        with pytest.raises(ValueError):
+            syn.compile_two_qubit(*phases)
 
 
 def test_compile_zero_phases_trivial():
