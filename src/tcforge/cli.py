@@ -29,12 +29,16 @@ DESK_N = 6
 DESK_QMAX = 12
 
 
-def _dump(obj, path: Path | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2)
-    if path is None:
-        print(text)
+def _emit(text: str, out) -> None:
+    """Write text to the file out, or print it when out is empty."""
+    if out:
+        Path(out).write_text(text)
     else:
-        path.write_text(text + "\n")
+        print(text, end="")
+
+
+def _dump(obj, out) -> None:
+    _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", out)
 
 
 def _matrix_json(m: np.ndarray):
@@ -52,7 +56,6 @@ def _workers() -> int:
 
 
 def cmd_synthesize(args) -> int:
-    tol = args.tol
     try:
         if args.gate:
             res = synthesis.named_gate(args.gate, phi=args.phi)
@@ -84,7 +87,7 @@ def cmd_synthesize(args) -> int:
     _dump(report, out / f"{stem}.report.json")
     print(f"{target_name}: tau = {res.tau:.6f} x 2pi/g, residual = "
           f"{res.residual:.2e}")
-    return 0 if res.residual < tol else 2
+    return 0 if res.residual < args.tol else 2
 
 
 _NAMED_STATES = {"psi+": [0, 1, 1, 0], "psi-": [0, 1, -1, 0]}
@@ -106,7 +109,7 @@ def _parse_state(spec: str, n: int) -> np.ndarray:
 def cmd_simulate(args) -> int:
     try:
         circ = Circuit.from_json(Path(args.circuit).read_text())
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error reading circuit: {exc}", file=sys.stderr)
         return 1
     q_max = args.qmax if args.qmax is not None else max(circ.n, 2)
@@ -143,7 +146,7 @@ def cmd_simulate(args) -> int:
         if not circ.has_rx() and q_max >= circ.n:
             vs = vacuum_sandwich(bu)
             result["vacuum_residual"] = vs.residual
-    _dump(result, Path(args.out) if args.out else None)
+    _dump(result, args.out)
     return 0
 
 
@@ -246,8 +249,7 @@ def cmd_verify(args) -> int:
     checks = _SUITES[args.suite](args.n, args.qmax, args.tol)
     ok = all(c["pass"] for c in checks)
     _dump({"suite": args.suite, "n": args.n, "q_max": args.qmax,
-           "checks": checks, "pass": ok},
-          Path(args.out) if args.out else None)
+           "checks": checks, "pass": ok}, args.out)
     return 0 if ok else 2
 
 
@@ -266,14 +268,9 @@ def cmd_sectors(args) -> int:
             pq, pj = (r["partner"] or ["", ""])
             lines.append(f"{r['q']},{r['jj']},{r['dim']},"
                          f"{r['multiplicity']},{int(r['filled'])},{pq},{pj}")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            print(text, end="")
+        _emit("\n".join(lines) + "\n", args.out)
     else:
-        _dump({"n": args.n, "sectors": rows},
-              Path(args.out) if args.out else None)
+        _dump({"n": args.n, "sectors": rows}, args.out)
     return 0
 
 
@@ -288,15 +285,11 @@ def cmd_report(args) -> int:
         rows.append((name, res.tau))
         worst = max(worst, res.residual)
     if args.format == "csv":
-        text = "gate,tau_x_g_over_2pi\n" + "".join(
-            f"{name},{tau!r}\n" for name, tau in rows)
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            print(text, end="")
+        _emit("gate,tau_x_g_over_2pi\n" + "".join(
+            f"{name},{tau!r}\n" for name, tau in rows), args.out)
     else:
         _dump({"gates": [{"gate": g, "tau": t} for g, t in rows],
-               "worst_residual": worst}, Path(args.out) if args.out else None)
+               "worst_residual": worst}, args.out)
     return 0 if worst < args.tol else 2
 
 

@@ -78,11 +78,17 @@ class Circuit:
     @staticmethod
     def from_json(text: str) -> "Circuit":
         payload = json.loads(text)
-        n = payload["n"]
+        if not isinstance(payload, dict) or set(payload) != {"n", "gates"}:
+            raise ValueError('circuit JSON needs exactly the keys "n" and "gates"')
+        n, gates = payload["n"], payload["gates"]
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"circuit n must be an integer ≥ 1, got {n!r}")
-        gates = tuple(Gate(g["kind"], float(g["param"])) for g in payload["gates"])
-        return Circuit(n, gates)
+        # exact types: bool is an int, and float() would accept "1.5"
+        if not isinstance(gates, list) or not all(
+                isinstance(g, dict) and set(g) == {"kind", "param"}
+                and type(g["param"]) in (int, float) for g in gates):
+            raise ValueError('each gate needs exactly a "kind" and a numeric "param"')
+        return Circuit(n, tuple(Gate(g["kind"], float(g["param"])) for g in gates))
 
 
 def simplify(circ: Circuit) -> Circuit:

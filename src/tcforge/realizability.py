@@ -61,7 +61,7 @@ class BlockTarget:
             b = self.blocks[idx]
             if b.shape != (idx.dim, idx.dim):
                 raise ValueError(f"block for {idx} has shape {b.shape}")
-            if np.abs(b.conj().T @ b - np.eye(idx.dim)).max() > 1e-10:
+            if not np.abs(b.conj().T @ b - np.eye(idx.dim)).max() <= 1e-10:
                 raise ValueError(f"block for {idx} is not unitary")
 
 

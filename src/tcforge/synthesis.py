@@ -16,6 +16,7 @@ freedom and the four Euler branches per axis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,9 +28,6 @@ from .sectors import SectorIndex
 
 DELTA = 2 * np.pi / np.sqrt(3)      # fixed Bloch rotation angle per pulse
 CORE_R = 2 * np.pi / np.sqrt(6)     # tc parameter realizing one such pulse
-COS_2D = np.cos(2 * DELTA)          # ≈ 0.563
-COS_3D = np.cos(3 * DELTA)          # ≈ -0.112
-COS_4D = np.cos(4 * DELTA)          # ≈ -0.362
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -116,46 +114,61 @@ class TwoStepFamily:
     """One-parameter family of axis pairs with
     exp(iγ n̂2·σ)·exp(iγ n̂1·σ) = exp(iα μ̂·σ), parametrised by a rotation
     of the pair about the target axis μ̂.  mu may carry leading batch axes
-    (..., 3), all sharing the one angle α."""
+    (..., 3); alpha and gamma are shared scalars or one value per row."""
 
     mu: np.ndarray
-    alpha: float
-    gamma: float
-    _u: float = field(init=False)
-    _w: float = field(init=False)
-    _a: float = field(init=False)
-    _b: float = field(init=False)
+    alpha: float | np.ndarray
+    gamma: float | np.ndarray
+    _u: np.ndarray = field(init=False)
+    _w: np.ndarray = field(init=False)
+    _a: np.ndarray = field(init=False)
+    _b: np.ndarray = field(init=False)
+    _sin_a: np.ndarray = field(init=False)
     _g0: np.ndarray = field(init=False)
     _g1: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        c, s = np.cos(self.gamma), np.sin(self.gamma)
-        d = (c * c - np.cos(self.alpha)) / (s * s)
-        d = float(np.clip(d, -1.0, 1.0))
+        # per-row scalars, shaped (..., 1, 1) against the (..., G, 3) axes
+        alpha, gamma = (np.asarray(x, dtype=float)[..., None, None]
+                        for x in (self.alpha, self.gamma))
+        c, s = np.cos(gamma), np.sin(gamma)
+        d = np.clip((c * c - np.cos(alpha)) / (s * s), -1.0, 1.0)
         self._u = np.sqrt((1 + d) / 2)
         self._w = np.sqrt((1 - d) / 2)
         self._a = 2 * s * c * self._u
         self._b = 2 * s * s * self._u * self._w
+        self._sin_a = np.sin(alpha)
         self._g0 = _perp(self.mu)
         self._g1 = np.cross(self.mu, self._g0)
 
     def axes(self, theta):
-        """(n̂1, n̂2) at family parameter theta (G,), each (..., G, 3)."""
+        """(n̂1, n̂2) at family parameter theta, (G,) shared or (..., G) per
+        row, each (..., G, 3)."""
         theta = np.asarray(theta, dtype=float)[..., None]
         mu = np.asarray(self.mu)[..., None, :]
         g = (np.cos(theta) * self._g0[..., None, :]
              + np.sin(theta) * self._g1[..., None, :])
-        sin_a = np.sin(self.alpha)
-        if abs(sin_a) < 1e-12:  # identity target: antipodal pair, any axis
-            return g, -g
+        ident = np.abs(self._sin_a) < 1e-12  # identity target: antipodal pair
+        sin_a = np.where(ident, 1.0, self._sin_a)
         e_hat = (self._a * mu - self._b * g) / sin_a
         f_hat = (-self._b * mu - self._a * g) / sin_a
         w_hat = np.cross(f_hat, e_hat)
         n1 = self._u * e_hat + self._w * w_hat
         n2 = self._u * e_hat - self._w * w_hat
-        # at the 2-step boundary (d → 1) rounding in d leaves |n| off 1
-        return (n1 / np.linalg.norm(n1, axis=-1, keepdims=True),
-                n2 / np.linalg.norm(n2, axis=-1, keepdims=True))
+        # at the 2-step boundary (d → 1) rounding in d leaves |n| off 1;
+        # identity rows may read 0/0 here and take ±g instead
+        with np.errstate(invalid="ignore"):
+            n1 = n1 / np.linalg.norm(n1, axis=-1, keepdims=True)
+            n2 = n2 / np.linalg.norm(n2, axis=-1, keepdims=True)
+        return np.where(ident, g, n1), np.where(ident, -g, n2)
+
+
+def _two_step_ok(angle: float, step_angle: float) -> bool:
+    return bool(np.cos(angle) >= np.cos(2 * step_angle) - 1e-12)  # NaN: False
+
+
+def _axis_or_z(aa: AxisAngle) -> np.ndarray:
+    return aa.axis if aa.axis is not None else np.array([0.0, 0, 1.0])
 
 
 def solve_two_step(target: AxisAngle, step_angle: float) -> Optional[TwoStepFamily]:
@@ -163,10 +176,9 @@ def solve_two_step(target: AxisAngle, step_angle: float) -> Optional[TwoStepFami
     or None when cos(target.angle) < cos(2·step_angle)."""
     if abs(np.sin(step_angle)) < 1e-12:
         raise ValueError("step angle must not be a multiple of π")
-    if np.cos(target.angle) < np.cos(2 * step_angle) - 1e-12:
+    if not _two_step_ok(target.angle, step_angle):
         return None
-    mu = target.axis if target.axis is not None else np.array([0.0, 0, 1.0])
-    return TwoStepFamily(mu, target.angle, step_angle)
+    return TwoStepFamily(_axis_or_z(target), target.angle, step_angle)
 
 
 @dataclass
@@ -182,9 +194,6 @@ class Decomposition:
     steps: tuple
     eulers: tuple
     tau: float
-
-
-_KIND_ORDER = {"0-step": 0, "1-step": 1, "2-step": 2, "3-step": 3, "4-step": 4}
 
 
 def _best_over_branches(
@@ -220,41 +229,43 @@ ZOOM_ROUNDS = 6     # one full-period grid, then five zoom rounds
 
 def _zoom_min(objective: Callable, center, step: float,
               rounds: int = ZOOM_ROUNDS, points: int = ZOOM_POINTS):
-    """Grid-zoom minimisation of a vectorized objective.
+    """Grid-zoom minimisation of a vectorized objective, one search per row.
 
-    Each round evaluates ``objective`` once, on ``points`` evenly spaced
-    values per coordinate spanning center ± step, recentres on the cheapest
-    and shrinks step to one grid spacing; the incumbent stays on the grid.
-    ``center`` is a scalar or a (d,) vector, and objective maps the (G,) or
-    (G, d) points to a tuple of arrays whose first is the (G,) cost.
-    Returns the final point and the objective's entries there.
+    ``center`` holds one start per row, (R,) or (R, d).  Each round calls
+    ``objective`` once, on ``points`` evenly spaced values per coordinate
+    spanning each row's center ± step, as (R, G) or (R, G, d); it returns
+    a tuple of arrays, the first the (R, G) cost.  Each row recentres on its
+    cheapest point and step shrinks to one grid spacing, so incumbents stay
+    on the grid.  Returns the final points and the objective's entries there.
     """
     center = np.asarray(center, dtype=float)
     ticks = np.linspace(-1.0, 1.0, points)
-    offsets = ticks if center.ndim == 0 else np.stack(
-        np.meshgrid(*[ticks] * center.size, indexing="ij"),
-        axis=-1).reshape(-1, center.size)
+    offsets = ticks if center.ndim == 1 else np.stack(
+        np.meshgrid(*[ticks] * center.shape[1], indexing="ij"),
+        axis=-1).reshape(-1, center.shape[1])
+    rows = np.arange(len(center))
     for _ in range(rounds):
-        xs = center + step * offsets
+        xs = center[:, None] + step * offsets
         out = objective(xs)
-        i = int(np.argmin(out[0]))
-        center, step = xs[i], step * 2 / (points - 1)
-    return center, tuple(o[i] for o in out)
+        i = np.argmin(out[0], axis=1)
+        center, step = xs[rows, i], step * 2 / (points - 1)
+    return center, tuple(o[rows, i] for o in out)
 
 
-def _optimize_chain(axes_fn: Callable, ks: tuple[int, ...]):
-    """Minimize interaction time over the family parameter and branches.
+# gadget axis padding a two-factor chain to three: its Euler branch 0 is
+# θ1 = θ2 = 0, which adds exactly 0 to the chain cost
+_PAD_AXIS = np.array([1.0, 0, 0])
 
-    axes_fn(thetas (G,)) must return the list of gadget axes, each (G, 3),
-    in time order.  Returns (tau, axes, eulers).
-    """
-    def objective(thetas):
-        axes = axes_fn(thetas)
-        return _best_over_branches(axes) + (np.stack(axes, axis=1),)
 
-    _, (chain, t1, t2, axes) = _zoom_min(objective, np.pi, np.pi)
-    tau = (sum(ks) * CORE_R + chain) / (2 * np.pi)
-    return float(tau), axes, tuple((float(a), float(b)) for a, b in zip(t1, t2))
+def _chain_cost(fam: TwoStepFamily, ends: np.ndarray, thetas):
+    """Best Euler branches of the gadget chains (-n̂1, -n̂2, ends) at the
+    family parameters thetas (gadgets realize exp(-ikδ n̂·σ)).  Returns the
+    (..., G) chain cost, the (..., G, 3) θ1 and θ2, and n̂1, n̂2."""
+    n1, n2 = fam.axes(thetas)
+    gaxes = [-n1, -n2, np.broadcast_to(ends, n1.shape)]
+    cost, t1, t2 = _best_over_branches([a.reshape(-1, 3) for a in gaxes])
+    return (cost.reshape(n1.shape[:-1]), t1.reshape(n1.shape),
+            t2.reshape(n1.shape), n1, n2)
 
 
 def _gadgets(steps, eulers) -> tuple[Gate, ...]:
@@ -270,45 +281,66 @@ def _verify_steps(steps, target: np.ndarray, atol: float = 1e-9) -> None:
     acc = np.eye(2, dtype=complex)
     for k, axis in steps:
         acc = aa_matrix(k * DELTA, axis) @ acc
-    if np.abs(acc - target).max() > atol:
-        raise AssertionError(
-            f"recomposition defect {np.abs(acc - target).max():.2e}")
-
-
-def _fibonacci_sphere(count: int) -> np.ndarray:
-    i = np.arange(count)
-    phi = np.pi * (3 - np.sqrt(5)) * i
-    z = 1 - 2 * (i + 0.5) / count
-    r = np.sqrt(1 - z * z)
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
+    defect = np.abs(acc - target).max()
+    if not defect <= atol:
+        raise AssertionError(f"recomposition defect {defect:.2e}")
 
 
 def decompose_fixed_angle(u: np.ndarray) -> Decomposition:
-    """Best fixed-angle product for an SU(2) target, minimizing interaction
-    time over feasible step counts, the axis-family parameter and the four
-    Euler branches per axis."""
+    """Best fixed-angle product for an SU(2) target u (ValueError if it is
+    not one), minimizing interaction time over feasible step counts, the
+    axis-family parameter and the four Euler branches per axis."""
+    return _decompose_all([u])[0]
+
+
+def _decompose_all(us) -> list[Decomposition]:
+    """decompose_fixed_angle of every target, with one zoom search over
+    the family parameter and Euler branches of all their chains.
+
+    A chain (t, k, mu, alpha, last) is the TwoStepFamily pair of k-fold
+    steps realizing exp(i·alpha·mu·σ), then one 1-fold step about ``last``
+    unless it is None; the product must equal target t.
+    """
+    us = [np.asarray(u, dtype=complex) for u in us]
+    found, chains = [], []
+    for t, u in enumerate(us):
+        if u.shape != (2, 2) or not (
+                np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-9):
+            raise ValueError("fixed-angle target must be a 2x2 unitary")
+        if not (abs(np.linalg.det(u) - 1) <= 1e-10):
+            raise ValueError("fixed-angle target must have determinant 1")
+        own, direct = _candidates(u)
+        chains += [(t,) + c for c in own]
+        found.append(direct)
+    if chains:
+        _, ks, mus, alphas, lasts = zip(*chains)
+        fam = TwoStepFamily(np.stack(mus), np.array(alphas), np.array(ks) * DELTA)
+        ends = np.stack([_PAD_AXIS if a is None else -a for a in lasts])[:, None]
+        _, (chain, t1, t2, n1, n2) = _zoom_min(
+            lambda thetas: _chain_cost(fam, ends, thetas),
+            np.full(len(chains), np.pi), np.pi)
+    for r, (t, k, _, _, last) in enumerate(chains):
+        steps = ((k, n1[r]), (k, n2[r])) + (() if last is None else ((1, last),))
+        pulses = sum(kk for kk, _ in steps)
+        _verify_steps(steps, us[t])
+        found[t].append(Decomposition(
+            f"{pulses}-step", steps,
+            tuple((float(a), float(b)) for a, b in zip(t1[r], t2[r]))[:len(steps)],
+            float((pulses * CORE_R + chain[r]) / (2 * np.pi))))
+    if not all(found):
+        raise AssertionError("no feasible fixed-angle decomposition")
+    # ties go to fewer steps: kinds "0-step" … "4-step" sort as strings
+    return [min(c, key=lambda d: (d.tau, d.kind)) for c in found]
+
+
+def _candidates(u: np.ndarray) -> tuple[list[tuple], list[Decomposition]]:
+    """One target's chains (k, mu, alpha, last) for _decompose_all (2- and
+    4-step, then 3-step) and its candidates that need no search."""
     aa = su2_axis_angle(u)
     if aa.axis is None and aa.angle < 1e-12:
-        return Decomposition("0-step", (), (), 0.0)
-    candidates: list[Decomposition] = []
-
-    def two_like(kind: str, k: int):
-        fam = solve_two_step(aa, k * DELTA)
-        if fam is None:
-            return
-
-        def axes_fn(th):
-            n1, n2 = fam.axes(th)
-            return [-n1, -n2]  # gadget realizes exp(-ikδ n̂·σ)
-
-        tau, gaxes, eulers = _optimize_chain(axes_fn, (k, k))
-        steps = ((k, -gaxes[0]), (k, -gaxes[1]))
-        _verify_steps(steps, u)
-        candidates.append(Decomposition(kind, steps, eulers, tau))
-
-    two_like("2-step", 1)
-    two_like("4-step", 2)
-
+        return [], [Decomposition("0-step", (), (), 0.0)]
+    chains = [(k, _axis_or_z(aa), aa.angle, None) for k in (1, 2)
+              if _two_step_ok(aa.angle, k * DELTA)]
     # 3-step: peel one fixed-angle rotation about the target axis (either
     # sign), then 2-step the remainder.  For targets at angle π the axis is
     # free and searched first.
@@ -316,41 +348,19 @@ def decompose_fixed_angle(u: np.ndarray) -> Decomposition:
         plans = [(_degenerate_axis(u), 1.0)]
     else:
         plans = [] if aa.axis is None else [(aa.axis, 1.0), (aa.axis, -1.0)]
-    candidates += [c for c in (_three_step(u, mu, sign) for mu, sign in plans)
-                   if c is not None]
-
+    for mu, sign in plans:
+        rest = su2_axis_angle(aa_matrix(-sign * DELTA, mu) @ u)
+        if _two_step_ok(rest.angle, DELTA):
+            chains.append((1, _axis_or_z(rest), rest.angle, sign * mu))
     # 1-step: the target is itself a rotation by the fixed angle
-    if aa.axis is not None and abs(np.cos(aa.angle) - np.cos(DELTA)) < 1e-12:
-        n_hat = aa.axis * np.sign(np.sin(aa.angle) / np.sin(DELTA))
-        steps = ((1, n_hat),)
-        opts = euler_embed(-n_hat)
-        t1, t2 = min(opts, key=lambda e: abs(e[1]))
-        tau = (CORE_R + 2 * abs(t2)) / (2 * np.pi)
-        _verify_steps(steps, u)
-        candidates.append(Decomposition("1-step", steps, ((t1, t2),), tau))
-
-    if not candidates:
-        raise AssertionError("no feasible fixed-angle decomposition")
-    return min(candidates, key=lambda d: (d.tau, _KIND_ORDER[d.kind]))
-
-
-def _three_step(u: np.ndarray, mu: np.ndarray,
-                sign: float) -> Optional[Decomposition]:
-    """3-step candidate with fixed last factor exp(i·sign·δ·μ̂·σ)."""
-    rest = aa_matrix(-sign * DELTA, mu) @ u
-    aar = su2_axis_angle(rest)
-    if np.cos(aar.angle) < COS_2D - 1e-12:
-        return None
-    fam = solve_two_step(aar, DELTA)
-
-    def axes_fn(th):
-        n1, n2 = fam.axes(th)
-        return [-n1, -n2, np.broadcast_to(-sign * mu, n1.shape)]
-
-    tau, gaxes, eulers = _optimize_chain(axes_fn, (1, 1, 1))
-    steps = ((1, -gaxes[0]), (1, -gaxes[1]), (1, sign * mu))
+    if aa.axis is None or not abs(np.cos(aa.angle) - np.cos(DELTA)) < 1e-12:
+        return chains, []
+    n_hat = aa.axis * np.sign(np.sin(aa.angle) / np.sin(DELTA))
+    steps = ((1, n_hat),)
+    t1, t2 = min(euler_embed(-n_hat), key=lambda e: abs(e[1]))
     _verify_steps(steps, u)
-    return Decomposition("3-step", steps, eulers, tau)
+    return chains, [Decomposition("1-step", steps, ((t1, t2),),
+                                  (CORE_R + 2 * abs(t2)) / (2 * np.pi))]
 
 
 def _degenerate_axis(u: np.ndarray) -> np.ndarray:
@@ -358,7 +368,8 @@ def _degenerate_axis(u: np.ndarray) -> np.ndarray:
     target u = -I.  Every remainder exp(-iδ μ̂·σ)·u then has the same angle,
     about ±μ̂, so one TwoStepFamily spans all candidate axes: each μ̂ costs
     its cheapest point on a coarse θ grid (16 points: it only ranks axes,
-    and keeps the 192-axis scan to one small batch; _three_step refines θ).
+    and keeps the 192-axis scan to one small batch; the chain search then
+    refines θ).
     A Fibonacci-sphere scan picks the start, then zoom rounds over
     tangent-plane offsets refine it."""
     probe = np.array([0.0, 0, 1.0])
@@ -367,35 +378,33 @@ def _degenerate_axis(u: np.ndarray) -> np.ndarray:
     thetas = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
 
     def cost(mus):
-        n1, n2 = TwoStepFamily(side * mus, rest.angle, DELTA).axes(thetas)
-        fixed = np.broadcast_to(-mus[:, None, :], n1.shape)
-        c = _best_over_branches([a.reshape(-1, 3) for a in (-n1, -n2, fixed)])
-        return c[0].reshape(len(mus), -1).min(axis=1)
+        fam = TwoStepFamily(side * mus, rest.angle, DELTA)
+        return _chain_cost(fam, -mus[:, None], thetas)[0].min(axis=1)
 
-    sphere = _fibonacci_sphere(192)
+    i = np.arange(192)  # Fibonacci-sphere start points
+    phi, z = np.pi * (3 - np.sqrt(5)) * i, 1 - 2 * (i + 0.5) / 192
+    r = np.sqrt(1 - z * z)
+    sphere = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
     mu0 = sphere[int(np.argmin(cost(sphere)))]
     e1 = _perp(mu0)
     e2 = np.cross(mu0, e1)
 
-    def tangent(ab):
-        mus = mu0 + ab[:, :1] * e1 + ab[:, 1:] * e2
+    def tangent(ab):  # one row of (G, 2) offsets
+        mus = mu0 + ab[0, :, :1] * e1 + ab[0, :, 1:] * e2
         mus /= np.linalg.norm(mus, axis=1, keepdims=True)
-        return cost(mus), mus
+        return cost(mus)[None], mus[None]
 
-    _, (_, mu) = _zoom_min(tangent, np.zeros(2), 0.2, rounds=8, points=5)
-    return mu
+    _, (_, mu) = _zoom_min(tangent, np.zeros((1, 2)), 0.2, rounds=8, points=5)
+    return mu[0]
 
 
 def a_gate(u: np.ndarray) -> Circuit:
     """Circuit acting as u on the two-qubit charge-1 sector and as the
     identity on charges 0 and 2 (and on the whole singlet tower)."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or not (
-            np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-9):
-        raise ValueError("a_gate target must be a 2x2 unitary")
-    if not (abs(np.linalg.det(u) - 1) <= 1e-10):
-        raise ValueError("a_gate target must have determinant 1")
-    dec = decompose_fixed_angle(u)
+    return _a_circuit(decompose_fixed_angle(u))
+
+
+def _a_circuit(dec: Decomposition) -> Circuit:
     return simplify(Circuit(2, _gadgets(dec.steps, dec.eulers)))
 
 
@@ -418,7 +427,17 @@ def f_gate_dagger() -> Circuit:
 
 
 def _pi11(circ: Circuit) -> np.ndarray:
-    return apply_circuit(circ, 2).blocks[SectorIndex(2, 1, 2)]
+    """The circuit's charge-1 block, read-only."""
+    block = apply_circuit(circ, 2).blocks[SectorIndex(2, 1, 2)]
+    block.setflags(write=False)
+    return block
+
+
+@lru_cache(maxsize=None)
+def _f_parts() -> dict[str, tuple[Circuit, np.ndarray]]:
+    """F and F† with their read-only charge-1 blocks, built once, shared."""
+    return {name: (c, _pi11(c)) for name, c in (("f", f_gate()),
+                                                ("fd", f_gate_dagger()))}
 
 
 @dataclass
@@ -441,71 +460,60 @@ def _su2_map_to_first(v: np.ndarray, phase: float) -> np.ndarray:
     return out
 
 
-def compile_two_qubit(phi00: float, phi_psi_plus: float, phi11: float,
-                      tol: float = 1e-8) -> SynthesisResult:
+def compile_two_qubit(phi00: float, phi_psi_plus: float,
+                      phi11: float) -> SynthesisResult:
     """Circuit realizing diag phases (φ00, φΨ+, φ11, 0 on the singlet).
 
     Tries the four F/F† placements, plus the F-free shortcut available when
-    φ00 + φ11 ≡ 0 (mod 2π), and keeps the fastest.
+    φ00 + φ11 ≡ 0 (mod 2π), with all their A gates in one search, and keeps
+    the fastest.
     """
     if not np.all(np.isfinite([phi00, phi_psi_plus, phi11])):
         raise ValueError("phases must be finite, got "
                          f"{(phi00, phi_psi_plus, phi11)!r}")
     theta = wrap_pi((phi00 + phi11) / 2)
     theta_p = wrap_pi((phi11 - phi00) / 2)
-    f_circ, fd_circ = f_gate(), f_gate_dagger()
-    f1 = {"f": _pi11(f_circ), "fd": _pi11(fd_circ)}
-    circ_of = {"f": f_circ, "fd": fd_circ}
     rz11 = lambda th: np.diag([1.0, np.exp(1j * th)])  # charge-1 rz block
+    e1 = np.array([1.0, 0])
 
-    best = None
-    combos: list[tuple] = [(s1, s2) for s1 in ("f", "fd") for s2 in ("f", "fd")]
-    for s1, s2 in combos:
-        m = f1[s2] @ rz11(theta) @ f1[s1]
-        u_a = _su2_map_to_first(m @ np.array([1.0, 0]), phi_psi_plus)
-        circ_a = a_gate(u_a)
-        gates = (circ_of[s1].gates + (Gate("rz", theta),) + circ_of[s2].gates
-                 + circ_a.gates + (Gate("rz", theta_p),))
-        cand = simplify(Circuit(2, gates))
-        tau = interaction_time(cand)
-        if best is None or tau < best[0]:
-            best = (tau, cand, f"{s1}+{s2}", theta, theta_p)
+    # (label, gates before the A gate, gates after it, A's image of e1, θ, θ')
+    plans = []
+    for s1, (c1, b1) in _f_parts().items():
+        for s2, (c2, b2) in _f_parts().items():
+            plans.append((f"{s1}+{s2}", c1.gates + (Gate("rz", theta),) + c2.gates,
+                          (Gate("rz", theta_p),), b2 @ rz11(theta) @ b1 @ e1,
+                          theta, theta_p))
     if abs(wrap_pi(phi00 + phi11)) < 1e-9:
-        theta_tilde = phi11
-        u_a = _su2_map_to_first(rz11(theta_tilde) @ np.array([1.0, 0]),
-                                phi_psi_plus)
-        circ_a = a_gate(u_a)
-        cand = simplify(Circuit(2, (Gate("rz", theta_tilde),) + circ_a.gates))
-        tau = interaction_time(cand)
-        if best is None or tau < best[0]:
-            best = (tau, cand, "no-f", theta_tilde, 0.0)
-
-    tau, circuit, combo, th, thp = best
-    target = _phase_target(phi00, phi_psi_plus, phi11)
-    vs = vacuum_sandwich(apply_circuit(circuit, 2))
-    residual = float(np.abs(vs.matrix - target).max())
-    return SynthesisResult(circuit, tau, combo,
-                           {"theta": th, "theta_prime": thp,
-                            "theta_plus": phi_psi_plus},
-                           residual, 0.0, target)
+        plans.append(("no-f", (Gate("rz", phi11),), (), rz11(phi11) @ e1,
+                      phi11, 0.0))
+    decs = _decompose_all([_su2_map_to_first(p[3], phi_psi_plus) for p in plans])
+    cands = [simplify(Circuit(2, before + _a_circuit(dec).gates + after))
+             for (_, before, after, *_), dec in zip(plans, decs)]
+    taus = [interaction_time(c) for c in cands]
+    best = taus.index(min(taus))  # the first of equally fast placements
+    label, _, _, _, th, thp = plans[best]
+    return _phase_result(cands[best], taus[best], label,
+                         (phi00, phi_psi_plus, phi11), th, thp)
 
 
-def _phase_target(phi00: float, phi_psi_plus: float, phi11: float) -> np.ndarray:
+def _phase_result(circuit: Circuit, tau: float, kind: str, phases,
+                  theta: float, theta_p: float) -> SynthesisResult:
+    """Result for diag phases (φ00, φΨ+, φ11, 0 on the singlet), with the
+    residual of the circuit's vacuum sandwich against them."""
+    phi00, phi_psi_plus, phi11 = phases
     t = np.zeros((4, 4), dtype=complex)
     t[0, 0] = np.exp(1j * phi00)
     t[3, 3] = np.exp(1j * phi11)
     pp = 0.5 * np.array([[1, 1], [1, 1]])
     pm = 0.5 * np.array([[1, -1], [-1, 1]])
     t[1:3, 1:3] = np.exp(1j * phi_psi_plus) * pp + pm
-    return t
+    vs = vacuum_sandwich(apply_circuit(circuit, 2))
+    return SynthesisResult(circuit, tau, kind, {"theta": theta, "theta_prime": theta_p,
+                                                "theta_plus": phi_psi_plus},
+                           float(np.abs(vs.matrix - t).max()), 0.0, t)
 
 
-NAMED_TARGETS = {
-    "cz": lambda: CZ,
-    "swap": lambda: SWAP,
-    "iswap": lambda: ISWAP,
-    "sqrt_iswap": lambda: SQRT_ISWAP,
-}
+NAMED_TARGETS = {"cz": CZ, "swap": SWAP, "iswap": ISWAP, "sqrt_iswap": SQRT_ISWAP}
 
 # Reference 3-step configuration for the sqrt(iSWAP) A-gate: (θ1, θ2) per
 # factor, with the factors applied in the order n1, n2, n and the pulses of
@@ -529,35 +537,29 @@ def _axis_from_angles(theta1: float, theta2: float) -> np.ndarray:
 def _published_sqrt_iswap() -> SynthesisResult:
     phi00, phi_p, phi11 = np.pi / 4, np.pi / 2, np.pi / 4
     theta = np.pi / 4
-    fd = f_gate_dagger()
-    f1d = _pi11(fd)
+    fd, f1d = _f_parts()["fd"]
     m = f1d @ np.diag([1.0, np.exp(1j * theta)]) @ f1d
     u_a = _su2_map_to_first(m @ np.array([1.0, 0]), phi_p)
     mu = su2_axis_angle(u_a)
     rest = aa_matrix(DELTA, mu.axis) @ u_a  # third factor is exp(-iδ μ̂·σ)
     fam = solve_two_step(su2_axis_angle(rest), DELTA)
-    a1_ref = _axis_from_angles(*_SQRT_ISWAP_SEED["n1"])
-    a2_ref = _axis_from_angles(*_SQRT_ISWAP_SEED["n2"])
+    refs = [_axis_from_angles(*_SQRT_ISWAP_SEED[k]) for k in ("n1", "n2")]
 
     def miss(th):  # distance of the family point from the seed axes
         n1s, n2s = fam.axes(th)
-        return (np.linalg.norm(n1s - a1_ref, axis=-1)
-                + np.linalg.norm(n2s - a2_ref, axis=-1), n1s, n2s)
+        return (np.linalg.norm(n1s - refs[0], axis=-1)
+                + np.linalg.norm(n2s - refs[1], axis=-1), n1s, n2s)
 
-    _, (_, n1, n2) = _zoom_min(miss, np.pi, np.pi)
-    steps = ((1, n1), (1, n2), (1, -mu.axis))
+    _, (_, n1, n2) = _zoom_min(miss, np.full(1, np.pi), np.pi)
+    steps = ((1, n1[0]), (1, n2[0]), (1, -mu.axis))
     _verify_steps(steps, u_a)
     seed_t2 = [_SQRT_ISWAP_SEED[k][1] for k in ("n1", "n2", "n")]
     eulers = [min(euler_embed(-ax), key=lambda e: abs(e[1] - t2_ref))
               for (_k, ax), t2_ref in zip(steps, seed_t2)]
     circuit = Circuit(2, fd.gates + (Gate("rz", theta),) + fd.gates
                       + _gadgets(steps, eulers))
-    target = _phase_target(phi00, phi_p, phi11)
-    vs = vacuum_sandwich(apply_circuit(circuit, 2))
-    residual = float(np.abs(vs.matrix - target).max())
-    return SynthesisResult(circuit, interaction_time(circuit), "fd+fd",
-                           {"theta": theta, "theta_prime": 0.0,
-                            "theta_plus": phi_p}, residual, 0.0, target)
+    return _phase_result(circuit, interaction_time(circuit), "fd+fd",
+                         (phi00, phi_p, phi11), theta, 0.0)
 
 
 def named_gate(name: str, phi: Optional[float] = None) -> SynthesisResult:
@@ -571,7 +573,7 @@ def named_gate(name: str, phi: Optional[float] = None) -> SynthesisResult:
         res.target = SQRT_ISWAP
         return res
     if name in NAMED_TARGETS:
-        g = NAMED_TARGETS[name]()
+        g = NAMED_TARGETS[name]
     elif name == "uzz":
         if phi is None:
             raise ValueError("uzz needs --phi")
@@ -607,8 +609,7 @@ def _pi_u1_phases(g: np.ndarray) -> dict[str, float]:
 def qubit_osc_swap() -> SynthesisResult:
     """Two-qubit circuit moving any triplet state into oscillator levels:
     |j=1,m⟩⊗|0⟩ → |11⟩⊗|m+1⟩ with unit amplitude."""
-    fd = f_gate_dagger()
-    v1 = _pi11(fd)
+    fd, v1 = _f_parts()["fd"]
     target_block = np.array([[0, -1], [1, 0]], dtype=complex)  # -iσ_y
     u_a = target_block @ v1.conj().T
     circ = simplify(Circuit(2, fd.gates + a_gate(u_a).gates))

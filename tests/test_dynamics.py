@@ -191,6 +191,35 @@ def test_from_json_rejects_bad_qubit_count():
         Circuit.from_json('{"n": 2, "gates": [{"kind": "tc", "param": NaN}]}')
 
 
+def test_from_json_reads_int_params_as_floats():
+    circ = Circuit.from_json('{"n": 2, "gates": [{"kind": "tc", "param": 1}]}')
+    assert circ.gates == (Gate("tc", 1.0),)
+    assert type(circ.gates[0].param) is float
+
+
+@pytest.mark.parametrize("payload", [
+    {"n": 2, "gates": [{"kind": "tc", "param": True}]},  # float(True) is 1.0
+    {"n": 2, "gates": [{"kind": "tc", "param": "1.5"}]},  # float("1.5") is 1.5
+    {"n": 2, "gates": [{"kind": "tc", "param": None}]},
+    {"n": 2, "gates": [{"kind": "tc", "param": [1.0]}]},
+    {"n": 2, "gates": [{"kind": "tc", "param": 1.0, "unit": "ns"}]},
+    {"n": 2, "gates": [{"kind": "tc"}]},
+    {"n": 2, "gates": [{"kind": "cnot", "param": 1.0}]},
+    {"n": 2, "gates": ["tc"]},
+    {"n": 2, "gates": {"kind": "tc", "param": 1.0}},
+    {"n": 2, "gates": [], "version": 1},
+    {"n": 2},
+    {"gates": []},
+    [2, []],
+], ids=["bool-param", "string-param", "null-param", "list-param",
+        "unknown-gate-key", "missing-param", "unknown-kind", "gate-not-object",
+        "gates-not-list", "unknown-top-level-key", "missing-gates",
+        "missing-n", "not-an-object"])
+def test_from_json_rejects_malformed_circuits(payload):
+    with pytest.raises(ValueError):
+        Circuit.from_json(json.dumps(payload))
+
+
 @settings(max_examples=50)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
                           width=64), max_size=8))

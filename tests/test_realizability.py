@@ -160,6 +160,18 @@ def test_block_rejects_bad_determinant_phases():
     assert v.violation["constraint"] == rz.DETERMINANT_PHASE
 
 
+def test_block_target_rejects_nan_block():
+    from tcforge.sectors import enumerate_sectors
+    blocks = {idx: np.eye(idx.dim, dtype=complex)
+              for idx in enumerate_sectors(2, 2)}
+    blocks[SectorIndex(2, 1, 2)] = np.full((2, 2), np.nan, dtype=complex)
+    with pytest.raises(ValueError, match="not unitary"):
+        rz.BlockTarget(2, 2, blocks)
+    blocks[SectorIndex(2, 1, 2)] = np.diag([1.0, np.nan]).astype(complex)
+    with pytest.raises(ValueError, match="not unitary"):
+        rz.BlockTarget(2, 2, blocks)
+
+
 def test_all_identity_blocks_trivial():
     from tcforge.sectors import enumerate_sectors
     n, q_max = 3, 5

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcforge import synthesis as syn
-from tcforge.dynamics import (apply_circuit, distance_up_to_phase,
-                              evolve_vacuum_state, vacuum_sandwich)
+from tcforge.dynamics import (Circuit, Gate, apply_circuit, distance_up_to_phase,
+                              evolve_vacuum_state, interaction_time, simplify,
+                              vacuum_sandwich)
 from tcforge.qubits import CZ, ISWAP, SQRT_ISWAP, SWAP, u_psi_plus, uzz
 from tcforge.sectors import SectorIndex
 
@@ -194,10 +195,13 @@ def test_a_gate_block_contract(seed):
 
 
 def test_a_gate_rejects_bad_targets():
-    with pytest.raises(ValueError):
-        syn.a_gate(np.diag([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        syn.a_gate(np.diag([1j, 1j]))  # unitary but det = -1
+    for build in (syn.a_gate, syn.decompose_fixed_angle):
+        with pytest.raises(ValueError):
+            build(np.diag([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            build(np.diag([1j, 1j]))  # unitary but det = -1
+        with pytest.raises(ValueError):
+            build(np.full((2, 2), np.nan))
 
 
 def test_a_gate_identity_empty():
@@ -216,6 +220,24 @@ def test_published_a_gate_times():
         dec = syn.decompose_fixed_angle(target)
         assert dec.tau <= published + 1e-3
     assert syn.decompose_fixed_angle(-np.eye(2, dtype=complex)).kind == "3-step"
+
+
+def test_batched_decomposition_matches_single_targets():
+    rng = np.random.default_rng(31)
+    targets = [np.eye(2, dtype=complex), -np.eye(2, dtype=complex),
+               syn.aa_matrix(DELTA, rand_axis(rng)),  # a 1-step target
+               syn.aa_matrix(1.5, rand_axis(rng)),  # no 2-step family
+               syn.aa_matrix(2.9, rand_axis(rng)),  # no 2- or 4-step family
+               ] + [rand_su2(rng) for _ in range(5)]
+    batch = syn._decompose_all(targets)
+    kinds = [d.kind for d in batch]
+    assert kinds[:5] == ["0-step", "3-step", "1-step", "4-step", "3-step"]
+    for target, got in zip(targets, batch):
+        want = syn.decompose_fixed_angle(target)
+        assert (got.kind, got.tau, got.eulers) == (want.kind, want.tau, want.eulers)
+        assert len(got.steps) == len(want.steps)
+        for (k1, a1), (k2, a2) in zip(got.steps, want.steps):
+            assert k1 == k2 and np.array_equal(a1, a2)
 
 
 def test_worst_case_a_gate_time():
@@ -277,6 +299,68 @@ def test_compile_phase_triple_round_trip():
         res = syn.compile_two_qubit(*phis)
         assert res.residual < 1e-8
         assert res.tau <= 3.92 + 1e-6
+
+
+def reference_compile(phi00, phi_psi_plus, phi11):
+    """compile_two_qubit written as a loop over the public pieces: one
+    a_gate per F/F† placement, plus the F-free shortcut, fastest first."""
+    theta = syn.wrap_pi((phi00 + phi11) / 2)
+    theta_p = syn.wrap_pi((phi11 - phi00) / 2)
+    circ = {"f": syn.f_gate(), "fd": syn.f_gate_dagger()}
+    block = {s: apply_circuit(c, 2).blocks[SectorIndex(2, 1, 2)]
+             for s, c in circ.items()}
+    rz11 = lambda th: np.diag([1.0, np.exp(1j * th)])
+    e1 = np.array([1.0, 0])
+    options = []
+    for s1 in ("f", "fd"):
+        for s2 in ("f", "fd"):
+            v = block[s2] @ rz11(theta) @ block[s1] @ e1
+            a = syn.a_gate(syn._su2_map_to_first(v, phi_psi_plus))
+            gates = (circ[s1].gates + (Gate("rz", theta),) + circ[s2].gates
+                     + a.gates + (Gate("rz", theta_p),))
+            options.append((f"{s1}+{s2}", simplify(Circuit(2, gates))))
+    if abs(syn.wrap_pi(phi00 + phi11)) < 1e-9:
+        v = rz11(phi11) @ e1
+        a = syn.a_gate(syn._su2_map_to_first(v, phi_psi_plus))
+        options.append(("no-f", simplify(Circuit(2, (Gate("rz", phi11),)
+                                                  + a.gates))))
+    return min(options, key=lambda o: interaction_time(o[1]))
+
+
+def test_compile_matches_per_placement_reference():
+    rng = np.random.default_rng(43)
+    triples = [tuple(rng.uniform(-np.pi, np.pi, 3)) for _ in range(7)]
+    triples += [(0.7, 1.1, -0.7),  # φ00 + φ11 ≡ 0: the F-free shortcut
+                (-np.pi, -np.pi, -np.pi),  # SWAP: shortcut and an angle-π A
+                (1.4884739462014362, 2.4012876269253036, -2.439352522382718)]
+    for phis in triples:
+        res = syn.compile_two_qubit(*phis)
+        label, circ = reference_compile(*phis)
+        assert res.kind == label, phis
+        assert res.circuit.gates == circ.gates, phis
+        assert res.tau == interaction_time(circ)
+    assert syn.compile_two_qubit(-np.pi, -np.pi, -np.pi).kind == "no-f"
+
+
+def test_compile_runs_one_search(monkeypatch):
+    phis = (0.3, 1.2, -0.5)  # no A target at angle π
+    syn.compile_two_qubit(*phis)  # builds the cached F/F† blocks
+    calls = {"branches": 0, "axes": 0, "apply": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(syn, "_best_over_branches",
+                        counted("branches", syn._best_over_branches))
+    monkeypatch.setattr(syn.TwoStepFamily, "axes",
+                        counted("axes", syn.TwoStepFamily.axes))
+    monkeypatch.setattr(syn, "apply_circuit", counted("apply", syn.apply_circuit))
+    syn.compile_two_qubit(*phis)
+    assert calls == {"branches": syn.ZOOM_ROUNDS, "axes": syn.ZOOM_ROUNDS,
+                     "apply": 1}
 
 
 def test_compile_two_step_boundary_triple():
