@@ -49,8 +49,11 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if (isinstance(self.param, bool) or not isinstance(self.param, Real)
-                or not math.isfinite(self.param)):
+        try:
+            finite = math.isfinite(self.param)
+        except (TypeError, OverflowError):  # not a number / an int beyond float range
+            finite = False
+        if isinstance(self.param, bool) or not isinstance(self.param, Real) or not finite:
             raise ValueError(f"{self.kind} parameter must be a finite real "
                              f"number, got {self.param!r}")
 
@@ -88,7 +91,8 @@ class Circuit:
                 isinstance(g, dict) and set(g) == {"kind", "param"}
                 and type(g["param"]) in (int, float) for g in gates):
             raise ValueError('each gate needs exactly a "kind" and a numeric "param"')
-        return Circuit(n, tuple(Gate(g["kind"], float(g["param"])) for g in gates))
+        checked = [Gate(g["kind"], g["param"]) for g in gates]  # before float()
+        return Circuit(n, tuple(Gate(g.kind, float(g.param)) for g in checked))
 
 
 def simplify(circ: Circuit) -> Circuit:

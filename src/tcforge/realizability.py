@@ -11,25 +11,46 @@ Three constraint families decide whether a target is reachable:
 
 All congruences are solved exactly by enumerating the finitely many integer
 winding numbers compatible with the parameter windows θ_z ∈ [-2π, 2π),
-α ∈ [-π, π), β ∈ [-2π, 2π).
+α ∈ [-π, π), β ∈ [-2π, 2π).  The joint-space check runs on arrays over a
+sector table cached per (n, q_max): one stacked det and unitarity test per
+block dimension, and one pass over every winding candidate and sector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .operators import charge_vector
-from .sectors import (SectorIndex, accidental_pairs, enumerate_sectors,
-                      j_min2, sector_dim)
+from .sectors import SectorIndex, accidental_pairs, enumerate_sectors, j_min2
 from .synthesis import wrap_pi
 
 # identifiers used in violation reports
 AFFINE_LOWEST_WEIGHT = "lowest-weight-phase-affine"
 PARTNER_EQUALITY = "partner-block-equality"
 DETERMINANT_PHASE = "determinant-phase"
+
+
+def _require_finite(phases, what: str) -> None:
+    if not np.isfinite(np.asarray(phases, dtype=float)).all():
+        raise ValueError(f"{what} must be finite")
+
+
+@lru_cache(maxsize=None)
+def _sector_table(n: int, q_max: int):
+    """(sectors, c, d, groups) for q ≤ q_max: the sectors in enumeration
+    order, their J_z traces Tr π_{q,j}(J_z) as floats, their dims, and one
+    (dim, positions) entry per block dimension.  The arrays are read-only."""
+    sectors = enumerate_sectors(n, q_max)
+    c = np.array([float(charge_vector(idx, "jz")) for idx in sectors])
+    d = np.array([idx.dim for idx in sectors])
+    groups = tuple((int(k), np.flatnonzero(d == k)) for k in np.unique(d))
+    for arr in (c, d, *(pos for _, pos in groups)):
+        arr.setflags(write=False)
+    return sectors, c, d, groups
 
 
 @dataclass(frozen=True)
@@ -44,6 +65,7 @@ class PiU1Target:
                 for mm in range(-jj, jj + 1, 2)}
         if set(self.phases) != want:
             raise ValueError("phase map must cover every (2j, 2m) level")
+        _require_finite(list(self.phases.values()), "level phases")
 
 
 @dataclass(frozen=True)
@@ -55,14 +77,21 @@ class BlockTarget:
     blocks: dict[SectorIndex, np.ndarray]
 
     def __post_init__(self):
-        for idx in enumerate_sectors(self.n, self.q_max):
+        sectors, _, d, groups = _sector_table(self.n, self.q_max)
+        blocks = []
+        for idx, dim in zip(sectors, d.tolist()):
             if idx not in self.blocks:
                 raise ValueError(f"missing block for {idx}")
-            b = self.blocks[idx]
-            if b.shape != (idx.dim, idx.dim):
-                raise ValueError(f"block for {idx} has shape {b.shape}")
-            if not np.abs(b.conj().T @ b - np.eye(idx.dim)).max() <= 1e-10:
-                raise ValueError(f"block for {idx} is not unitary")
+            blocks.append(self.blocks[idx])
+            if blocks[-1].shape != (dim, dim):
+                raise ValueError(f"block for {idx} has shape {blocks[-1].shape}")
+        bad = []
+        for dim, pos in groups:
+            b = np.stack([blocks[i] for i in pos])
+            defect = np.abs(b.conj().swapaxes(1, 2) @ b - np.eye(dim)).max(axis=(1, 2))
+            bad.extend(pos[~(defect <= 1e-10)])  # NaN fails
+        if bad:
+            raise ValueError(f"block for {sectors[min(bad)]} is not unitary")
 
 
 @dataclass
@@ -130,6 +159,7 @@ def check_diagonal(n: int, phases: dict[int, float],
     mms = list(range(-n, n + 1, 2))
     if set(phases) != set(mms):
         raise ValueError("need one phase per 2m in {-n..n}")
+    _require_finite(list(phases.values()), "diagonal phases")
     neg = [mm for mm in mms if mm <= 0]
     alpha, beta, resid = _fit_affine([mm / 2 for mm in neg],
                                      [phases[mm] for mm in neg], tol)
@@ -142,97 +172,78 @@ def check_diagonal(n: int, phases: dict[int, float],
 
 
 def _det_equations(target: BlockTarget):
-    """(c, d, θ) per sector for θ_det ≡ c·θ_z + d·α (mod 2π)."""
-    eqs = []
-    for idx in enumerate_sectors(target.n, target.q_max):
-        c = float(charge_vector(idx, "jz"))
-        d = sector_dim(idx)
-        theta = float(np.angle(np.linalg.det(target.blocks[idx])))
-        eqs.append((c, d, theta, idx))
-    return eqs
+    """Arrays (c, d, θ) over the sectors for θ_det ≡ c·θ_z + d·α (mod 2π)."""
+    sectors, c, d, groups = _sector_table(target.n, target.q_max)
+    theta = np.empty(len(sectors))
+    for _, pos in groups:
+        blocks = np.stack([target.blocks[sectors[i]] for i in pos])
+        theta[pos] = np.angle(np.linalg.det(blocks))
+    return c, d, theta
 
 
-def _verify_phase_system(eqs, theta_z: float, alpha: float):
-    worst, worst_idx = 0.0, None
-    for c, d, theta, idx in eqs:
-        r = abs(float(wrap_pi(c * theta_z + d * alpha - theta)))
-        if r > worst:
-            worst, worst_idx = r, idx
-    return worst, worst_idx
+def _residuals(c, d, theta, theta_z, alpha) -> np.ndarray:
+    """|c·θ_z + d·α − θ| mod 2π, one row per (θ_z, α) candidate."""
+    return np.abs(wrap_pi(c * theta_z[:, None] + d * alpha[:, None] - theta))
 
 
-def _solve_phase_system(eqs, tol: float, theta_z_candidates=None):
-    """Find θ_z ∈ [-2π, 2π), α ∈ [-π, π) satisfying all equations.
+def _solve_phase_system(c, d, theta, tol: float, theta_z_candidates=None):
+    """Find θ_z ∈ [-2π, 2π), α ∈ [-π, π) satisfying all equations, as
+    (θ_z, α, worst residual), or None.
 
     Candidates come either from a supplied θ_z list (partner constraints)
-    or from exhaustive winding enumeration on two low sectors.
+    or from exhaustive winding enumeration on two low sectors; all are
+    checked at once, and the first that fits every sector wins.
     """
     if theta_z_candidates is not None:
-        c0, d0, th0, _ = min(eqs, key=lambda e: e[1])
-        w_max = int(np.ceil(abs(c0) + d0 / 2)) + 2
-        for tz in theta_z_candidates:
-            for w in range(-w_max, w_max + 1):
-                alpha = (th0 - c0 * tz + 2 * np.pi * w) / d0
-                if not -np.pi <= alpha < np.pi:
-                    continue
-                worst, _ = _verify_phase_system(eqs, tz, alpha)
-                if worst <= tol:
-                    return float(tz), float(alpha)
+        i = int(np.argmin(d))
+        w_max = int(np.ceil(abs(c[i]) + d[i] / 2)) + 2
+        tz, w = np.meshgrid(theta_z_candidates, np.arange(-w_max, w_max + 1),
+                            indexing="ij")
+        al = (theta[i] - c[i] * tz + 2 * np.pi * w) / d[i]
+    else:
+        r = np.argsort(np.abs(c) + d, kind="stable")
+        det = c[r, None] * d[r] - c[r] * d[r, None]
+        first = np.flatnonzero(np.triu(np.abs(det) > 1e-9, 1))
+        if not len(first):
+            # all rows parallel; pin θ_z = 0 and fit α from the smallest block
+            i = r[0]
+            al = (theta[i] + 2 * np.pi * np.arange(-(d[i] + 2), d[i] + 3)) / d[i]
+            tz = np.zeros_like(al)
+        else:
+            a, b = divmod(int(first[0]), len(r))
+            i, k, det = r[a], r[b], det[a, b]
+            wi_max = int(np.ceil(abs(c[i]) + d[i] / 2)) + 1
+            wk_max = int(np.ceil(abs(c[k]) + d[k] / 2)) + 1
+            ri = (theta[i] + 2 * np.pi * np.arange(-wi_max, wi_max + 1))[:, None]
+            rk = theta[k] + 2 * np.pi * np.arange(-wk_max, wk_max + 1)
+            tz = (d[k] * ri - d[i] * rk) / det
+            al = (-c[k] * ri + c[i] * rk) / det
+    tz, al = tz.ravel(), al.ravel()
+    keep = (-2 * np.pi <= tz) & (tz < 2 * np.pi) & (-np.pi <= al) & (al < np.pi)
+    tz, al = tz[keep], al[keep]
+    worst = _residuals(c, d, theta, tz, al).max(axis=1)  # NaN propagates, never ≤ tol
+    hit = np.flatnonzero(worst <= tol)
+    if not len(hit):
         return None
-
-    ranked = sorted(eqs, key=lambda e: abs(e[0]) + e[1])
-    pair = None
-    for i in range(len(ranked)):
-        for k in range(i + 1, len(ranked)):
-            det = ranked[i][0] * ranked[k][1] - ranked[k][0] * ranked[i][1]
-            if abs(det) > 1e-9:
-                pair = (ranked[i], ranked[k], det)
-                break
-        if pair:
-            break
-    if pair is None:
-        # all rows parallel; pin θ_z = 0 and fit α from the smallest block
-        c0, d0, th0, _ = ranked[0]
-        for w in range(-(d0 + 2), d0 + 3):
-            alpha = (th0 + 2 * np.pi * w) / d0
-            if not -np.pi <= alpha < np.pi:
-                continue
-            worst, _ = _verify_phase_system(eqs, 0.0, alpha)
-            if worst <= tol:
-                return 0.0, float(alpha)
-        return None
-    (ci, di, ti, _), (ck, dk, tk, _), det = pair
-    wi_max = int(np.ceil(abs(ci) + di / 2)) + 1
-    wk_max = int(np.ceil(abs(ck) + dk / 2)) + 1
-    for wi in range(-wi_max, wi_max + 1):
-        for wk in range(-wk_max, wk_max + 1):
-            ri = ti + 2 * np.pi * wi
-            rk = tk + 2 * np.pi * wk
-            tz = (dk * ri - di * rk) / det
-            al = (-ck * ri + ci * rk) / det
-            if not (-2 * np.pi <= tz < 2 * np.pi and -np.pi <= al < np.pi):
-                continue
-            worst, _ = _verify_phase_system(eqs, tz, al)
-            if worst <= tol:
-                return float(tz), float(al)
-    return None
+    return float(tz[hit[0]]), float(al[hit[0]]), float(worst[hit[0]])
 
 
-def _phase_verdict(eqs, tol: float,
+def _phase_verdict(c, d, theta, sectors, tol: float,
                    theta_z_candidates=None) -> RealizabilityVerdict:
     """Verdict on the determinant-phase system: its solution, or the worst
     sector at θ_z = α = 0 when none exists."""
-    sol = _solve_phase_system(eqs, tol, theta_z_candidates)
+    sol = _solve_phase_system(c, d, theta, tol, theta_z_candidates)
     if sol is None:
-        worst, idx = _verify_phase_system(eqs, 0.0, 0.0)
+        resid = _residuals(c, d, theta, np.zeros(1), np.zeros(1))[0]
+        worst = float(resid.max())
+        idx = sectors[int(np.argmax(resid))]
         return RealizabilityVerdict(
             False, violation={"constraint": DETERMINANT_PHASE,
-                              "sectors": None if idx is None
+                              "sectors": None if worst == 0
                               else [idx.q, idx.jj],
                               "residual": worst},
             max_residual=worst)
-    tz, al = sol
-    worst, _ = _verify_phase_system(eqs, tz, al)
+    tz, al, worst = sol
     return RealizabilityVerdict(True, al, tz, max_residual=worst)
 
 
@@ -257,7 +268,6 @@ def check_block_target(target: BlockTarget,
                        tol: float = 1e-8) -> RealizabilityVerdict:
     """Full joint-space decision: partner equality plus determinant phases."""
     pairs = accidental_pairs(target.n, target.q_max)
-    eqs = _det_equations(target)
 
     tz_candidates = None
     if pairs:
@@ -290,7 +300,9 @@ def check_block_target(target: BlockTarget,
                 max_residual=best_fail[0])
         tz_candidates = surviving
 
-    return _phase_verdict(eqs, tol, tz_candidates)
+    return _phase_verdict(*_det_equations(target),
+                          enumerate_sectors(target.n, target.q_max), tol,
+                          tz_candidates)
 
 
 def check_symmetric_phase_constraint(n: int, q_max: int, theta_q: list[float],
@@ -299,13 +311,12 @@ def check_symmetric_phase_constraint(n: int, q_max: int, theta_q: list[float],
     θ_q ≡ (q+1)[(q-n)θ_z/2 + α] for q ≤ n and θ_q ≡ (n+1)α for q > n."""
     if len(theta_q) != q_max + 1:
         raise ValueError(f"need θ_q for q = 0..{q_max}")
-    eqs = []
-    for q, th in enumerate(theta_q):
-        qq = min(q, n)
-        c = (qq + 1) * (q - n) / 2 if q <= n else 0.0
-        d = qq + 1
-        eqs.append((c, d, float(th), SectorIndex(n, q, n)))
-    return _phase_verdict(eqs, tol)
+    _require_finite(theta_q, "θ_q")
+    q = np.arange(q_max + 1)
+    d = np.minimum(q, n) + 1
+    c = np.where(q <= n, d * (q - n) / 2, 0.0)
+    return _phase_verdict(c, d, np.asarray(theta_q, dtype=float),
+                          [SectorIndex(n, int(x), n) for x in q], tol)
 
 
 def state_convertible(n: int, psi: dict[tuple[int, int], complex],
@@ -319,17 +330,19 @@ def state_convertible(n: int, psi: dict[tuple[int, int], complex],
         for (mm, k), amp in state.items():
             if not -n <= mm <= n or (mm ^ n) & 1 or k < 0:
                 raise ValueError(f"bad symmetric-state label (2m={mm}, k={k})")
+            if not np.isfinite(amp):
+                raise ValueError(f"non-finite amplitude {amp!r} at (2m={mm}, k={k})")
             w = abs(amp) ** 2
             q = k + (mm + n) // 2
             per_q[q] = per_q.get(q, 0.0) + w
             total += w
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"state not normalized (norm² = {total:.6f})")
         return per_q
 
     wa, wb = weights(psi), weights(phi)
     for q in set(wa) | set(wb):
-        if abs(wa.get(q, 0.0) - wb.get(q, 0.0)) > tol:
+        if not abs(wa.get(q, 0.0) - wb.get(q, 0.0)) <= tol:
             return False
     return True
 

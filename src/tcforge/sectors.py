@@ -13,8 +13,9 @@ index arithmetic is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
-from typing import Iterator, Optional
+from typing import Optional
 
 
 def j_min2(n: int) -> int:
@@ -89,14 +90,15 @@ def multiplicity(n: int, jj: int) -> int:
     return num // den
 
 
-def enumerate_sectors(n: int, q_max: int) -> Iterator[SectorIndex]:
-    """All nonempty sectors with q ≤ q_max, ordered by (q, descending j)."""
+@lru_cache(maxsize=None, typed=True)
+def enumerate_sectors(n: int, q_max: int) -> tuple[SectorIndex, ...]:
+    """All nonempty sectors with q ≤ q_max, ordered by (q, descending j).
+    Computed once per (n, q_max); the sectors are frozen, so callers share
+    the cached tuple."""
     if q_max < 0:
         raise ValueError(f"q_max must be non-negative, got {q_max}")
-    for q in range(q_max + 1):
-        jj_lo = max(j_min2(n), n - 2 * q)
-        for jj in range(n, jj_lo - 1, -2):
-            yield SectorIndex(n, q, jj)
+    return tuple(SectorIndex(n, q, jj) for q in range(q_max + 1)
+                 for jj in range(n, max(j_min2(n), n - 2 * q) - 1, -2))
 
 
 def basis_labels(idx: SectorIndex) -> list[BasisLabel]:
@@ -132,13 +134,11 @@ def accidental_partner(idx: SectorIndex) -> Optional[SectorIndex]:
     return SectorIndex(n, q - 3 * (t - jj) // 2, t)
 
 
-def accidental_pairs(n: int, q_max: int) -> list[tuple[SectorIndex, SectorIndex]]:
-    """All (unfilled, filled) partner pairs with both charges ≤ q_max."""
-    pairs = []
-    for idx in enumerate_sectors(n, q_max):
-        if is_filled(idx):
-            continue
-        p = accidental_partner(idx)
-        if p is not None and p.q <= q_max:
-            pairs.append((idx, p))
-    return pairs
+@lru_cache(maxsize=None, typed=True)
+def accidental_pairs(n: int, q_max: int) -> tuple[tuple[SectorIndex, SectorIndex], ...]:
+    """All (unfilled, filled) partner pairs with both charges ≤ q_max,
+    computed once per (n, q_max)."""
+    partners = ((idx, accidental_partner(idx))
+                for idx in enumerate_sectors(n, q_max) if not is_filled(idx))
+    return tuple((idx, p) for idx, p in partners
+                 if p is not None and p.q <= q_max)

@@ -79,6 +79,13 @@ def test_simulate_bad_file(tmp_path):
     assert run(["simulate", str(tmp_path / "missing.json")]) == 1
 
 
+def test_simulate_rejects_param_beyond_float_range(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 2, "gates": [{"kind": "tc", "param": 1%s}]}' % ("0" * 400))
+    assert run(["simulate", str(path)]) == 1
+    assert "finite real number" in capsys.readouterr().err
+
+
 def test_verify_suites_pass(tmp_path):
     assert run(["verify", "phases", "--n", "4"]) == 0
     assert run(["verify", "accidental", "--n", "4", "--qmax", "10",

@@ -191,6 +191,14 @@ def test_from_json_rejects_bad_qubit_count():
         Circuit.from_json('{"n": 2, "gates": [{"kind": "tc", "param": NaN}]}')
 
 
+def test_int_params_beyond_float_range_raise_value_error():
+    huge = 10 ** 400  # float(huge) raises OverflowError
+    with pytest.raises(ValueError, match="finite real number"):
+        Gate("tc", huge)
+    with pytest.raises(ValueError, match="finite real number"):
+        Circuit.from_json('{"n": 2, "gates": [{"kind": "tc", "param": %d}]}' % huge)
+
+
 def test_from_json_reads_int_params_as_floats():
     circ = Circuit.from_json('{"n": 2, "gates": [{"kind": "tc", "param": 1}]}')
     assert circ.gates == (Gate("tc", 1.0),)
