@@ -56,21 +56,17 @@ def _workers() -> int:
 
 
 def cmd_synthesize(args) -> int:
-    try:
-        if args.gate:
-            res = synthesis.named_gate(args.gate, phi=args.phi)
-            target_name = args.gate
-        elif args.phases:
-            parts = [float(x) for x in args.phases.split(",")]
-            if len(parts) != 3:
-                raise ValueError("--phases wants three comma-separated values")
-            res = synthesis.compile_two_qubit(*parts)
-            target_name = f"phases({parts[0]},{parts[1]},{parts[2]})"
-        else:
-            print("synthesize needs --gate or --phases", file=sys.stderr)
-            return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.gate:
+        res = synthesis.named_gate(args.gate, phi=args.phi)
+        target_name = args.gate
+    elif args.phases:
+        parts = [float(x) for x in args.phases.split(",")]
+        if len(parts) != 3:
+            raise ValueError("--phases wants three comma-separated values")
+        res = synthesis.compile_two_qubit(*parts)
+        target_name = f"phases({parts[0]},{parts[1]},{parts[2]})"
+    else:
+        print("synthesize needs --gate or --phases", file=sys.stderr)
         return 1
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
@@ -116,11 +112,7 @@ def cmd_simulate(args) -> int:
     result = {"n": circ.n, "q_max": q_max,
               "interaction_time": interaction_time(circ)}
     if args.state:
-        try:
-            psi = _parse_state(args.state, circ.n)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        psi = _parse_state(args.state, circ.n)
         joint = evolve_vacuum_state(circ, psi, q_max)
         amps = []
         for i in range(joint.shape[0]):
@@ -338,7 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:  # bad input found past argument parsing
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -9,16 +9,19 @@ Three constraint families decide whether a target is reachable:
   same unitary up to the phase e^{i(j'-j)θ_z}, and each block determinant
   must equal the trace of J_z in that sector times θ_z plus dim·α (mod 2π).
 
-All congruences are solved exactly by enumerating the finitely many integer
-winding numbers compatible with the parameter windows θ_z ∈ [-2π, 2π),
-α ∈ [-π, π), β ∈ [-2π, 2π).  The joint-space check runs on arrays over a
-sector table cached per (n, q_max): one stacked det and unitarity test per
-block dimension, and one pass over every winding candidate and sector.
+All four checks decide through one solver of the congruence system
+θ_i ≡ c_i·θ_z + d_i·α (mod 2π): the affine checks are the case d = 1 with β
+in the role of θ_z.  Phases are first reduced mod 2π, and the finitely many
+integer winding numbers compatible with the windows θ_z ∈ [-2π, 2π),
+α ∈ [-π, π) are enumerated exactly, as one array over every candidate and
+equation.  The joint-space check runs on a sector table cached per
+(n, q_max); the per-dimension block stacks that `BlockTarget` builds for its
+unitarity test are kept and reused for the determinants and the partner test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -39,18 +42,33 @@ def _require_finite(phases, what: str) -> None:
         raise ValueError(f"{what} must be finite")
 
 
+def _require_int(value, name: str, lo: Optional[int] = None) -> None:
+    """Raise ValueError naming the argument unless value is an int (≥ lo)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (lo is not None and value < lo)):
+        bound = "" if lo is None else f" ≥ {lo}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+
+
 @lru_cache(maxsize=None)
 def _sector_table(n: int, q_max: int):
-    """(sectors, c, d, groups) for q ≤ q_max: the sectors in enumeration
-    order, their J_z traces Tr π_{q,j}(J_z) as floats, their dims, and one
-    (dim, positions) entry per block dimension.  The arrays are read-only."""
+    """(sectors, c, d, groups, pairs) for q ≤ q_max: the sectors in
+    enumeration order, their J_z traces Tr π_{q,j}(J_z) as floats, their
+    dims, one (dim, positions) entry per block dimension, and one
+    (group, a, b, jgap) entry per accidental pair, where a and b are the
+    partners' places in that group's stack and jgap = j_a - j_b.  The arrays
+    are read-only."""
     sectors = enumerate_sectors(n, q_max)
     c = np.array([float(charge_vector(idx, "jz")) for idx in sectors])
     d = np.array([idx.dim for idx in sectors])
     groups = tuple((int(k), np.flatnonzero(d == k)) for k in np.unique(d))
     for arr in (c, d, *(pos for _, pos in groups)):
         arr.setflags(write=False)
-    return sectors, c, d, groups
+    slot = {sectors[i]: (g, k) for g, (_, pos) in enumerate(groups)
+            for k, i in enumerate(pos.tolist())}
+    pairs = tuple((*slot[a], slot[b][1], (a.jj - b.jj) // 2)
+                  for a, b in accidental_pairs(n, q_max))
+    return sectors, c, d, groups, pairs
 
 
 @dataclass(frozen=True)
@@ -61,6 +79,7 @@ class PiU1Target:
     phases: dict[tuple[int, int], float]
 
     def __post_init__(self):
+        _require_int(self.n, "n", 1)
         want = {(jj, mm) for jj in range(j_min2(self.n), self.n + 1, 2)
                 for mm in range(-jj, jj + 1, 2)}
         if set(self.phases) != want:
@@ -75,23 +94,31 @@ class BlockTarget:
     n: int
     q_max: int
     blocks: dict[SectorIndex, np.ndarray]
+    # one (count, dim, dim) stack per block dimension, in _sector_table order
+    _stacks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sectors, _, d, groups = _sector_table(self.n, self.q_max)
+        _require_int(self.n, "n")
+        _require_int(self.q_max, "q_max")
+        sectors, _, d, groups, _ = _sector_table(self.n, self.q_max)
         blocks = []
         for idx, dim in zip(sectors, d.tolist()):
-            if idx not in self.blocks:
+            b = self.blocks.get(idx)
+            if b is None:
                 raise ValueError(f"missing block for {idx}")
-            blocks.append(self.blocks[idx])
-            if blocks[-1].shape != (dim, dim):
-                raise ValueError(f"block for {idx} has shape {blocks[-1].shape}")
+            if not isinstance(b, np.ndarray) or b.dtype.kind not in "biufc":
+                raise ValueError(f"block for {idx} is not a numeric array")
+            if b.shape != (dim, dim):
+                raise ValueError(f"block for {idx} has shape {b.shape}")
+            blocks.append(b)
+        stacks = tuple(np.stack([blocks[i] for i in pos]) for _, pos in groups)
         bad = []
-        for dim, pos in groups:
-            b = np.stack([blocks[i] for i in pos])
+        for (dim, pos), b in zip(groups, stacks):
             defect = np.abs(b.conj().swapaxes(1, 2) @ b - np.eye(dim)).max(axis=(1, 2))
             bad.extend(pos[~(defect <= 1e-10)])  # NaN fails
         if bad:
             raise ValueError(f"block for {sectors[min(bad)]} is not unitary")
+        object.__setattr__(self, "_stacks", stacks)
 
 
 @dataclass
@@ -116,84 +143,21 @@ def constraint_gap(n: int) -> int:
     return max(0, n_spins - 2)
 
 
-def _fit_affine(coeffs: list[float], values: list[float], tol: float):
-    """Solve values_i ≡ alpha + coeffs_i * beta (mod 2π) with
-    β ∈ [-2π, 2π).  Returns (alpha, beta, residual) or (None, None, worst)."""
-    order = np.argsort(coeffs)
-    c = np.asarray(coeffs, dtype=float)[order]
-    v = wrap_pi(np.asarray(values, dtype=float)[order])
-    if len(c) == 1:
-        return float(wrap_pi(v[0])), 0.0, 0.0
-    dc = c[1] - c[0]
-    base = (v[1] - v[0]) / dc
-    betas = [base + 2 * np.pi * w / dc for w in range(-2, 3)]
-    betas = sorted((b for b in betas if -2 * np.pi <= b < 2 * np.pi), key=abs)
-    worst = np.inf
-    for beta in betas:
-        alpha = float(wrap_pi(v[0] - c[0] * beta))
-        resid = float(np.abs(wrap_pi(v - alpha - c * beta)).max())
-        worst = min(worst, resid)
-        if resid <= tol:
-            return alpha, float(beta), resid
-    return None, None, worst
-
-
-def check_pi_u1(target: PiU1Target, tol: float = 1e-8) -> RealizabilityVerdict:
-    """Realizable iff the lowest-weight phases fit φ_{j,-j} ≡ α + jβ."""
-    jjs = list(range(j_min2(target.n), target.n + 1, 2))
-    coeffs = [jj / 2 for jj in jjs]
-    values = [target.phases[(jj, -jj)] for jj in jjs]
-    alpha, beta, resid = _fit_affine(coeffs, values, tol)
-    if alpha is not None:
-        return RealizabilityVerdict(True, alpha, beta, max_residual=resid)
-    return RealizabilityVerdict(
-        False, violation={"constraint": AFFINE_LOWEST_WEIGHT,
-                          "levels": [[jj, -jj] for jj in jjs],
-                          "residual": resid},
-        max_residual=resid)
-
-
-def check_diagonal(n: int, phases: dict[int, float],
-                   tol: float = 1e-8) -> RealizabilityVerdict:
-    """Diagonal targets keyed by 2m: φ_m ≡ α + mβ required for m ≤ 0 only."""
-    mms = list(range(-n, n + 1, 2))
-    if set(phases) != set(mms):
-        raise ValueError("need one phase per 2m in {-n..n}")
-    _require_finite(list(phases.values()), "diagonal phases")
-    neg = [mm for mm in mms if mm <= 0]
-    alpha, beta, resid = _fit_affine([mm / 2 for mm in neg],
-                                     [phases[mm] for mm in neg], tol)
-    if alpha is not None:
-        return RealizabilityVerdict(True, alpha, beta, max_residual=resid)
-    return RealizabilityVerdict(
-        False, violation={"constraint": AFFINE_LOWEST_WEIGHT,
-                          "levels": [[mm] for mm in neg], "residual": resid},
-        max_residual=resid)
-
-
-def _det_equations(target: BlockTarget):
-    """Arrays (c, d, θ) over the sectors for θ_det ≡ c·θ_z + d·α (mod 2π)."""
-    sectors, c, d, groups = _sector_table(target.n, target.q_max)
-    theta = np.empty(len(sectors))
-    for _, pos in groups:
-        blocks = np.stack([target.blocks[sectors[i]] for i in pos])
-        theta[pos] = np.angle(np.linalg.det(blocks))
-    return c, d, theta
-
-
 def _residuals(c, d, theta, theta_z, alpha) -> np.ndarray:
     """|c·θ_z + d·α − θ| mod 2π, one row per (θ_z, α) candidate."""
     return np.abs(wrap_pi(c * theta_z[:, None] + d * alpha[:, None] - theta))
 
 
 def _solve_phase_system(c, d, theta, tol: float, theta_z_candidates=None):
-    """Find θ_z ∈ [-2π, 2π), α ∈ [-π, π) satisfying all equations, as
-    (θ_z, α, worst residual), or None.
+    """Solve θ ≡ c·θ_z + d·α (mod 2π) with θ_z ∈ [-2π, 2π), α ∈ [-π, π).
 
-    Candidates come either from a supplied θ_z list (partner constraints)
-    or from exhaustive winding enumeration on two low sectors; all are
-    checked at once, and the first that fits every sector wins.
+    Returns (θ_z, α, worst residual) of the first candidate that fits every
+    equation, or (None, None, r) with r the smallest worst residual over
+    all candidates.  Candidates come either from a supplied θ_z list, in
+    its order, or from exhaustive winding enumeration on two low sectors.
+    θ is reduced mod 2π first, so that the winding ranges cover it.
     """
+    theta = theta - 2 * np.pi * np.round(theta / (2 * np.pi))  # exact on |θ| ≤ π
     if theta_z_candidates is not None:
         i = int(np.argmin(d))
         w_max = int(np.ceil(abs(c[i]) + d[i] / 2)) + 2
@@ -224,16 +188,65 @@ def _solve_phase_system(c, d, theta, tol: float, theta_z_candidates=None):
     worst = _residuals(c, d, theta, tz, al).max(axis=1)  # NaN propagates, never ≤ tol
     hit = np.flatnonzero(worst <= tol)
     if not len(hit):
-        return None
+        return None, None, float(worst.min(initial=np.inf))
     return float(tz[hit[0]]), float(al[hit[0]]), float(worst[hit[0]])
+
+
+def _affine_verdict(c, theta, levels, tol: float) -> RealizabilityVerdict:
+    """Fit θ_i ≡ α + c_i·β (mod 2π) on coefficients c spaced by 1, trying
+    the β allowed by the first two rows in order of |β|; a rejection reports
+    the smallest worst residual over those β."""
+    dtheta = float(wrap_pi(theta[1] - theta[0])) if len(theta) > 1 else 0.0
+    betas = dtheta + 2 * np.pi * np.arange(-2, 3)
+    betas = betas[(-2 * np.pi <= betas) & (betas < 2 * np.pi)]
+    betas = betas[np.argsort(np.abs(betas), kind="stable")]
+    beta, alpha, resid = _solve_phase_system(np.asarray(c, dtype=float),
+                                             np.ones(len(c)), theta, tol, betas)
+    if beta is not None:
+        return RealizabilityVerdict(True, alpha, beta, max_residual=resid)
+    return RealizabilityVerdict(
+        False, violation={"constraint": AFFINE_LOWEST_WEIGHT, "levels": levels,
+                          "residual": resid},
+        max_residual=resid)
+
+
+def check_pi_u1(target: PiU1Target, tol: float = 1e-8) -> RealizabilityVerdict:
+    """Realizable iff the lowest-weight phases fit φ_{j,-j} ≡ α + jβ."""
+    jjs = range(j_min2(target.n), target.n + 1, 2)
+    return _affine_verdict([jj / 2 for jj in jjs],
+                           np.array([target.phases[(jj, -jj)] for jj in jjs]),
+                           [[jj, -jj] for jj in jjs], tol)
+
+
+def check_diagonal(n: int, phases: dict[int, float],
+                   tol: float = 1e-8) -> RealizabilityVerdict:
+    """Diagonal targets keyed by 2m: φ_m ≡ α + mβ required for m ≤ 0 only."""
+    _require_int(n, "n", 1)
+    mms = list(range(-n, n + 1, 2))
+    if set(phases) != set(mms):
+        raise ValueError("need one phase per 2m in {-n..n}")
+    _require_finite(list(phases.values()), "diagonal phases")
+    neg = [mm for mm in mms if mm <= 0]
+    return _affine_verdict([mm / 2 for mm in neg],
+                           np.array([phases[mm] for mm in neg], dtype=float),
+                           [[mm] for mm in neg], tol)
+
+
+def _det_equations(target: BlockTarget):
+    """Arrays (c, d, θ) over the sectors for θ_det ≡ c·θ_z + d·α (mod 2π)."""
+    sectors, c, d, groups, _ = _sector_table(target.n, target.q_max)
+    theta = np.empty(len(sectors))
+    for (_, pos), stack in zip(groups, target._stacks):
+        theta[pos] = np.angle(np.linalg.det(stack))
+    return c, d, theta
 
 
 def _phase_verdict(c, d, theta, sectors, tol: float,
                    theta_z_candidates=None) -> RealizabilityVerdict:
     """Verdict on the determinant-phase system: its solution, or the worst
     sector at θ_z = α = 0 when none exists."""
-    sol = _solve_phase_system(c, d, theta, tol, theta_z_candidates)
-    if sol is None:
+    tz, al, worst = _solve_phase_system(c, d, theta, tol, theta_z_candidates)
+    if tz is None:
         resid = _residuals(c, d, theta, np.zeros(1), np.zeros(1))[0]
         worst = float(resid.max())
         idx = sectors[int(np.argmax(resid))]
@@ -243,7 +256,6 @@ def _phase_verdict(c, d, theta, sectors, tol: float,
                               else [idx.q, idx.jj],
                               "residual": worst},
             max_residual=worst)
-    tz, al, worst = sol
     return RealizabilityVerdict(True, al, tz, max_residual=worst)
 
 
@@ -256,59 +268,44 @@ def _pair_phase_candidates(v_unfilled, v_filled, jgap: int):
     else:
         ratio = tr
     phase = float(np.angle(ratio))  # = -jgap·θ_z mod 2π
-    out = []
-    for w in range(-2 * jgap - 1, 2 * jgap + 2):
-        tz = -(phase + 2 * np.pi * w) / jgap
-        if -2 * np.pi <= tz < 2 * np.pi:
-            out.append(tz)
-    return out
+    tz = -(phase + 2 * np.pi * np.arange(-2 * jgap - 1, 2 * jgap + 2)) / jgap
+    return tz[(-2 * np.pi <= tz) & (tz < 2 * np.pi)]
 
 
 def check_block_target(target: BlockTarget,
                        tol: float = 1e-8) -> RealizabilityVerdict:
     """Full joint-space decision: partner equality plus determinant phases."""
-    pairs = accidental_pairs(target.n, target.q_max)
-
-    tz_candidates = None
+    sectors, _, _, _, pairs = _sector_table(target.n, target.q_max)
+    tz = None
     if pairs:
-        idx, p = pairs[0]
-        jgap = (idx.jj - p.jj) // 2
-        tz_candidates = _pair_phase_candidates(target.blocks[idx],
-                                               target.blocks[p], jgap)
-        # every candidate must satisfy every pair entrywise
-        surviving = []
-        best_fail = (np.inf, pairs[0])
-        for tz in tz_candidates:
-            worst, worst_at = 0.0, pairs[0]
-            for a, b in pairs:
-                jgap = (a.jj - b.jj) // 2
-                dev = float(np.abs(target.blocks[a]
-                                   - np.exp(-1j * jgap * tz)
-                                   * target.blocks[b]).max())
-                if dev > worst:
-                    worst, worst_at = dev, (a, b)
-            if worst <= tol:
-                surviving.append(tz)
-            elif worst < best_fail[0]:
-                best_fail = (worst, worst_at)
-        if not surviving:
-            a, b = best_fail[1]
+        s = target._stacks
+        g, a, b, jgap = pairs[0]
+        tz = _pair_phase_candidates(s[g][a], s[g][b], jgap)
+        # every candidate must satisfy every pair entrywise: worst entry
+        # deviation as one (candidates, pairs) array
+        dev = np.stack([np.abs(s[g][a] - np.exp(-1j * jgap * tz)[:, None, None]
+                               * s[g][b]).max(axis=(1, 2))
+                        for g, a, b, jgap in pairs], axis=1)
+        worst = dev.max(axis=1)
+        if not (worst <= tol).any():
+            best = int(np.argmin(worst))  # first best candidate, first worst pair
+            a, b = accidental_pairs(target.n, target.q_max)[int(np.argmax(dev[best]))]
+            resid = float(worst[best])
             return RealizabilityVerdict(
                 False, violation={"constraint": PARTNER_EQUALITY,
                                   "sectors": [a.q, a.jj, b.q, b.jj],
-                                  "residual": best_fail[0]},
-                max_residual=best_fail[0])
-        tz_candidates = surviving
-
-    return _phase_verdict(*_det_equations(target),
-                          enumerate_sectors(target.n, target.q_max), tol,
-                          tz_candidates)
+                                  "residual": resid},
+                max_residual=resid)
+        tz = tz[worst <= tol]
+    return _phase_verdict(*_det_equations(target), sectors, tol, tz)
 
 
 def check_symmetric_phase_constraint(n: int, q_max: int, theta_q: list[float],
                                      tol: float = 1e-8) -> RealizabilityVerdict:
     """Determinant phases restricted to the symmetric subspace:
     θ_q ≡ (q+1)[(q-n)θ_z/2 + α] for q ≤ n and θ_q ≡ (n+1)α for q > n."""
+    _require_int(n, "n", 1)
+    _require_int(q_max, "q_max", 0)
     if len(theta_q) != q_max + 1:
         raise ValueError(f"need θ_q for q = 0..{q_max}")
     _require_finite(theta_q, "θ_q")

@@ -97,6 +97,8 @@ def enumerate_sectors(n: int, q_max: int) -> tuple[SectorIndex, ...]:
     the cached tuple."""
     if q_max < 0:
         raise ValueError(f"q_max must be non-negative, got {q_max}")
+    if n < 1:
+        raise ValueError(f"need at least one qubit, got n={n}")
     return tuple(SectorIndex(n, q, jj) for q in range(q_max + 1)
                  for jj in range(n, max(j_min2(n), n - 2 * q) - 1, -2))
 

@@ -149,3 +149,14 @@ def test_verify_lie_closed_form_check_is_computed(monkeypatch):
 
     monkeypatch.setattr(liealg, "anharmonicity_check", mismatch)
     assert closed(cli._suite_lie(2, 4, 1e-8))[0]["pass"] is False
+
+
+def test_bad_counts_fail_with_one_error_line(capsys):
+    for argv in (["verify", "phases", "--n", "0"],
+                 ["verify", "phases", "--n", "-2"],
+                 ["verify", "realizability", "--qmax", "-1"],
+                 ["sectors", "--n", "0"]):
+        assert run(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1

@@ -439,3 +439,141 @@ def test_state_convertible_rejects_non_finite_amplitudes():
             rz.state_convertible(2, {(2, 0): bad}, phi)
         with pytest.raises(ValueError, match="non-finite"):
             rz.state_convertible(2, phi, {(2, 0): bad})
+
+
+# Reference: the scalar affine fit that check_pi_u1 and check_diagonal used
+# before they shared the determinant-phase solver.
+
+def _ref_fit_affine(coeffs, values, tol):
+    """Solve values_i ≡ alpha + coeffs_i * beta (mod 2π) with
+    β ∈ [-2π, 2π).  Returns (alpha, beta, residual) or (None, None, worst)."""
+    order = np.argsort(coeffs)
+    c = np.asarray(coeffs, dtype=float)[order]
+    v = rz.wrap_pi(np.asarray(values, dtype=float)[order])
+    if len(c) == 1:
+        return float(rz.wrap_pi(v[0])), 0.0, 0.0
+    dc = c[1] - c[0]
+    base = (v[1] - v[0]) / dc
+    betas = [base + 2 * np.pi * w / dc for w in range(-2, 3)]
+    betas = sorted((b for b in betas if -2 * np.pi <= b < 2 * np.pi), key=abs)
+    worst = np.inf
+    for beta in betas:
+        alpha = float(rz.wrap_pi(v[0] - c[0] * beta))
+        resid = float(np.abs(rz.wrap_pi(v - alpha - c * beta)).max())
+        worst = min(worst, resid)
+        if resid <= tol:
+            return alpha, float(beta), resid
+    return None, None, worst
+
+
+def _affine_inputs(c, rng):
+    """Lowest-weight phase rows for coefficients c: exactly affine with random
+    2π windings, quarter turns, generic, and β at the ±2π window edge."""
+    for _ in range(40):
+        alpha, beta = rng.uniform(-np.pi, np.pi), rng.uniform(-2 * np.pi, 2 * np.pi)
+        yield alpha + c * beta + 2 * np.pi * rng.integers(-3, 4, len(c))
+        yield np.pi / 2 * rng.integers(-8, 9, len(c))
+        yield rng.uniform(-np.pi, np.pi, len(c))
+    for beta in (-2 * np.pi, 2 * np.pi, np.nextafter(-2 * np.pi, 0),
+                 np.nextafter(2 * np.pi, 0)):
+        yield 0.3 + c * beta
+
+
+@pytest.mark.parametrize("check", ["pi_u1", "diagonal"])
+def test_affine_checks_match_scalar_reference(check):
+    rng = np.random.default_rng(606)
+    seen = set()
+    for n in range(1, 10):
+        if check == "pi_u1":
+            keys = [(jj, -jj) for jj in range(j_min2(n), n + 1, 2)]
+            coeffs = [jj / 2 for jj, _ in keys]
+            levels = [list(k) for k in keys]
+            free = all_levels(n)
+        else:
+            keys = list(range(-n, 1, 2))
+            coeffs = [mm / 2 for mm in keys]
+            levels = [[mm] for mm in keys]
+            free = list(range(-n, n + 1, 2))
+        for values in _affine_inputs(np.array(coeffs), rng):
+            phases = {k: float(rng.uniform(-np.pi, np.pi)) for k in free}
+            phases.update(zip(keys, values.tolist()))
+            got = (rz.check_pi_u1(rz.PiU1Target(n, phases)) if check == "pi_u1"
+                   else rz.check_diagonal(n, phases))
+            alpha, beta, resid = _ref_fit_affine(coeffs, values, 1e-8)
+            assert got.realizable == (alpha is not None)
+            assert abs(got.max_residual - resid) <= 1e-12
+            if alpha is None:
+                assert got.alpha is None and got.beta is None
+                assert got.violation["constraint"] == rz.AFFINE_LOWEST_WEIGHT
+                assert got.violation["levels"] == levels
+                assert abs(got.violation["residual"] - resid) <= 1e-12
+            else:
+                assert got.violation is None
+                assert abs(float(rz.wrap_pi(got.alpha - alpha))) <= 1e-12
+                assert abs(got.beta - beta) <= 1e-12
+            seen.add((n % 2, len(coeffs) == 1, got.realizable))
+    assert {(0, False, True), (1, False, True), (1, True, True),
+            (0, False, False), (1, False, False)} <= seen
+
+
+def test_affine_fit_prefers_smallest_beta():
+    # on even n every j is an integer, so β and β - 2π both fit
+    rng = np.random.default_rng(3)
+    for n in (2, 4, 6, 8):
+        v = rz.check_pi_u1(affine_target(n, 0.4, 1.5 * np.pi, rng))
+        assert v.realizable and abs(v.beta + 0.5 * np.pi) < 1e-12
+
+
+def test_unwrapped_phases_accepted():
+    rng = np.random.default_rng(12)
+    n, q_max = 3, 7
+    bu = dyn.apply_circuit(Circuit(n, [Gate("tc", 0.4), Gate("rz", 1.1),
+                                       Gate("tc", -0.8)]), q_max, backend="charge")
+    symmetric = [[0.0] * (q_max + 1),
+                 [float(np.angle(np.linalg.det(bu.blocks[SectorIndex(n, q, n)])))
+                  for q in range(q_max + 1)]]
+    pi_u1 = affine_target(5, 0.7, -1.9, rng)
+    diagonal = {mm: 0.2 - 1.3 * mm / 2 for mm in range(-4, 5, 2)}
+    for k in range(-10, 11):
+        for shift in (k, rng.integers(-10, 11, q_max + 1)):
+            for theta_q in symmetric:
+                shifted = list(np.asarray(theta_q) + 2 * np.pi * shift)
+                assert rz.check_symmetric_phase_constraint(n, q_max, shifted).realizable
+        phases = {lvl: ph + 2 * np.pi * k for lvl, ph in pi_u1.phases.items()}
+        assert rz.check_pi_u1(rz.PiU1Target(5, phases)).realizable
+        phases = {mm: ph + 2 * np.pi * k for mm, ph in diagonal.items()}
+        assert rz.check_diagonal(4, phases).realizable
+
+
+def _identity_blocks_with(block):
+    """n = 2, q_max = 2 identity blocks, with block in sector (q=1, j=1)."""
+    from tcforge.sectors import enumerate_sectors
+    blocks = {idx: np.eye(idx.dim, dtype=complex)
+              for idx in enumerate_sectors(2, 2)}
+    blocks[SectorIndex(2, 1, 2)] = block
+    return blocks
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: rz.BlockTarget(2, 2, _identity_blocks_with([[1, 0], [0, 1]])),
+                 r"^block for SectorIndex\(n=2, q=1, j=1\) is not a numeric array$",
+                 id="nested-list-block"),
+    pytest.param(lambda: rz.BlockTarget(2, 2, _identity_blocks_with(np.array([["1", "0"], ["0", "1"]]))),
+                 r"^block for SectorIndex\(n=2, q=1, j=1\) is not a numeric array$",
+                 id="string-block"),
+    pytest.param(lambda: rz.BlockTarget(1.5, 2, {}), r"^n must be an integer, got 1\.5$",
+                 id="float-n"),
+    pytest.param(lambda: rz.BlockTarget(2, 2.0, {}), r"^q_max must be an integer, got 2\.0$",
+                 id="float-q_max"),
+    pytest.param(lambda: rz.check_symmetric_phase_constraint(2, -1, []),
+                 r"^q_max must be an integer ≥ 0, got -1$", id="symmetric-negative-q_max"),
+    pytest.param(lambda: rz.PiU1Target(0, {(0, 0): 0.0}),
+                 r"^n must be an integer ≥ 1, got 0$", id="pi_u1-zero-n"),
+    pytest.param(lambda: rz.check_diagonal(0, {0: 0.0}),
+                 r"^n must be an integer ≥ 1, got 0$", id="diagonal-zero-n"),
+    pytest.param(lambda: rz.check_diagonal(True, {-1: 0.0, 1: 0.0}),
+                 r"^n must be an integer ≥ 1, got True$", id="diagonal-bool-n"),
+])
+def test_ill_typed_targets_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
