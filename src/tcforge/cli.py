@@ -3,17 +3,14 @@ suites, and emit machine-readable reports.
 
 Exit codes: 0 on success, 1 on usage or input errors, 2 when a verification
 or synthesis tolerance fails.  Output JSON is deterministic (sorted keys,
-shortest round-trip floats).  TCFORGE_THREADS caps worker parallelism in
-the verification suites.
+shortest round-trip floats).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -43,16 +40,6 @@ def _dump(obj, out) -> None:
 
 def _matrix_json(m: np.ndarray):
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def _workers() -> int:
-    env = os.environ.get("TCFORGE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
 
 
 def cmd_synthesize(args) -> int:
@@ -170,16 +157,10 @@ def _suite_accidental(n: int, q_max: int, tol: float):
 
 
 def _suite_lie(n: int, q_max: int, tol: float):
-    sectors = [s for s in enumerate_sectors(n, q_max)
-               if 2 <= sector_dim(s) <= 7]
-    checks = []
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        ranks = list(pool.map(lambda s: liealg.sector_rank_check(s, tol),
-                              sectors))
-    for s, ok in zip(sectors, ranks):
-        checks.append({"scope": f"rank q={s.q} 2j={s.jj}",
-                       "rank": s.dim ** 2 - 1, "expected": s.dim ** 2 - 1,
-                       "pass": bool(ok)})
+    checks = [{"scope": f"rank q={s.q} 2j={s.jj}",
+               "rank": s.dim ** 2 - 1, "expected": s.dim ** 2 - 1,
+               "pass": liealg.sector_rank_check(s, tol)}
+              for s in enumerate_sectors(n, q_max) if 2 <= sector_dim(s) <= 7]
     failed = 0
     for s in enumerate_sectors(n, q_max):
         rep = liealg.anharmonicity_check(s)
@@ -234,6 +215,10 @@ _SUITES = {"accidental": _suite_accidental, "lie": _suite_lie,
 
 
 def cmd_verify(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"need at least one qubit, got n={args.n}")
+    if args.qmax < 0:
+        raise ValueError(f"q_max must be non-negative, got {args.qmax}")
     guard = _scale_guard(args)
     if guard:
         print(f"error: {guard}", file=sys.stderr)

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .operators import coupling, energy_variance_exact, htc_block, jx_operator
+from .operators import (coupling, energy_variance_exact, htc_block,
+                        jx_operator, jz_block)
 from .sectors import (SectorIndex, accidental_partner, basis_labels,
                       enumerate_sectors, j_min2, sector_dim)
 
@@ -28,12 +29,18 @@ class OperatorBasis:
     rank: int
 
 
-def lie_closure(generators, tol: float = 1e-8,
-                max_commutators: int = 5000) -> OperatorBasis:
+def lie_closure(generators, tol: float = 1e-8) -> OperatorBasis:
     """Breadth-first commutator closure with Gram-Schmidt rank tracking.
 
-    Deterministic: new elements pair with all earlier ones in order, and
-    candidates below the relative cutoff are discarded.
+    New elements pair with all earlier ones in order, and candidates below
+    the relative cutoff are discarded.  Commutators are traceless, so the
+    closure lies in su(d) when no generator has an identity component above
+    tol times its norm, and in u(d) otherwise.  The loop stops once the
+    basis has that dimension (d² - 1 or d²): no later candidate could add to
+    it, so the elements are the prefix the unbounded loop would return,
+    while a closure onto a proper subalgebra still runs to completion.
+    Accepted candidates are orthogonalised twice; one pass lets rounding
+    errors compound until noise passes the cutoff (seen from d = 12).
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if not gens:
@@ -44,38 +51,37 @@ def lie_closure(generators, tol: float = 1e-8,
             raise ValueError("generators must share one square shape")
         if np.abs(g + g.conj().T).max() > 1e-9 * max(1.0, np.abs(g).max()):
             raise ValueError("generators must be skew-Hermitian")
+    traced = any(abs(np.trace(g)) > tol * np.sqrt(d) * np.linalg.norm(g)
+                 for g in gens)
+    top = d * d if traced else d * d - 1
 
     basis: list[np.ndarray] = []
     flat = np.zeros((0, d * d), dtype=complex)
 
-    def try_add(cand: np.ndarray) -> bool:
+    def try_add(cand: np.ndarray) -> None:
         nonlocal flat
         nrm = np.linalg.norm(cand)
         if nrm < 1e-14:
-            return False
-        coeffs = (flat.conj() @ cand.ravel()).real
-        resid = cand - (coeffs @ flat).reshape(d, d)
-        rn = np.linalg.norm(resid)
-        if rn <= tol * nrm:
-            return False
-        resid /= rn
-        basis.append(resid)
-        flat = np.vstack([flat, resid.ravel()])
-        return True
+            return
+        resid = cand
+        for _ in range(2):
+            coeffs = (flat.conj() @ resid.ravel()).real
+            resid = resid - (coeffs @ flat).reshape(d, d)
+            rn = np.linalg.norm(resid)
+            if rn <= tol * nrm:
+                return
+        basis.append(resid / rn)
+        flat = np.vstack([flat, basis[-1].ravel()])
 
     for g in gens:
         try_add(g)
-    frontier = 0
-    used = 0
-    while frontier < len(basis) and used < max_commutators:
-        k = frontier
-        frontier += 1
+    k = 0
+    while k < len(basis) < top:
         for i in range(k):
-            if used >= max_commutators:
+            try_add(basis[k] @ basis[i] - basis[i] @ basis[k])
+            if len(basis) == top:
                 break
-            used += 1
-            comm = basis[k] @ basis[i] - basis[i] @ basis[k]
-            try_add(comm)
+        k += 1
     return OperatorBasis(tuple(basis), len(basis))
 
 
@@ -86,7 +92,7 @@ def sector_rank_check(idx: SectorIndex, tol: float = 1e-8) -> bool:
     if d < 2:
         return True
     h = htc_block(idx).mat
-    jz = np.diag([lab.mm / 2 for lab in basis_labels(idx)]).astype(complex)
+    jz = jz_block(idx).mat
     hbar = 1j * (jz @ h - h @ jz)
     basis = lie_closure([1j * h, 1j * hbar], tol=tol)
     return basis.rank == d * d - 1
@@ -201,28 +207,43 @@ def _exchange_pair_terms(jj: int, jj_p: int):
     return terms
 
 
-def build_exchange_operator(n: int, q_max: int):
-    """The conserved exchange operator S on the charge-truncated basis.
-
-    Pair blocks whose filled-side charge n/2 - j' + 2j exceeds q_max cannot
-    be represented and are skipped (returned for reporting); the kept
-    blocks commute with the coupling Hamiltonian on the whole truncation.
-    """
-    basis = _truncated_basis(n, q_max)
-    index = {lab: i for i, lab in enumerate(basis)}
-    s = np.zeros((len(basis), len(basis)))
-    skipped = []
+def _exchange_pairs(n: int, q_max: int):
+    """Yield (jj, jj_p, terms) for every exchange pair block; terms is None
+    when the filled-side charge n/2 - j' + 2j exceeds q_max, so the block
+    cannot be represented on the truncation."""
     for jj in range(j_min2(n) + 2, n + 1, 2):
         # the smaller spin must be positive: spin-0 sectors carry no
         # coupling matrix to exchange
         for jj_p in range(2 - (n & 1), jj, 2):
-            if (n - jj_p) // 2 + jj > q_max:
-                skipped.append((jj, jj_p))
-                continue
-            for row, col in _exchange_pair_terms(jj, jj_p):
-                s[index[row], index[col]] = 1.0
-                s[index[col], index[row]] = 1.0
-    return s, basis, skipped
+            fits = (n - jj_p) // 2 + jj <= q_max
+            yield jj, jj_p, _exchange_pair_terms(jj, jj_p) if fits else None
+
+
+def _symmetric_fill(basis, terms) -> np.ndarray:
+    """0/1 matrix on the basis with both (row, col) and (col, row) set for
+    every term."""
+    index = {lab: i for i, lab in enumerate(basis)}
+    s = np.zeros((len(basis), len(basis)))
+    for row, col in terms:
+        s[index[row], index[col]] = s[index[col], index[row]] = 1.0
+    return s
+
+
+def build_exchange_operator(n: int, q_max: int):
+    """The conserved exchange operator S on the charge-truncated basis.
+
+    Pair blocks that the truncation cannot represent are skipped (returned
+    for reporting); the kept blocks commute with the coupling Hamiltonian
+    on the whole truncation.
+    """
+    basis = _truncated_basis(n, q_max)
+    kept, skipped = [], []
+    for jj, jj_p, terms in _exchange_pairs(n, q_max):
+        if terms is None:
+            skipped.append((jj, jj_p))
+        else:
+            kept.extend(terms)
+    return _symmetric_fill(basis, kept), basis, skipped
 
 
 @dataclass
@@ -241,27 +262,15 @@ def check_exchange_commutation(n: int, q_max: int) -> ExchangeCommutationReport:
     """[H, S] vanishes on the truncation, and on its raising half every pair
     block satisfies [J_z, S(j,j')] = (j-j')·S(j,j') entrywise exactly (the
     lowering half carries the conjugate shift)."""
-    basis = _truncated_basis(n, q_max)
-    index = {lab: i for i, lab in enumerate(basis)}
+    s, basis, skipped = build_exchange_operator(n, q_max)
     h = coupling(basis)
-    s, _, skipped = build_exchange_operator(n, q_max)
     comm_norm = float(np.linalg.norm(h @ s - s @ h))
-    mjz = np.array([mm / 2 for (_, mm, _) in basis])
-    jz_ok = True
-    pair_blocks = []
-    for jj in range(j_min2(n) + 2, n + 1, 2):
-        for jj_p in range(2 - (n & 1), jj, 2):
-            if (n - jj_p) // 2 + jj > q_max:
-                continue
-            shift = (jj - jj_p) / 2
-            good = True
-            for row, col in _exchange_pair_terms(jj, jj_p):
-                r, c = index[row], index[col]
-                # entry of [J_z, S] at (r, c) is (m_r - m_c)·S_rc
-                if mjz[r] - mjz[c] != shift:
-                    good = False
-            pair_blocks.append((jj, jj_p, good))
-            jz_ok = jz_ok and good
+    # entry of [J_z, S] at (row, col) is (m_row - m_col)·S
+    pair_blocks = [(jj, jj_p, all(row[1] / 2 - col[1] / 2 == (jj - jj_p) / 2
+                                  for row, col in terms))
+                   for jj, jj_p, terms in _exchange_pairs(n, q_max)
+                   if terms is not None]
+    jz_ok = all(good for _, _, good in pair_blocks)
     ok = comm_norm < 1e-9 and jz_ok
     return ExchangeCommutationReport(n, q_max, len(basis), comm_norm, jz_ok,
                                      pair_blocks, skipped, ok)
@@ -269,13 +278,8 @@ def check_exchange_commutation(n: int, q_max: int) -> ExchangeCommutationReport:
 
 def exchange_pair_matrix(n: int, q_max: int, jj: int, jj_p: int) -> np.ndarray:
     """One S(j,j') block on the truncated basis (both halves)."""
-    basis = _truncated_basis(n, q_max)
-    index = {lab: i for i, lab in enumerate(basis)}
-    sp = np.zeros((len(basis), len(basis)))
-    for row, col in _exchange_pair_terms(jj, jj_p):
-        sp[index[row], index[col]] = 1.0
-        sp[index[col], index[row]] = 1.0
-    return sp
+    return _symmetric_fill(_truncated_basis(n, q_max),
+                           _exchange_pair_terms(jj, jj_p))
 
 
 def _schwinger_image(jj: int, mm: int, k: int) -> tuple[int, int, int]:

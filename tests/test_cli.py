@@ -155,6 +155,9 @@ def test_bad_counts_fail_with_one_error_line(capsys):
     for argv in (["verify", "phases", "--n", "0"],
                  ["verify", "phases", "--n", "-2"],
                  ["verify", "realizability", "--qmax", "-1"],
+                 ["verify", "schwinger", "--n", "0"],
+                 ["verify", "schwinger", "--qmax", "-1"],
+                 ["verify", "phases", "--qmax", "-1"],
                  ["sectors", "--n", "0"]):
         assert run(argv) == 1
         out = capsys.readouterr()

@@ -3,7 +3,7 @@ import pytest
 from fractions import Fraction
 
 from tcforge import liealg as la
-from tcforge.operators import htc_block, jz_block
+from tcforge.operators import htc_block, jx_operator, jz_block
 from tcforge.sectors import SectorIndex, enumerate_sectors, sector_dim
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -54,6 +54,82 @@ def test_sector_rank_check(n):
             assert la.sector_rank_check(idx), idx
     # one-dimensional sectors are vacuous
     assert la.sector_rank_check(SectorIndex(n, 0, n))
+
+
+def _ref_lie_closure(generators, tol=1e-8, passes=1):
+    """The unbounded breadth-first closure; passes=1 is the one-pass
+    Gram-Schmidt that lie_closure used before its dimension bound."""
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    d = gens[0].shape[0]
+    basis = []
+    flat = np.zeros((0, d * d), dtype=complex)
+
+    def try_add(cand):
+        nonlocal flat
+        nrm = np.linalg.norm(cand)
+        if nrm < 1e-14:
+            return
+        resid = cand
+        for _ in range(passes):
+            coeffs = (flat.conj() @ resid.ravel()).real
+            resid = resid - (coeffs @ flat).reshape(d, d)
+            rn = np.linalg.norm(resid)
+            if rn <= tol * nrm:
+                return
+        basis.append(resid / rn)
+        flat = np.vstack([flat, basis[-1].ravel()])
+
+    for g in gens:
+        try_add(g)
+    frontier = 0
+    while frontier < len(basis):
+        k = frontier
+        frontier += 1
+        for i in range(k):
+            try_add(basis[k] @ basis[i] - basis[i] @ basis[k])
+    return basis
+
+
+def _rank_check_generators(idx):
+    h, jz = htc_block(idx).mat, jz_block(idx).mat
+    return [1j * h, 1j * (1j * (jz @ h - h @ jz))]
+
+
+def _pi_generators(jj):
+    gens = [1j * np.diag(np.eye(jj + 1)[r]) for r in range(jj + 1)]
+    return gens + [1j * jx_operator(jj, jj, 0).mat]
+
+
+def test_bounded_closure_matches_unbounded():
+    j1x = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / np.sqrt(2)
+    j1y = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / np.sqrt(2)
+    idx = SectorIndex(2, 1, 2)
+    cases = [([1j * htc_block(idx).mat, 1j * jz_block(idx).mat], 4),
+             ([1j * j1x, 1j * j1y], 3)]
+    cases += [(_pi_generators(jj), (jj + 1) ** 2) for jj in range(1, 7)]
+    cases += [(_rank_check_generators(s), sector_dim(s) ** 2 - 1)
+              for n in range(1, 7) for s in enumerate_sectors(n, 12)
+              if 2 <= sector_dim(s) <= 7]
+    for gens, rank in cases:
+        got = la.lie_closure(gens)
+        full = _ref_lie_closure(gens, passes=2)
+        assert got.rank == len(full) == rank
+        assert all(np.array_equal(a, b) for a, b in zip(got.elements, full))
+        # the one-pass basis differs from it by at most 1.6e-12 on these cases
+        one_pass = _ref_lie_closure(gens)
+        assert len(one_pass) == rank
+        assert np.abs(np.array(got.elements) - np.array(one_pass)).max() < 1e-9
+
+
+def test_large_sectors_reach_full_rank():
+    for idx in (SectorIndex(9, 14, 9), SectorIndex(10, 15, 10),
+                SectorIndex(11, 17, 11)):
+        assert la.sector_rank_check(idx), idx
+    # the rank counts only if the basis is orthonormal
+    flat = np.array([e.ravel() for e in la.lie_closure(
+        _rank_check_generators(SectorIndex(11, 17, 11))).elements])
+    assert np.abs((flat.conj() @ flat.T).real - np.eye(143)).max() < 1e-12
+    assert la.verify_pi_universality(11, 11)
 
 
 def test_anharmonicity_closed_form():
