@@ -4,11 +4,11 @@ for n qubits collectively coupled to one oscillator."""
 from .sectors import (SectorIndex, BasisLabel, sector_dim, multiplicity,
                       enumerate_sectors, basis_labels, accidental_partner,
                       accidental_pairs, is_filled)
-from .operators import (SectorMatrix, JSectorOperator, htc_block, jz_block,
-                        number_block, jx_operator, energy_variance,
-                        charge_vector, sector_equivalence_check)
+from .operators import (htc_block, jz_block, number_block, jx_operator,
+                        energy_variance, charge_vector,
+                        sector_equivalence_check)
 from .dynamics import (Gate, Circuit, BlockUnitary, apply_circuit,
-                       gate_block, vacuum_sandwich, distance_up_to_phase,
+                       vacuum_sandwich, distance_up_to_phase,
                        interaction_time, evolve_vacuum_state, simplify)
 from .synthesis import (AxisAngle, Decomposition, SynthesisResult,
                         compose_rotations, solve_two_step, euler_embed,
@@ -28,10 +28,9 @@ __all__ = [
     "SectorIndex", "BasisLabel", "sector_dim", "multiplicity",
     "enumerate_sectors", "basis_labels", "accidental_partner",
     "accidental_pairs", "is_filled",
-    "SectorMatrix", "JSectorOperator", "htc_block", "jz_block",
-    "number_block", "jx_operator", "energy_variance", "charge_vector",
-    "sector_equivalence_check",
-    "Gate", "Circuit", "BlockUnitary", "apply_circuit", "gate_block",
+    "htc_block", "jz_block", "number_block", "jx_operator",
+    "energy_variance", "charge_vector", "sector_equivalence_check",
+    "Gate", "Circuit", "BlockUnitary", "apply_circuit",
     "vacuum_sandwich", "distance_up_to_phase", "interaction_time",
     "evolve_vacuum_state", "simplify",
     "AxisAngle", "Decomposition", "SynthesisResult", "compose_rotations",

@@ -141,10 +141,9 @@ def _scale_guard(args) -> str | None:
 def _suite_accidental(n: int, q_max: int, tol: float):
     checks = []
     for idx, partner in accidental_pairs(n, q_max):
-        dev_h = float(np.abs(htc_block(idx).mat - htc_block(partner).mat).max())
+        dev_h = float(np.abs(htc_block(idx) - htc_block(partner)).max())
         shift = (partner.jj - idx.jj) / 2
-        dev_z = float(np.abs(jz_block(idx).mat - jz_block(partner).mat
-                             - shift * np.eye(idx.dim)).max())
+        dev_z = float(np.abs(jz_block(idx) - jz_block(partner) - shift).max())
         checks.append({"scope": f"pair q={idx.q} 2j={idx.jj} <-> "
                                 f"q={partner.q} 2j={partner.jj}",
                        "residuals": [dev_h, dev_z],
@@ -160,7 +159,7 @@ def _suite_lie(n: int, q_max: int, tol: float):
     checks = [{"scope": f"rank q={s.q} 2j={s.jj}",
                "rank": s.dim ** 2 - 1, "expected": s.dim ** 2 - 1,
                "pass": liealg.sector_rank_check(s, tol)}
-              for s in enumerate_sectors(n, q_max) if 2 <= sector_dim(s) <= 7]
+              for s in enumerate_sectors(n, q_max) if sector_dim(s) >= 2]
     failed = 0
     for s in enumerate_sectors(n, q_max):
         rep = liealg.anharmonicity_check(s)

@@ -64,7 +64,14 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
+        n, gates = self.n, tuple(self.gates)
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"circuit n must be an integer ≥ 1, got {n!r}")
+        for g in gates:
+            if not isinstance(g, Gate):
+                raise ValueError(f"circuit gates must be Gate objects, got {g!r}")
+        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "gates", gates)
 
     def has_rx(self) -> bool:
         return any(g.kind == "rx" for g in self.gates)
@@ -84,8 +91,6 @@ class Circuit:
         if not isinstance(payload, dict) or set(payload) != {"n", "gates"}:
             raise ValueError('circuit JSON needs exactly the keys "n" and "gates"')
         n, gates = payload["n"], payload["gates"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValueError(f"circuit n must be an integer ≥ 1, got {n!r}")
         # exact types: bool is an int, and float() would accept "1.5"
         if not isinstance(gates, list) or not all(
                 isinstance(g, dict) and set(g) == {"kind", "param"}
@@ -134,8 +139,7 @@ def _tc_eig(jj: int, k_max: int):
     """Real eigensystems of the coupling on each charge diagonal of the jj
     tower, stacked [s, r, r]; slots outside 0 ≤ k ≤ k_max stay uncoupled."""
     s, r = (a.ravel() for a in _skew(jj, k_max))
-    # tower operators do not depend on n; label them with n = 2j
-    h = ops.htc_tower(jj, jj, k_max).mat
+    h = ops.htc_tower(jj, k_max)
     a, b = np.nonzero(h)  # every nonzero element stays on one diagonal
     blocks = np.zeros((jj + k_max + 1, jj + 1, jj + 1))
     blocks[s[a], r[a], r[b]] = h[a, b]
@@ -148,7 +152,7 @@ def _tc_eig(jj: int, k_max: int):
 
 @lru_cache(maxsize=None)
 def _rx_eig(jj: int):
-    w, v = np.linalg.eigh(ops.jx_operator(jj, jj, 0).mat)
+    w, v = np.linalg.eigh(ops.jx_operator(jj))
     w.setflags(write=False)
     v.setflags(write=False)
     return w, v
@@ -201,11 +205,6 @@ def _charge_blocks(gates, n: int, q_max: int) -> dict:
     return blocks
 
 
-def gate_block(gate: Gate, idx: SectorIndex) -> np.ndarray:
-    """Unitary of one gate on one charge sector."""
-    return _charge_blocks((gate,), idx.n, idx.q)[idx]
-
-
 @dataclass
 class BlockUnitary:
     """Product unitary of a circuit, stored block by block.
@@ -219,7 +218,6 @@ class BlockUnitary:
     q_max: int
     blocks: dict
     k_max: dict = field(default_factory=dict)
-    tc_time: float = 0.0
 
     def unitarity_defect(self) -> float:
         """Largest ‖B†B - I‖_F over the blocks; NaN if any block has one."""
@@ -259,8 +257,7 @@ def apply_circuit(circ: Circuit, q_max: int, backend: str = "auto") -> BlockUnit
         backend = "jtower" if circ.has_rx() else "charge"
     if backend == "charge":
         return BlockUnitary("charge", circ.n, q_max,
-                            _charge_blocks(circ.gates, circ.n, q_max),
-                            tc_time=circ.total_tc_time())
+                            _charge_blocks(circ.gates, circ.n, q_max))
     if backend != "jtower":
         raise ValueError(f"unknown backend {backend!r}")
     blocks, kmaxes = {}, {}
@@ -271,8 +268,7 @@ def apply_circuit(circ: Circuit, q_max: int, backend: str = "auto") -> BlockUnit
         x = np.zeros((jj + k_max + 1, jj + 1, d), dtype=complex)
         x[s, r, np.arange(d).reshape(s.shape)] = 1.0  # column = tower_index
         blocks[jj] = _evolve(circ.gates, jj, k_max, x)[s, r].reshape(d, d)
-    return BlockUnitary("jtower", circ.n, q_max, blocks, kmaxes,
-                        tc_time=circ.total_tc_time())
+    return BlockUnitary("jtower", circ.n, q_max, blocks, kmaxes)
 
 
 @dataclass
@@ -322,13 +318,20 @@ def evolve_vacuum_state(circ: Circuit, psi_qubits: np.ndarray,
     """Evolve |ψ⟩⊗|0⟩; returns joint amplitudes of shape (2^n, K+1).
 
     Row index is the computational basis state, column the oscillator level.
-    q_max must cover the initial charge support (q_max ≥ n suffices for any
-    qubit state on vacuum).
+    q_max must cover the initial charge support: |b⟩⊗|0⟩ has q = the number
+    of zeros in b, so q_max ≥ n suffices for any qubit state on vacuum.
     """
     n = circ.n
     psi_qubits = np.asarray(psi_qubits, dtype=complex)
     if psi_qubits.shape != (2 ** n,):
         raise ValueError(f"state must have length {2 ** n}")
+    if not np.isfinite(psi_qubits).all():
+        raise ValueError("state amplitudes must be finite")
+    q_top = max((n - int(b).bit_count() for b in np.flatnonzero(psi_qubits)),
+                default=0)
+    if q_top > q_max:
+        raise ValueError(f"state has support at charge q = {q_top} "
+                         f"above q_max = {q_max}")
     basis = jm_basis(n)
     k_maxes = {jj: tower_k_max(circ, q_max, jj) for jj in _spins(n)}
     joint = np.zeros((2 ** n, max(k_maxes.values()) + 1), dtype=complex)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .operators import (coupling, energy_variance_exact, htc_block,
+from .operators import (_ladder, coupling, energy_variance_exact, htc_block,
                         jx_operator, jz_block)
 from .sectors import (SectorIndex, accidental_partner, basis_labels,
                       enumerate_sectors, j_min2, sector_dim)
@@ -91,9 +91,9 @@ def sector_rank_check(idx: SectorIndex, tol: float = 1e-8) -> bool:
     d = sector_dim(idx)
     if d < 2:
         return True
-    h = htc_block(idx).mat
-    jz = jz_block(idx).mat
-    hbar = 1j * (jz @ h - h @ jz)
+    h = htc_block(idx)
+    jz = jz_block(idx)
+    hbar = 1j * (jz[:, None] * h - h * jz)
     basis = lie_closure([1j * h, 1j * hbar], tol=tol)
     return basis.rank == d * d - 1
 
@@ -109,14 +109,6 @@ class AnharmonicityReport:
     condition_holds: bool
 
 
-def _ladder_sq(idx: SectorIndex, y: int) -> Fraction:
-    """⟨y|A+A-|y⟩ for the sector ladder, exact."""
-    n, q, jj = idx.n, idx.q, idx.jj
-    spin = Fraction(jj * (jj + 2), 4)
-    step = Fraction((2 * y - n) * (2 * y - n + 2), 4)
-    return (spin - step) * (q - y)
-
-
 def anharmonicity_check(idx: SectorIndex) -> AnharmonicityReport:
     """Second differences of the sector ladder (concave sign convention,
     2a²_y - a²_{y+1} - a²_{y-1}), with the closed form 2(n+q-1) - 6y.
@@ -127,9 +119,11 @@ def anharmonicity_check(idx: SectorIndex) -> AnharmonicityReport:
     ys = list(range(y_min, y_min + d - 1))  # couplings a_y, y_min..y_min+d-2
 
     def a2(y: int) -> Fraction:
+        """⟨y|A+A-|y⟩ for the sector ladder: the squared J- element out of
+        m = y + 1 - n/2 times the squared a† element k + 1 = q - y."""
         if y < y_min or y > y_min + d - 2:
             return Fraction(0)  # boundary convention
-        return _ladder_sq(idx, y)
+        return Fraction(_ladder(idx.jj, 2 * y - idx.n + 2) * (idx.q - y))
 
     ladder = [a2(y) for y in ys]
     diffs = [2 * a2(y) - a2(y + 1) - a2(y - 1) for y in ys]
@@ -144,7 +138,7 @@ def spin_ladder_anharmonicity(jj: int) -> bool:
     """Same condition for the bare spin ladder (no oscillator): the second
     differences are constant, so the condition fails whenever there is more
     than one coupling."""
-    a2 = [Fraction((jj - mm) * (jj + mm + 2), 8) for mm in range(-jj, jj, 2)]
+    a2 = [Fraction(_ladder(jj, mm + 2), 2) for mm in range(-jj, jj, 2)]
 
     def at(i: int) -> Fraction:
         return a2[i] if 0 <= i < len(a2) else Fraction(0)
@@ -276,12 +270,6 @@ def check_exchange_commutation(n: int, q_max: int) -> ExchangeCommutationReport:
                                      pair_blocks, skipped, ok)
 
 
-def exchange_pair_matrix(n: int, q_max: int, jj: int, jj_p: int) -> np.ndarray:
-    """One S(j,j') block on the truncated basis (both halves)."""
-    return _symmetric_fill(_truncated_basis(n, q_max),
-                           _exchange_pair_terms(jj, jj_p))
-
-
 def _schwinger_image(jj: int, mm: int, k: int) -> tuple[int, int, int]:
     """Relabeling that swaps the physical oscillator with the second
     virtual oscillator of the two-oscillator spin construction."""
@@ -319,7 +307,7 @@ def schwinger_check(jj_max: int, k_max: int) -> SchwingerReport:
         jj, mm, k = lab
         if k == 0 or mm == jj:
             return None, 0.0
-        amp = np.sqrt((jj - mm) * (jj + mm + 2) * k) / 2
+        amp = np.sqrt(_ladder(jj, mm + 2) * k)
         return (jj, mm + 2, k - 1), amp
 
     worst = 0.0
@@ -349,7 +337,7 @@ def schwinger_check(jj_max: int, k_max: int) -> SchwingerReport:
                            tested, skipped, ok)
 
 
-def verify_pi_universality(n: int, jj: int, tol: float = 1e-8) -> bool:
+def verify_pi_universality(jj: int, tol: float = 1e-8) -> bool:
     """Level projectors plus the collective x generator close onto the full
     unitary algebra of the spin-j block: rank (2j+1)²."""
     d = jj + 1
@@ -358,5 +346,5 @@ def verify_pi_universality(n: int, jj: int, tol: float = 1e-8) -> bool:
         p = np.zeros((d, d), dtype=complex)
         p[r, r] = 1.0
         gens.append(1j * p)
-    gens.append(1j * jx_operator(n, jj, 0).mat)
+    gens.append(1j * jx_operator(jj))
     return lie_closure(gens, tol=tol).rank == d * d

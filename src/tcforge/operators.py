@@ -17,53 +17,23 @@ kept in exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .sectors import BasisLabel, SectorIndex, basis_labels
+from .sectors import SectorIndex, basis_labels
 
 DEFAULT_ATOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SectorMatrix:
-    """Dense operator block on one sector, basis ordered by increasing k."""
-
-    idx: SectorIndex
-    labels: tuple[BasisLabel, ...]
-    mat: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-
-@dataclass(frozen=True)
-class JSectorOperator:
-    """Operator on the fixed-j tower span{|j,m⟩⊗|k⟩ : k ≤ k_max}.
-
-    Basis ordered by (k ascending, m descending): index = k(2j+1) + (j-m).
-    """
-
-    n: int
-    jj: int
-    k_max: int
-    mat: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return (self.jj + 1) * (self.k_max + 1)
 
 
 def tower_index(jj: int, mm: int, k: int) -> int:
     return k * (jj + 1) + (jj - mm) // 2
 
 
-def _ladder(jj: int, mm: int) -> float:
-    """(j+m)(j-m+1) for the J- matrix element out of |j,m⟩, in doubled units."""
-    return (jj + mm) * (jj - mm + 2) / 4.0
+def _ladder(jj: int, mm: int) -> int:
+    """(j+m)(j-m+1), the squared J- matrix element out of |j,m⟩, as an exact
+    integer from doubled units; mm may be an integer array."""
+    return (jj + mm) // 2 * ((jj - mm + 2) // 2)
 
 
 def coupling(labels) -> np.ndarray:
@@ -81,39 +51,33 @@ def coupling(labels) -> np.ndarray:
     return h
 
 
-def htc_block(idx: SectorIndex) -> SectorMatrix:
-    """Coupling Hamiltonian on one sector: tridiagonal, zero diagonal."""
-    labels = basis_labels(idx)
-    mat = coupling([(idx.jj, lab.mm, lab.k) for lab in labels])
-    return SectorMatrix(idx, tuple(labels), mat)
+def htc_block(idx: SectorIndex) -> np.ndarray:
+    """Coupling Hamiltonian on one sector: (d, d), tridiagonal, zero diagonal."""
+    return coupling([(idx.jj, lab.mm, lab.k) for lab in basis_labels(idx)])
 
 
-def jz_block(idx: SectorIndex) -> SectorMatrix:
-    labels = basis_labels(idx)
-    mat = np.diag([lab.mm / 2 for lab in labels]).astype(complex)
-    return SectorMatrix(idx, tuple(labels), mat)
+def jz_block(idx: SectorIndex) -> np.ndarray:
+    """Diagonal of J_z on one sector, as a (d,) vector."""
+    return np.array([lab.mm / 2 for lab in basis_labels(idx)])
 
 
-def number_block(idx: SectorIndex) -> SectorMatrix:
-    labels = basis_labels(idx)
-    mat = np.diag([float(lab.k) for lab in labels]).astype(complex)
-    return SectorMatrix(idx, tuple(labels), mat)
+def number_block(idx: SectorIndex) -> np.ndarray:
+    """Diagonal of a†a on one sector, as a (d,) vector."""
+    return np.array([float(lab.k) for lab in basis_labels(idx)])
 
 
-def jx_operator(n: int, jj: int, k_max: int) -> JSectorOperator:
-    """J_x on the fixed-j tower: couples m ↔ m±1 at fixed k."""
-    if k_max < 0:
-        raise ValueError(f"k_max must be non-negative, got {k_max}")
+def jx_operator(jj: int) -> np.ndarray:
+    """Spin J_x, (2j+1)-square in the basis m = j .. -j."""
     off = 0.5 * np.sqrt(_ladder(jj, np.arange(jj, -jj, -2)))  # ⟨j,m|J_x|j,m-1⟩
-    spin = np.diag(off, 1) + np.diag(off, -1)
-    return JSectorOperator(n, jj, k_max, np.kron(np.eye(k_max + 1), spin))
+    return np.diag(off, 1) + np.diag(off, -1)
 
 
-def htc_tower(n: int, jj: int, k_max: int) -> JSectorOperator:
-    """Coupling Hamiltonian on the fixed-j tower (couples (m,k) ↔ (m-1,k+1))."""
+def htc_tower(jj: int, k_max: int) -> np.ndarray:
+    """Coupling Hamiltonian on the fixed-j tower span{|j,m⟩⊗|k⟩ : k ≤ k_max},
+    ordered by (k ascending, m descending) as ``tower_index`` gives."""
     labels = [(jj, mm, k) for k in range(k_max + 1)
               for mm in range(jj, -jj - 2, -2)]
-    return JSectorOperator(n, jj, k_max, coupling(labels))
+    return coupling(labels)
 
 
 def energy_variance_exact(idx: SectorIndex) -> Fraction:
@@ -154,10 +118,9 @@ def sector_equivalence_check(idx_a: SectorIndex, idx_b: SectorIndex,
         raise ValueError(f"spin mismatch: 2j={idx_a.jj} vs {idx_b.jj}")
     if idx_b.q != idx_a.q - (idx_a.n - idx_a.jj) // 2 + (idx_b.n - idx_b.jj) // 2:
         raise ValueError("charges not related by q_b = q_a - (n_a - n_b)/2")
-    ha, hb = htc_block(idx_a).mat, htc_block(idx_b).mat
+    ha, hb = htc_block(idx_a), htc_block(idx_b)
     if ha.shape != hb.shape:
         return False
     if not np.allclose(ha, hb, atol=atol, rtol=0):
         return False
-    za, zb = jz_block(idx_a).mat, jz_block(idx_b).mat
-    return np.allclose(za, zb, atol=atol, rtol=0)
+    return np.allclose(jz_block(idx_a), jz_block(idx_b), atol=atol, rtol=0)

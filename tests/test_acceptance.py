@@ -59,7 +59,7 @@ def test_criterion_3_matrix_element_oracle():
         h_full = htc_full(n, k_cut)
         for idx in enumerate_sectors(n, 12):
             brute = project_full(h_full, idx, k_cut)
-            dev = np.abs(brute - htc_block(idx).mat).max()
+            dev = np.abs(brute - htc_block(idx)).max()
             worst = max(worst, float(dev))
     # multiplicity copies carry identical blocks (spot check, n = 4, j = 1)
     idx = SectorIndex(4, 3, 2)
@@ -78,13 +78,11 @@ def test_criterion_4_accidental_symmetry():
     detail = []
     for n in range(2, 7):
         for unfilled, filled in accidental_pairs(n, 12):
-            if not np.array_equal(htc_block(unfilled).mat,
-                                  htc_block(filled).mat):
+            if not np.array_equal(htc_block(unfilled), htc_block(filled)):
                 ok = False
                 detail.append(f"coupling mismatch {unfilled}")
             shift = (filled.jj - unfilled.jj) / 2
-            zdev = np.abs(jz_block(unfilled).mat - jz_block(filled).mat
-                          - shift * np.eye(unfilled.dim)).max()
+            zdev = np.abs(jz_block(unfilled) - jz_block(filled) - shift).max()
             if zdev > 1e-12:
                 ok = False
                 detail.append(f"z-shift mismatch {unfilled}")

@@ -3,6 +3,7 @@ import json
 
 from tcforge.cli import main
 from tcforge.dynamics import Circuit
+from tcforge.sectors import enumerate_sectors, sector_dim
 
 
 def run(argv):
@@ -86,6 +87,17 @@ def test_simulate_rejects_param_beyond_float_range(tmp_path, capsys):
     assert "finite real number" in capsys.readouterr().err
 
 
+def test_simulate_state_above_qmax_fails(tmp_path, capsys):
+    path = tmp_path / "tc.json"
+    path.write_text('{"n": 2, "gates": [{"kind": "tc", "param": 1.0}]}')
+    for q_max in ("0", "1"):  # |00⟩⊗|0⟩ has charge 2
+        assert run(["simulate", str(path), "--state", "00",
+                    "--qmax", q_max]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
 def test_verify_suites_pass(tmp_path):
     assert run(["verify", "phases", "--n", "4"]) == 0
     assert run(["verify", "accidental", "--n", "4", "--qmax", "10",
@@ -93,6 +105,19 @@ def test_verify_suites_pass(tmp_path):
     assert run(["verify", "lie", "--n", "2", "--qmax", "4"]) == 0
     assert run(["verify", "schwinger", "--n", "3"]) == 0
     assert run(["verify", "realizability", "--n", "2", "--qmax", "5"]) == 0
+
+
+def test_verify_lie_checks_large_sectors(tmp_path):
+    out = tmp_path / "lie.json"
+    assert run(["verify", "lie", "--n", "7", "--qmax", "8",
+                "--override-scale", "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    ranks = [c for c in checks if c["scope"].startswith("rank ")]
+    assert len(ranks) == sum(1 for s in enumerate_sectors(7, 8)
+                             if sector_dim(s) >= 2)
+    big = [c for c in ranks if c["expected"] == 8 ** 2 - 1]
+    assert [c["scope"] for c in big] == ["rank q=7 2j=7", "rank q=8 2j=7"]
+    assert all(c["pass"] for c in big)
 
 
 def test_verify_scale_guard():

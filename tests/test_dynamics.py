@@ -17,14 +17,20 @@ def su2_block(t):
     return np.array([[c, -1j * s], [-1j * s, c]])
 
 
+def _gate_block(gate, idx):
+    """Unitary of one gate on one charge sector."""
+    return dyn.apply_circuit(Circuit(idx.n, [gate]), idx.q,
+                             backend="charge").blocks[idx]
+
+
 def test_gate_block_tc_charge1():
     for t in (0.3, -1.2, np.pi):
-        b = dyn.gate_block(Gate("tc", t), SectorIndex(2, 1, 2))
+        b = _gate_block(Gate("tc", t), SectorIndex(2, 1, 2))
         assert np.allclose(b, su2_block(t), atol=1e-12)
 
 
 def test_gate_block_tc_half_period():
-    b = dyn.gate_block(Gate("tc", np.pi / np.sqrt(6)), SectorIndex(2, 2, 2))
+    b = _gate_block(Gate("tc", np.pi / np.sqrt(6)), SectorIndex(2, 2, 2))
     want = np.array([[1 / 3, 0, -np.sqrt(8 / 9)],
                      [0, -1, 0],
                      [-np.sqrt(8 / 9), 0, -1 / 3]])
@@ -32,10 +38,10 @@ def test_gate_block_tc_half_period():
 
 
 def test_gate_block_rz_and_rx_rejection():
-    b = dyn.gate_block(Gate("rz", 0.7), SectorIndex(2, 2, 2))
+    b = _gate_block(Gate("rz", 0.7), SectorIndex(2, 2, 2))
     assert np.allclose(b, np.diag(np.exp(-1j * 0.7 * np.array([1, 0, -1]))))
     with pytest.raises(ValueError):
-        dyn.gate_block(Gate("rx", 0.1), SectorIndex(2, 2, 2))
+        _gate_block(Gate("rx", 0.1), SectorIndex(2, 2, 2))
     with pytest.raises(ValueError):
         Gate("ry", 0.1)
 
@@ -181,6 +187,35 @@ def test_gate_rejects_non_finite_or_non_real_params():
             Gate("tc", bad)
     for good in (0, 0.5, np.float64(-1.25), np.int64(3)):
         assert Gate("rz", good).param == good
+
+
+def test_circuit_rejects_bad_qubit_count_and_gates():
+    for n in (True, 2.0, "2", 0, -1, None):
+        with pytest.raises(ValueError, match="circuit n"):
+            Circuit(n)
+    with pytest.raises(ValueError, match="Gate objects"):
+        Circuit(2, [("tc", 1.0)])
+    circ = Circuit(np.int64(2), [Gate("tc", 1.0)])
+    assert type(circ.n) is int and json.loads(circ.to_json())["n"] == 2
+
+
+def test_evolve_vacuum_state_rejects_uncovered_or_non_finite_states():
+    circ = Circuit(2, [Gate("tc", 1.0)])
+    psi = np.array([1, 0, 0, 0])  # |00⟩⊗|0⟩ has q = 2
+    for q_max in (0, 1):
+        with pytest.raises(ValueError, match="q = 2 above q_max"):
+            dyn.evolve_vacuum_state(circ, psi, q_max)
+    pops = np.abs(dyn.evolve_vacuum_state(circ, psi, 2)) ** 2
+    wider = np.abs(dyn.evolve_vacuum_state(circ, psi, 3)) ** 2
+    assert np.allclose(wider[:, :pops.shape[1]], pops)
+    assert np.allclose([pops[0, 0], pops[1, 1], pops[2, 1], pops[3, 2]],
+                       [0.168, 0.068, 0.068, 0.696], atol=1e-3)
+    # |11⟩⊗|0⟩ has q = 0: the vacuum of the coupling, on any truncation
+    ground = dyn.evolve_vacuum_state(circ, np.array([0, 0, 0, 1]), 0)
+    assert ground.shape == (4, 1) and abs(ground[3, 0] - 1) < 1e-12
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            dyn.evolve_vacuum_state(circ, np.array([bad, 0, 0, 0]), 2)
 
 
 def test_from_json_rejects_bad_qubit_count():

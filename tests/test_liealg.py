@@ -19,11 +19,11 @@ def test_closure_charge2_sector():
     # both generators are traceless here (Tr J_z = 0 in this sector), so
     # the closure is the special unitary algebra: rank 8
     idx = SectorIndex(2, 2, 2)
-    gens = [1j * htc_block(idx).mat, 1j * jz_block(idx).mat]
+    gens = [1j * htc_block(idx), 1j * np.diag(jz_block(idx))]
     assert la.lie_closure(gens).rank == 8
     # a sector where J_z carries trace picks up the extra central direction
     idx = SectorIndex(2, 1, 2)
-    gens = [1j * htc_block(idx).mat, 1j * jz_block(idx).mat]
+    gens = [1j * htc_block(idx), 1j * np.diag(jz_block(idx))]
     assert la.lie_closure(gens).rank == 4
 
 
@@ -91,20 +91,20 @@ def _ref_lie_closure(generators, tol=1e-8, passes=1):
 
 
 def _rank_check_generators(idx):
-    h, jz = htc_block(idx).mat, jz_block(idx).mat
+    h, jz = htc_block(idx), np.diag(jz_block(idx))
     return [1j * h, 1j * (1j * (jz @ h - h @ jz))]
 
 
 def _pi_generators(jj):
     gens = [1j * np.diag(np.eye(jj + 1)[r]) for r in range(jj + 1)]
-    return gens + [1j * jx_operator(jj, jj, 0).mat]
+    return gens + [1j * jx_operator(jj)]
 
 
 def test_bounded_closure_matches_unbounded():
     j1x = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / np.sqrt(2)
     j1y = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / np.sqrt(2)
     idx = SectorIndex(2, 1, 2)
-    cases = [([1j * htc_block(idx).mat, 1j * jz_block(idx).mat], 4),
+    cases = [([1j * htc_block(idx), 1j * np.diag(jz_block(idx))], 4),
              ([1j * j1x, 1j * j1y], 3)]
     cases += [(_pi_generators(jj), (jj + 1) ** 2) for jj in range(1, 7)]
     cases += [(_rank_check_generators(s), sector_dim(s) ** 2 - 1)
@@ -129,7 +129,7 @@ def test_large_sectors_reach_full_rank():
     flat = np.array([e.ravel() for e in la.lie_closure(
         _rank_check_generators(SectorIndex(11, 17, 11))).elements])
     assert np.abs((flat.conj() @ flat.T).real - np.eye(143)).max() < 1e-12
-    assert la.verify_pi_universality(11, 11)
+    assert la.verify_pi_universality(11)
 
 
 def test_anharmonicity_closed_form():
@@ -188,8 +188,14 @@ def test_exchange_trivial_for_two_qubits():
     assert not skipped
 
 
+def _pair_matrix(n, q_max, jj, jj_p):
+    """One S(j,j') block on the truncated basis (both halves)."""
+    return la._symmetric_fill(la._truncated_basis(n, q_max),
+                              la._exchange_pair_terms(jj, jj_p))
+
+
 def test_exchange_square_is_projector():
-    sp = la.exchange_pair_matrix(3, 6, 3, 1)
+    sp = _pair_matrix(3, 6, 3, 1)
     sq = sp @ sp
     support = np.flatnonzero(np.abs(np.diag(sq)) > 0.5)
     assert len(support) == 4  # two 2-dim sectors exchanged
@@ -199,7 +205,7 @@ def test_exchange_square_is_projector():
 
 def test_exchange_swaps_example_sectors():
     # the n = 3 pair: (q=1, j=3/2) levels against (q=4, j=1/2)
-    sp = la.exchange_pair_matrix(3, 6, 3, 1)
+    sp = _pair_matrix(3, 6, 3, 1)
     basis = la._truncated_basis(3, 6)
     index = {lab: i for i, lab in enumerate(basis)}
     src = index[(3, -1, 0)]   # |3/2,-1/2⟩⊗|0⟩
@@ -224,4 +230,4 @@ def test_schwinger_map():
 
 @pytest.mark.parametrize("jj,want", [(1, 4), (2, 9), (4, 25)])
 def test_pi_universality(jj, want):
-    assert la.verify_pi_universality(2, jj)
+    assert la.verify_pi_universality(jj)

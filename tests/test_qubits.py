@@ -66,7 +66,7 @@ def test_full_space_projection_matches_blocks():
     h = qb.htc_full(n, k_cut)
     for idx in enumerate_sectors(n, 6):
         brute = qb.project_full(h, idx, k_cut)
-        assert np.abs(brute - htc_block(idx).mat).max() < 1e-10
+        assert np.abs(brute - htc_block(idx)).max() < 1e-10
 
 
 def test_textbook_gate_identities():

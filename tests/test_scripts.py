@@ -1,4 +1,5 @@
-"""Smoke runs of the command-line scripts under scripts/."""
+"""Smoke runs of the command-line scripts under scripts/, and of the
+benchmark's hook into tcforge."""
 
 import os
 import subprocess
@@ -15,10 +16,24 @@ ROOT = Path(__file__).resolve().parents[1]
     ["scripts/gate_times.py"],
 ], ids=["accidental_scan", "gate_times"])
 def test_script_runs(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _run(argv, "src")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_bench_layers_install():
+    # bench/layers.py wraps tcforge functions by name and raises when one is
+    # gone, which would break the traced benchmark run (bench/run.py --trace)
+    proc = _run(["-c", "import layers, tracer; layers.install(tracer.Tracer())"],
+                "src", "bench")
+    assert proc.returncode == 0, proc.stderr
+
+
+def _run(argv, *paths):
+    """Run python with argv from the repo root, with paths on sys.path and
+    no bytecode written into them."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (*(str(ROOT / d) for d in paths), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
