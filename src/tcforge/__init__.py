@@ -11,7 +11,7 @@ from .dynamics import (Gate, Circuit, BlockUnitary, apply_circuit,
                        vacuum_sandwich, distance_up_to_phase,
                        interaction_time, evolve_vacuum_state, simplify)
 from .synthesis import (AxisAngle, Decomposition, SynthesisResult,
-                        compose_rotations, solve_two_step, euler_embed,
+                        solve_two_step, euler_embed,
                         decompose_fixed_angle, a_gate, f_gate, f_gate_dagger,
                         compile_two_qubit, named_gate, qubit_osc_swap,
                         ghz_circuit)
@@ -33,8 +33,8 @@ __all__ = [
     "Gate", "Circuit", "BlockUnitary", "apply_circuit",
     "vacuum_sandwich", "distance_up_to_phase", "interaction_time",
     "evolve_vacuum_state", "simplify",
-    "AxisAngle", "Decomposition", "SynthesisResult", "compose_rotations",
-    "solve_two_step", "euler_embed", "decompose_fixed_angle", "a_gate",
+    "AxisAngle", "Decomposition", "SynthesisResult", "solve_two_step",
+    "euler_embed", "decompose_fixed_angle", "a_gate",
     "f_gate", "f_gate_dagger", "compile_two_qubit", "named_gate",
     "qubit_osc_swap", "ghz_circuit",
     "PiU1Target", "BlockTarget", "RealizabilityVerdict", "check_pi_u1",

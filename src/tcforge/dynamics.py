@@ -40,7 +40,7 @@ class Gate:
     """One native gate; param is r for tc, the angle θ for rz/rx.
 
     Angles are physically 4π-periodic (half-integer m), so [-2π, 2π) is a
-    fundamental domain; params are stored exactly as given.
+    fundamental domain; params are not wrapped, only stored as float.
     """
 
     kind: str
@@ -56,6 +56,7 @@ class Gate:
         if isinstance(self.param, bool) or not isinstance(self.param, Real) or not finite:
             raise ValueError(f"{self.kind} parameter must be a finite real "
                              f"number, got {self.param!r}")
+        object.__setattr__(self, "param", float(self.param))
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,7 @@ class Circuit:
                 isinstance(g, dict) and set(g) == {"kind", "param"}
                 and type(g["param"]) in (int, float) for g in gates):
             raise ValueError('each gate needs exactly a "kind" and a numeric "param"')
-        checked = [Gate(g["kind"], g["param"]) for g in gates]  # before float()
-        return Circuit(n, tuple(Gate(g.kind, float(g.param)) for g in checked))
+        return Circuit(n, tuple(Gate(g["kind"], g["param"]) for g in gates))
 
 
 def simplify(circ: Circuit) -> Circuit:

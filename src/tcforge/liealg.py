@@ -16,8 +16,9 @@ import numpy as np
 
 from .operators import (_ladder, coupling, energy_variance_exact, htc_block,
                         jx_operator, jz_block)
-from .sectors import (SectorIndex, accidental_partner, basis_labels,
-                      enumerate_sectors, j_min2, sector_dim)
+from .sectors import (SectorIndex, accidental_pairs, accidental_partner,
+                      basis_labels, enumerate_sectors, schwinger_image,
+                      sector_dim)
 
 
 @dataclass
@@ -134,19 +135,6 @@ def anharmonicity_check(idx: SectorIndex) -> AnharmonicityReport:
                                condition)
 
 
-def spin_ladder_anharmonicity(jj: int) -> bool:
-    """Same condition for the bare spin ladder (no oscillator): the second
-    differences are constant, so the condition fails whenever there is more
-    than one coupling."""
-    a2 = [Fraction(_ladder(jj, mm + 2), 2) for mm in range(-jj, jj, 2)]
-
-    def at(i: int) -> Fraction:
-        return a2[i] if 0 <= i < len(a2) else Fraction(0)
-
-    diffs = [2 * at(i) - at(i + 1) - at(i - 1) for i in range(len(a2))]
-    return all(diffs[i] != diffs[0] for i in range(1, len(diffs)))
-
-
 @dataclass
 class VarianceSeparationReport:
     n: int
@@ -189,55 +177,26 @@ def _truncated_basis(n: int, q_max: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _exchange_pair_terms(jj: int, jj_p: int):
-    """Raising-half matrix elements of the (j, j') exchange block, as
-    (row_label, col_label) in (jj, mm, k) coordinates: the row lives in the
-    filled spin-j' sector, the column in the unfilled spin-j sector."""
-    terms = []
-    for mm_p in range(-jj_p, jj_p + 1, 2):
-        row = (jj_p, mm_p, jj - (jj_p + mm_p) // 2)  # k' = 2j - j' - m'
-        col = (jj, mm_p - (jj - jj_p), (jj_p - mm_p) // 2)  # k = j' - m'
-        terms.append((row, col))
-    return terms
-
-
-def _exchange_pairs(n: int, q_max: int):
-    """Yield (jj, jj_p, terms) for every exchange pair block; terms is None
-    when the filled-side charge n/2 - j' + 2j exceeds q_max, so the block
-    cannot be represented on the truncation."""
-    for jj in range(j_min2(n) + 2, n + 1, 2):
-        # the smaller spin must be positive: spin-0 sectors carry no
-        # coupling matrix to exchange
-        for jj_p in range(2 - (n & 1), jj, 2):
-            fits = (n - jj_p) // 2 + jj <= q_max
-            yield jj, jj_p, _exchange_pair_terms(jj, jj_p) if fits else None
-
-
-def _symmetric_fill(basis, terms) -> np.ndarray:
-    """0/1 matrix on the basis with both (row, col) and (col, row) set for
-    every term."""
-    index = {lab: i for i, lab in enumerate(basis)}
-    s = np.zeros((len(basis), len(basis)))
-    for row, col in terms:
-        s[index[row], index[col]] = s[index[col], index[row]] = 1.0
-    return s
-
-
 def build_exchange_operator(n: int, q_max: int):
-    """The conserved exchange operator S on the charge-truncated basis.
+    """The conserved exchange operator S on the charge-truncated basis: W on
+    the labels of every partner pair, 0 elsewhere.
 
-    Pair blocks that the truncation cannot represent are skipped (returned
-    for reporting); the kept blocks commute with the coupling Hamiltonian
-    on the whole truncation.
+    A pair whose filled sector lies above q_max cannot be represented on the
+    truncation; its (2j, 2j') is returned in ``skipped``, sorted.  The kept
+    blocks commute with the coupling Hamiltonian on the whole truncation.
     """
     basis = _truncated_basis(n, q_max)
-    kept, skipped = [], []
-    for jj, jj_p, terms in _exchange_pairs(n, q_max):
-        if terms is None:
-            skipped.append((jj, jj_p))
-        else:
-            kept.extend(terms)
-    return _symmetric_fill(basis, kept), basis, skipped
+    index = {lab: i for i, lab in enumerate(basis)}
+    s = np.zeros((len(basis), len(basis)))
+    for idx, _ in accidental_pairs(n, q_max):
+        for lab in basis_labels(idx):
+            a = index[(idx.jj, lab.mm, lab.k)]
+            b = index[schwinger_image(idx.jj, lab.mm, lab.k)]
+            s[a, b] = s[b, a] = 1.0
+    # every partner charge n/2 - j' + 2j is below 3n/2
+    skipped = sorted((idx.jj, p.jj) for idx, p in accidental_pairs(n, 3 * n // 2)
+                     if p.q > q_max)
+    return s, basis, skipped
 
 
 @dataclass
@@ -259,21 +218,15 @@ def check_exchange_commutation(n: int, q_max: int) -> ExchangeCommutationReport:
     s, basis, skipped = build_exchange_operator(n, q_max)
     h = coupling(basis)
     comm_norm = float(np.linalg.norm(h @ s - s @ h))
-    # entry of [J_z, S] at (row, col) is (m_row - m_col)·S
-    pair_blocks = [(jj, jj_p, all(row[1] / 2 - col[1] / 2 == (jj - jj_p) / 2
-                                  for row, col in terms))
-                   for jj, jj_p, terms in _exchange_pairs(n, q_max)
-                   if terms is not None]
+    # entry of [J_z, S] at (W(lab), lab) is (m' - m)·S
+    pair_blocks = sorted(
+        (idx.jj, p.jj, all(schwinger_image(idx.jj, lab.mm, lab.k)[1] - lab.mm
+                           == idx.jj - p.jj for lab in basis_labels(idx)))
+        for idx, p in accidental_pairs(n, q_max))
     jz_ok = all(good for _, _, good in pair_blocks)
     ok = comm_norm < 1e-9 and jz_ok
     return ExchangeCommutationReport(n, q_max, len(basis), comm_norm, jz_ok,
                                      pair_blocks, skipped, ok)
-
-
-def _schwinger_image(jj: int, mm: int, k: int) -> tuple[int, int, int]:
-    """Relabeling that swaps the physical oscillator with the second
-    virtual oscillator of the two-oscillator spin construction."""
-    return ((jj + mm) // 2 + k, (jj + mm) // 2 - k, (jj - mm) // 2)
 
 
 @dataclass
@@ -290,51 +243,29 @@ class SchwingerReport:
 
 def schwinger_check(jj_max: int, k_max: int) -> SchwingerReport:
     """On the truncated direct sum ⊕_j C^{2j+1} ⊗ Fock(k ≤ k_max):
-    W² = 1 and W(J+ ⊗ a)W = J+ ⊗ a on all vectors that stay in bounds."""
+    W² = 1 and W(J+ ⊗ a)W = J+ ⊗ a on all vectors that stay in bounds.
+
+    W is the index vector of each label's image (-1 out of bounds), and
+    J+ ⊗ a the half of ``coupling(labels)`` that raises m.  A column is
+    tested when W maps it, and the image of J+ ⊗ a there, into bounds.
+    """
     labels = [(jj, mm, k) for jj in range(jj_max + 1)
               for mm in range(-jj, jj + 1, 2) for k in range(k_max + 1)]
     index = {lab: i for i, lab in enumerate(labels)}
-
-    def w_image(lab):
-        out = _schwinger_image(*lab)
-        return out if out in index else None
-
-    involution_ok = all(
-        w_image(w_image(lab)) == lab
-        for lab in labels if w_image(lab) is not None)
-
-    def raise_op(lab):
-        jj, mm, k = lab
-        if k == 0 or mm == jj:
-            return None, 0.0
-        amp = np.sqrt(_ladder(jj, mm + 2) * k)
-        return (jj, mm + 2, k - 1), amp
-
-    worst = 0.0
-    tested = skipped = 0
-    for lab in labels:
-        w1 = w_image(lab)
-        if w1 is None:
-            skipped += 1
-            continue
-        mid, amp1 = raise_op(w1)
-        if mid is not None:
-            w2 = w_image(mid)
-            if w2 is None:
-                skipped += 1
-                continue
-        direct, amp0 = raise_op(lab)
-        tested += 1
-        # compare W (J+ a) W |lab⟩ with (J+ a)|lab⟩ componentwise
-        got = {} if mid is None else {w2: amp1}
-        want = {} if direct is None else {direct: amp0}
-        keys = set(got) | set(want)
-        dev = max((abs(got.get(kk, 0.0) - want.get(kk, 0.0)) for kk in keys),
-                  default=0.0)
-        worst = max(worst, dev)
+    w = np.array([index.get(schwinger_image(*lab), -1) for lab in labels],
+                 dtype=int)
+    mm = np.array([lab[1] for lab in labels])
+    up = np.where(mm[:, None] > mm, coupling(labels), 0.0)
+    inb = w >= 0
+    involution_ok = bool((w[w[inb]] == np.flatnonzero(inb)).all())
+    cols = np.flatnonzero(inb)
+    cols = cols[~up[~inb][:, w[cols]].any(axis=0)]
+    got = np.zeros((len(labels), len(cols)))
+    got[w[inb]] = up[inb][:, w[cols]]  # W (J+ ⊗ a) W on the tested columns
+    worst = float(np.abs(got - up[:, cols]).max(initial=0.0))
     ok = involution_ok and worst < 1e-10
     return SchwingerReport(jj_max, k_max, len(labels), involution_ok, worst,
-                           tested, skipped, ok)
+                           len(cols), len(labels) - len(cols), ok)
 
 
 def verify_pi_universality(jj: int, tol: float = 1e-8) -> bool:

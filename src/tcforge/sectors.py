@@ -4,7 +4,8 @@ Under the collective coupling J+a + J-a† and a uniform z field, the joint
 Hilbert space splits into finite blocks H_{q,j} labelled by the conserved
 charge q (eigenvalue of Q = a†a + J_z + n/2) and the total spin j.  This
 module enumerates those blocks, their dimensions and basis labels, and the
-pairing between blocks that share identical coupling matrices.
+pairing between blocks that share identical coupling matrices: the image of
+one block under the Schwinger relabeling W.
 
 Half-integers are stored doubled (``jj = 2j``, ``mm = 2m``) so that all
 index arithmetic is exact integer arithmetic.
@@ -116,24 +117,31 @@ def basis_labels(idx: SectorIndex) -> list[BasisLabel]:
     return out
 
 
-def accidental_partner(idx: SectorIndex) -> Optional[SectorIndex]:
-    """The unique sector carrying an identical coupling matrix, if any.
+def schwinger_image(jj: int, mm: int, k: int) -> tuple[int, int, int]:
+    """The relabeling W of (2j, 2m, k): in Schwinger's model |j,m⟩ holds
+    n_a = j + m and n_b = j - m bosons, and W swaps the oscillator level k
+    with n_b, so 2j' = n_a + k, 2m' = n_a - k and k' = n_b.  W is an
+    involution and commutes with J+a."""
+    return ((jj + mm) // 2 + k, (jj + mm) // 2 - k, (jj - mm) // 2)
 
-    An unfilled sector (q, j) with q = n/2 + 2j' - j for a valid spin
-    0 < j' < j pairs with the filled sector (q' = n/2 - j' + 2j, j');
-    the charges differ by q' - q = 3(j - j').  The map is an involution.
+
+def accidental_partner(idx: SectorIndex) -> Optional[SectorIndex]:
+    """The unique sector carrying an identical coupling matrix, if any:
+    the image of idx under W (``schwinger_image``).
+
+    Every label of H_{q,j} has m + k = q - n/2, so W sends all of them to
+    spin 2j' = n_a + k = q + j - n/2, with k' = j - m and m' = j' - k, hence
+    charge q' = m' + k' + n/2 = j + j' + n - q, which is q + 3(j - j') as
+    q = 2j' - j + n/2.  The image is a partner when 2j' is a spin of n
+    qubits other than 2j and both spins are positive (a spin-0 sector
+    carries no coupling).  Of each pair, the sector with the smaller spin is
+    the filled one.  The map is an involution because W is.
     """
     n, q, jj = idx.n, idx.q, idx.jj
-    # In both directions the partner spin candidate is 2j'' = q + j - n/2
-    # (doubled); unfilled sectors pair downward, filled ones pair upward.
-    t = q + (jj - n) // 2
-    if (t ^ n) & 1 or t <= 0 or t > n or t == jj:
+    t = q + (jj - n) // 2  # 2j'
+    if (t ^ n) & 1 or t > n or t == jj or 0 in (t, jj):
         return None
-    if t < jj:  # idx is unfilled; partner is the filled spin-t sector
-        return SectorIndex(n, q + 3 * (jj - t) // 2, t)
-    if jj == 0:  # pairing requires the smaller spin to be strictly positive
-        return None
-    return SectorIndex(n, q - 3 * (t - jj) // 2, t)
+    return SectorIndex(n, q + 3 * (jj - t) // 2, t)
 
 
 @lru_cache(maxsize=None, typed=True)

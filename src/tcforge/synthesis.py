@@ -66,20 +66,6 @@ def su2_axis_angle(u: np.ndarray) -> AxisAngle:
     return AxisAngle(w / s, angle)
 
 
-def compose_rotations(gamma1: float, gamma2: float, m_hat: np.ndarray,
-                      n_hat: np.ndarray) -> AxisAngle:
-    """Axis and angle of exp(iγ1 m̂·σ)·exp(iγ2 n̂·σ)."""
-    c1, s1 = np.cos(gamma1), np.sin(gamma1)
-    c2, s2 = np.cos(gamma2), np.sin(gamma2)
-    cos_a = c1 * c2 - s1 * s2 * float(m_hat @ n_hat)
-    vec = s1 * c2 * m_hat + c1 * s2 * n_hat - s1 * s2 * np.cross(m_hat, n_hat)
-    s = np.linalg.norm(vec)
-    angle = float(np.arctan2(s, cos_a))
-    if s < 1e-12:
-        return AxisAngle(None, 0.0 if cos_a > 0 else np.pi)
-    return AxisAngle(vec / s, angle)
-
-
 def _euler_options(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """θ1/θ2 for all four branches; axes (..., 3) -> arrays (..., 4)."""
     nx = np.clip(axes[..., 0], -1.0, 1.0)
@@ -401,10 +387,7 @@ def _degenerate_axis(u: np.ndarray) -> np.ndarray:
 def a_gate(u: np.ndarray) -> Circuit:
     """Circuit acting as u on the two-qubit charge-1 sector and as the
     identity on charges 0 and 2 (and on the whole singlet tower)."""
-    return _a_circuit(decompose_fixed_angle(u))
-
-
-def _a_circuit(dec: Decomposition) -> Circuit:
+    dec = decompose_fixed_angle(u)
     return simplify(Circuit(2, _gadgets(dec.steps, dec.eulers)))
 
 
@@ -487,7 +470,7 @@ def compile_two_qubit(phi00: float, phi_psi_plus: float,
         plans.append(("no-f", (Gate("rz", phi11),), (), rz11(phi11) @ e1,
                       phi11, 0.0))
     decs = _decompose_all([_su2_map_to_first(p[3], phi_psi_plus) for p in plans])
-    cands = [simplify(Circuit(2, before + _a_circuit(dec).gates + after))
+    cands = [simplify(Circuit(2, before + _gadgets(dec.steps, dec.eulers) + after))
              for (_, before, after, *_), dec in zip(plans, decs)]
     taus = [interaction_time(c) for c in cands]
     best = taus.index(min(taus))  # the first of equally fast placements

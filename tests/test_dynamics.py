@@ -181,6 +181,12 @@ def test_circuit_json_round_trip_exact():
         assert a.kind == b.kind and a.param == b.param
 
 
+def test_circuit_json_round_trips_numpy_scalar_params():
+    circ = Circuit(2, [Gate("tc", np.int64(3)), Gate("rz", np.float32(0.1))])
+    assert all(type(g.param) is float for g in circ.gates)
+    assert Circuit.from_json(circ.to_json()) == circ
+
+
 def test_gate_rejects_non_finite_or_non_real_params():
     for bad in (np.nan, np.inf, -np.inf, 1j, True, "0.5", None):
         with pytest.raises(ValueError):

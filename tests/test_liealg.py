@@ -3,8 +3,9 @@ import pytest
 from fractions import Fraction
 
 from tcforge import liealg as la
-from tcforge.operators import htc_block, jx_operator, jz_block
-from tcforge.sectors import SectorIndex, enumerate_sectors, sector_dim
+from tcforge.operators import _ladder, htc_block, jx_operator, jz_block
+from tcforge.sectors import (SectorIndex, accidental_partner, basis_labels,
+                             enumerate_sectors, schwinger_image, sector_dim)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -150,8 +151,12 @@ def test_anharmonicity_slope():
 
 
 def test_spin_ladder_fails_condition():
-    assert not la.spin_ladder_anharmonicity(4)
-    assert not la.spin_ladder_anharmonicity(6)
+    # the bare spin ladder (no oscillator), zero beyond its ends, has constant
+    # second differences, so the condition fails for more than one coupling
+    for jj in (4, 6):
+        a2 = [0] + [_ladder(jj, mm) for mm in range(jj, -jj, -2)] + [0]
+        diffs = {2 * a2[i] - a2[i - 1] - a2[i + 1] for i in range(1, len(a2) - 1)}
+        assert len(diffs) == 1
 
 
 def test_variance_separation():
@@ -188,14 +193,10 @@ def test_exchange_trivial_for_two_qubits():
     assert not skipped
 
 
-def _pair_matrix(n, q_max, jj, jj_p):
-    """One S(j,j') block on the truncated basis (both halves)."""
-    return la._symmetric_fill(la._truncated_basis(n, q_max),
-                              la._exchange_pair_terms(jj, jj_p))
-
-
 def test_exchange_square_is_projector():
-    sp = _pair_matrix(3, 6, 3, 1)
+    # at n = 3 the only pair is (2j, 2j') = (3, 1), so S is that block
+    sp, _, skipped = la.build_exchange_operator(3, 6)
+    assert not skipped
     sq = sp @ sp
     support = np.flatnonzero(np.abs(np.diag(sq)) > 0.5)
     assert len(support) == 4  # two 2-dim sectors exchanged
@@ -205,12 +206,21 @@ def test_exchange_square_is_projector():
 
 def test_exchange_swaps_example_sectors():
     # the n = 3 pair: (q=1, j=3/2) levels against (q=4, j=1/2)
-    sp = _pair_matrix(3, 6, 3, 1)
-    basis = la._truncated_basis(3, 6)
+    sp, basis, _ = la.build_exchange_operator(3, 6)
     index = {lab: i for i, lab in enumerate(basis)}
     src = index[(3, -1, 0)]   # |3/2,-1/2⟩⊗|0⟩
     dst = index[(1, 1, 2)]    # |1/2,+1/2⟩⊗|2⟩
     assert sp[dst, src] == 1.0
+
+
+def test_exchange_skips_pairs_above_the_truncation():
+    # filled partners of (2j, 2j') = (6, 2), (6, 4) sit at q = 8, 7 > 6
+    rep = la.check_exchange_commutation(6, 6)
+    assert rep.skipped == [(6, 2), (6, 4)]
+    assert rep.pair_blocks == [(4, 2, True)]
+    assert rep.comm_norm == 0.0
+    assert rep.ok
+    assert la.check_exchange_commutation(5, 5).skipped == [(5, 1), (5, 3)]
 
 
 def test_schwinger_map():
@@ -219,13 +229,25 @@ def test_schwinger_map():
     assert rep.conjugation_dev < 1e-10
     assert rep.ok
     # the worked single-state example
-    assert la._schwinger_image(2, 0, 2) == (3, -1, 1)
+    assert schwinger_image(2, 0, 2) == (3, -1, 1)
     # j + m is preserved
     for jj in range(0, 6):
         for mm in range(-jj, jj + 1, 2):
             for k in range(4):
-                jj2, mm2, _ = la._schwinger_image(jj, mm, k)
+                jj2, mm2, _ = schwinger_image(jj, mm, k)
                 assert jj + mm == jj2 + mm2
+
+
+def test_schwinger_image_maps_partner_labels():
+    # W sends a partnered sector's basis, in order, onto its partner's
+    for n in range(1, 13):
+        for idx in enumerate_sectors(n, 30):
+            p = accidental_partner(idx)
+            if p is None:
+                continue
+            image = [schwinger_image(idx.jj, lab.mm, lab.k)
+                     for lab in basis_labels(idx)]
+            assert image == [(p.jj, lab.mm, lab.k) for lab in basis_labels(p)]
 
 
 @pytest.mark.parametrize("jj,want", [(1, 4), (2, 9), (4, 25)])

@@ -13,8 +13,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("argv", [
     ["scripts/accidental_scan.py", "--n", "3", "--qmax", "5"],
+    ["scripts/accidental_scan.py", "--n", "6", "--qmax", "6"],
     ["scripts/gate_times.py"],
-], ids=["accidental_scan", "gate_times"])
+], ids=["accidental_scan", "accidental_scan_skipped", "gate_times"])
 def test_script_runs(argv):
     proc = _run(argv, "src")
     assert proc.returncode == 0, proc.stderr
