@@ -203,9 +203,12 @@ def _suite_realizability(n: int, q_max: int, tol: float):
 
 
 def _suite_schwinger(n: int, q_max: int, tol: float):
-    rep = liealg.schwinger_check(jj_max=8, k_max=10)
-    return [{"scope": "schwinger", "residuals": [rep.conjugation_dev],
-             "pass": rep.ok}]
+    # W acts on spins and oscillator levels, not on n qubits: the sizes are
+    # fixed, and the scope names them since --n and --qmax do not apply
+    jj_max, k_max = 8, 10
+    rep = liealg.schwinger_check(jj_max, k_max)
+    return [{"scope": f"schwinger 2j<={jj_max} k<={k_max}",
+             "residuals": [rep.conjugation_dev], "pass": rep.ok}]
 
 
 _SUITES = {"accidental": _suite_accidental, "lie": _suite_lie,

@@ -107,6 +107,14 @@ def test_verify_suites_pass(tmp_path):
     assert run(["verify", "realizability", "--n", "2", "--qmax", "5"]) == 0
 
 
+def test_verify_schwinger_names_its_fixed_sizes(tmp_path):
+    out = tmp_path / "schwinger.json"
+    assert run(["verify", "schwinger", "--n", "6", "--qmax", "12",
+                "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["scope"] for c in checks] == ["schwinger 2j<=8 k<=10"]
+
+
 def test_verify_lie_checks_large_sectors(tmp_path):
     out = tmp_path / "lie.json"
     assert run(["verify", "lie", "--n", "7", "--qmax", "8",
