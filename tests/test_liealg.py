@@ -238,6 +238,46 @@ def test_schwinger_map():
                 assert jj + mm == jj2 + mm2
 
 
+def _ref_schwinger_check(jj_max, k_max):
+    """schwinger_check label by label: (involution_ok, dev, tested, skipped)."""
+    labels = [(jj, mm, k) for jj in range(jj_max + 1)
+              for mm in range(-jj, jj + 1, 2) for k in range(k_max + 1)]
+
+    def w(lab):
+        out = schwinger_image(*lab)
+        return out if out in labels else None
+
+    def raise_op(lab):  # J+ ⊗ a: (target label or None, amplitude)
+        jj, mm, k = lab
+        if k == 0 or mm == jj:
+            return None, 0.0
+        return (jj, mm + 2, k - 1), np.sqrt(_ladder(jj, mm + 2) * k)
+
+    involution_ok = all(w(w(lab)) == lab for lab in labels if w(lab))
+    dev, tested = 0.0, 0
+    for lab in labels:
+        if w(lab) is None:
+            continue
+        mid, amp1 = raise_op(w(lab))
+        if mid is not None and w(mid) is None:
+            continue
+        tested += 1
+        direct, amp0 = raise_op(lab)
+        got = {} if mid is None else {w(mid): amp1}
+        want = {} if direct is None else {direct: amp0}
+        dev = max([dev] + [abs(got.get(x, 0.0) - want.get(x, 0.0))
+                           for x in set(got) | set(want)])
+    return involution_ok, dev, tested, len(labels) - tested
+
+
+def test_schwinger_check_matches_label_loop():
+    for jj_max in range(0, 10, 3):
+        for k_max in range(0, 12, 3):
+            rep = la.schwinger_check(jj_max, k_max)
+            assert (rep.involution_ok, rep.conjugation_dev, rep.tested,
+                    rep.skipped) == _ref_schwinger_check(jj_max, k_max)
+
+
 def test_schwinger_image_maps_partner_labels():
     # W sends a partnered sector's basis, in order, onto its partner's
     for n in range(1, 13):
