@@ -1,7 +1,7 @@
 """tcforge: sector-exact simulation, synthesis and realizability analysis
 for n qubits collectively coupled to one oscillator."""
 
-from .sectors import (SectorIndex, BasisLabel, sector_dim, multiplicity,
+from .sectors import (SectorIndex, sector_dim, multiplicity,
                       enumerate_sectors, basis_labels, accidental_partner,
                       accidental_pairs, is_filled)
 from .operators import (htc_block, jz_block, number_block, jx_operator,
@@ -25,7 +25,7 @@ from .liealg import (OperatorBasis, lie_closure, sector_rank_check,
                      schwinger_check, verify_pi_universality)
 
 __all__ = [
-    "SectorIndex", "BasisLabel", "sector_dim", "multiplicity",
+    "SectorIndex", "sector_dim", "multiplicity",
     "enumerate_sectors", "basis_labels", "accidental_partner",
     "accidental_pairs", "is_filled",
     "htc_block", "jz_block", "number_block", "jx_operator",

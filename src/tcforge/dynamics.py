@@ -336,8 +336,7 @@ def evolve_vacuum_state(circ: Circuit, psi_qubits: np.ndarray,
     k_maxes = {jj: tower_k_max(circ, q_max, jj) for jj in _spins(n)}
     joint = np.zeros((2 ** n, max(k_maxes.values()) + 1), dtype=complex)
     for jj, k_max in k_maxes.items():
-        # frames[r] holds the multiplicity copies of |j, m = j - r⟩
-        frames = np.stack([basis[(jj, jj - 2 * r)] for r in range(jj + 1)])
+        frames = basis[jj]  # frames[r]: the copies of |j, m = j - r⟩
         r = np.arange(jj + 1)
         x = np.zeros((jj + k_max + 1, jj + 1, frames.shape[2]), dtype=complex)
         x[jj - r, r] = frames.conj().transpose(0, 2, 1) @ psi_qubits  # k = 0

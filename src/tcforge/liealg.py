@@ -168,30 +168,22 @@ def variance_separation_check(n: int, q_max: int) -> VarianceSeparationReport:
                                     equal_nonpartner, ok)
 
 
-def _truncated_basis(n: int, q_max: int) -> list[tuple[int, int, int]]:
-    """(jj, mm, k) labels with charge ≤ q_max, ordered by (q, j desc, k)."""
-    out = []
-    for idx in enumerate_sectors(n, q_max):
-        for lab in basis_labels(idx):
-            out.append((idx.jj, lab.mm, lab.k))
-    return out
-
-
 def build_exchange_operator(n: int, q_max: int):
-    """The conserved exchange operator S on the charge-truncated basis: W on
-    the labels of every partner pair, 0 elsewhere.
+    """The conserved exchange operator S on the charge-truncated basis (the
+    labels of every sector with q ≤ q_max, in ``enumerate_sectors`` order):
+    W on the labels of every partner pair, 0 elsewhere.
 
     A pair whose filled sector lies above q_max cannot be represented on the
     truncation; its (2j, 2j') is returned in ``skipped``, sorted.  The kept
     blocks commute with the coupling Hamiltonian on the whole truncation.
     """
-    basis = _truncated_basis(n, q_max)
+    basis = [lab for idx in enumerate_sectors(n, q_max)
+             for lab in basis_labels(idx)]
     index = {lab: i for i, lab in enumerate(basis)}
     s = np.zeros((len(basis), len(basis)))
     for idx, _ in accidental_pairs(n, q_max):
         for lab in basis_labels(idx):
-            a = index[(idx.jj, lab.mm, lab.k)]
-            b = index[schwinger_image(idx.jj, lab.mm, lab.k)]
+            a, b = index[lab], index[schwinger_image(*lab)]
             s[a, b] = s[b, a] = 1.0
     # every partner charge n/2 - j' + 2j is below 3n/2
     skipped = sorted((idx.jj, p.jj) for idx, p in accidental_pairs(n, 3 * n // 2)
@@ -220,8 +212,8 @@ def check_exchange_commutation(n: int, q_max: int) -> ExchangeCommutationReport:
     comm_norm = float(np.linalg.norm(h @ s - s @ h))
     # entry of [J_z, S] at (W(lab), lab) is (m' - m)·S
     pair_blocks = sorted(
-        (idx.jj, p.jj, all(schwinger_image(idx.jj, lab.mm, lab.k)[1] - lab.mm
-                           == idx.jj - p.jj for lab in basis_labels(idx)))
+        (idx.jj, p.jj, all(schwinger_image(*lab)[1] - lab[1] == idx.jj - p.jj
+                           for lab in basis_labels(idx)))
         for idx, p in accidental_pairs(n, q_max))
     jz_ok = all(good for _, _, good in pair_blocks)
     ok = comm_norm < 1e-9 and jz_ok

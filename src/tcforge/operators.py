@@ -53,17 +53,17 @@ def coupling(labels) -> np.ndarray:
 
 def htc_block(idx: SectorIndex) -> np.ndarray:
     """Coupling Hamiltonian on one sector: (d, d), tridiagonal, zero diagonal."""
-    return coupling([(idx.jj, lab.mm, lab.k) for lab in basis_labels(idx)])
+    return coupling(basis_labels(idx))
 
 
 def jz_block(idx: SectorIndex) -> np.ndarray:
     """Diagonal of J_z on one sector, as a (d,) vector."""
-    return np.array([lab.mm / 2 for lab in basis_labels(idx)])
+    return np.array([mm / 2 for _, mm, _ in basis_labels(idx)])
 
 
 def number_block(idx: SectorIndex) -> np.ndarray:
     """Diagonal of a†a on one sector, as a (d,) vector."""
-    return np.array([float(lab.k) for lab in basis_labels(idx)])
+    return np.array([float(k) for _, _, k in basis_labels(idx)])
 
 
 def jx_operator(jj: int) -> np.ndarray:

@@ -41,20 +41,21 @@ def spin_ops(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def jm_basis(n: int) -> dict[tuple[int, int], np.ndarray]:
-    """Orthonormal |j,m,alpha⟩ vectors, keyed by doubled (2j, 2m).
+def jm_basis(n: int) -> dict[int, np.ndarray]:
+    """Orthonormal |j,m,alpha⟩ vectors, keyed by the doubled spin 2j.
 
-    Each value is a (2^n, multiplicity) array whose columns are the
-    multiplicity copies.  Copies for different m of the same j are tied
-    together by explicit lowering from the highest-weight space, so a
-    permutationally-invariant operator is exactly alpha-diagonal in this
-    basis.
+    Each value is a (2j+1, 2^n, multiplicity) stack of frames: row r holds
+    m = j - r, the m index of ``jx_operator`` and the dynamics towers, and
+    the columns of a frame are the multiplicity copies.  Copies for
+    different m of the same j are tied together by explicit lowering from
+    the highest-weight space, so a permutationally-invariant operator is
+    exactly alpha-diagonal in this basis.
     """
     jx, jy, jz = spin_ops(n)
     jplus = jx + 1j * jy
     jminus = jx - 1j * jy
     mz = np.real(np.diag(jz))
-    out: dict[tuple[int, int], np.ndarray] = {}
+    out: dict[int, np.ndarray] = {}
     for jj in range(n, j_min2(n) - 1, -2):
         j = jj / 2
         # highest-weight space: kernel of J+ inside the m = j eigenspace
@@ -66,14 +67,11 @@ def jm_basis(n: int) -> dict[tuple[int, int], np.ndarray]:
         hw = np.zeros((2 ** n, null.shape[1]), dtype=complex)
         hw[cols, :] = null
         assert hw.shape[1] == multiplicity(n, jj)
-        vecs = hw
-        mm = jj
-        out[(jj, mm)] = vecs
-        while mm > -jj:
+        frames = [hw]
+        for mm in range(jj, -jj, -2):  # lower |j,m⟩ to |j,m-1⟩
             norm = np.sqrt((j + mm / 2) * (j - mm / 2 + 1))
-            vecs = (jminus @ vecs) / norm
-            mm -= 2
-            out[(jj, mm)] = vecs
+            frames.append((jminus @ frames[-1]) / norm)
+        out[jj] = np.stack(frames)
     return out
 
 
@@ -99,16 +97,16 @@ def htc_full(n: int, k_cut: int) -> np.ndarray:
 
 def sector_vectors(idx: SectorIndex, k_cut: int, alpha: int = 0) -> np.ndarray:
     """Columns |j,m,alpha⟩⊗|k⟩ for the sector's ordered basis labels."""
-    basis = jm_basis(idx.n)
+    frames = jm_basis(idx.n)[idx.jj]
     labels = basis_labels(idx)
     dim_full = 2 ** idx.n * (k_cut + 1)
     cols = np.zeros((dim_full, len(labels)), dtype=complex)
-    for col, lab in enumerate(labels):
-        if lab.k > k_cut:
-            raise ValueError(f"need k_cut ≥ {lab.k} for {idx}")
-        qvec = basis[(idx.jj, lab.mm)][:, alpha]
+    for col, (jj, mm, k) in enumerate(labels):
+        if k > k_cut:
+            raise ValueError(f"need k_cut ≥ {k} for {idx}")
+        qvec = frames[(jj - mm) // 2][:, alpha]
         fvec = np.zeros(k_cut + 1, dtype=complex)
-        fvec[lab.k] = 1.0
+        fvec[k] = 1.0
         cols[:, col] = np.kron(qvec, fvec)
     return cols
 
@@ -121,19 +119,15 @@ def project_full(op_full: np.ndarray, idx: SectorIndex, k_cut: int,
 
 
 def assemble_pi(n: int, u_by_j: dict[int, np.ndarray]) -> np.ndarray:
-    """2^n x 2^n matrix of ⊕_j I_mult ⊗ u_j; u_j indexed with m descending."""
+    """2^n x 2^n matrix of ⊕_j I_mult ⊗ u_j; u_j indexed by r = j - m."""
     basis = jm_basis(n)
     out = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for jj, u in u_by_j.items():
         if u.shape != (jj + 1, jj + 1):
             raise ValueError(f"block for 2j={jj} must be {(jj + 1, jj + 1)}")
-        for r in range(jj + 1):
-            vr = basis[(jj, jj - 2 * r)]
-            for c in range(jj + 1):
-                if u[r, c] == 0:
-                    continue
-                vc = basis[(jj, jj - 2 * c)]
-                out += u[r, c] * (vr @ vc.conj().T)
+        frames = basis[jj]
+        for r, c in zip(*np.nonzero(u)):
+            out += u[r, c] * (frames[r] @ frames[c].conj().T)
     return out
 
 

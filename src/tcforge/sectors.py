@@ -45,28 +45,12 @@ class SectorIndex:
             raise ValueError(f"empty sector: q={self.q} < n/2 - j for 2j={self.jj}")
 
     @property
-    def j(self) -> float:
-        return self.jj / 2
-
-    @property
     def dim(self) -> int:
         return sector_dim(self)
 
     def __repr__(self):
         jtxt = str(self.jj // 2) if self.jj % 2 == 0 else f"{self.jj}/2"
         return f"SectorIndex(n={self.n}, q={self.q}, j={jtxt})"
-
-
-@dataclass(frozen=True)
-class BasisLabel:
-    """Basis vector |j,m⟩⊗|k⟩ inside a sector; ``mm`` is the doubled 2m."""
-
-    mm: int
-    k: int
-
-    @property
-    def m(self) -> float:
-        return self.mm / 2
 
 
 def sector_dim(idx: SectorIndex) -> int:
@@ -104,15 +88,17 @@ def enumerate_sectors(n: int, q_max: int) -> tuple[SectorIndex, ...]:
                  for jj in range(n, max(j_min2(n), n - 2 * q) - 1, -2))
 
 
-def basis_labels(idx: SectorIndex) -> list[BasisLabel]:
-    """Sector basis ordered by increasing oscillator level k (decreasing m).
+def basis_labels(idx: SectorIndex) -> list[tuple[int, int, int]]:
+    """Sector basis |j,m⟩⊗|k⟩ as (2j, 2m, k) triples, the label format that
+    ``operators.coupling``, ``operators.tower_index`` and ``schwinger_image``
+    take, ordered by increasing oscillator level k (decreasing m).
 
     Labels satisfy m + k + n/2 = q; k runs from max(0, q-j-n/2) up to
     q+j-n/2, giving sector_dim(idx) entries.
     """
     k_lo = max(0, idx.q - (idx.jj + idx.n) // 2)
     k_hi = idx.q + (idx.jj - idx.n) // 2
-    out = [BasisLabel(mm=2 * idx.q - 2 * k - idx.n, k=k) for k in range(k_lo, k_hi + 1)]
+    out = [(idx.jj, 2 * idx.q - 2 * k - idx.n, k) for k in range(k_lo, k_hi + 1)]
     assert len(out) == sector_dim(idx)
     return out
 

@@ -117,8 +117,7 @@ def test_charge_vs_tower_backends():
         ch = dyn.apply_circuit(circ, 6, backend="charge")
         tw = dyn.apply_circuit(circ, 6, backend="jtower")
         for idx, blk in ch.blocks.items():
-            rows = [tower_index(idx.jj, lab.mm, lab.k)
-                    for lab in basis_labels(idx)]
+            rows = [tower_index(*lab) for lab in basis_labels(idx)]
             sub = tw.blocks[idx.jj][np.ix_(rows, rows)]
             assert np.abs(sub - blk).max() < 1e-9
 
@@ -368,6 +367,6 @@ def test_structured_evolution_matches_brute_force(n, gate_spec, start):
     tw = dyn.apply_circuit(circ, q_max, backend="jtower")
     for idx in enumerate_sectors(n, q_max):
         want = project_full(u, idx, q_max)
-        rows = [tower_index(idx.jj, lab.mm, lab.k) for lab in basis_labels(idx)]
+        rows = [tower_index(*lab) for lab in basis_labels(idx)]
         assert np.abs(ch.blocks[idx] - want).max() < 1e-9
         assert np.abs(tw.blocks[idx.jj][np.ix_(rows, rows)] - want).max() < 1e-9

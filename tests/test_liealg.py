@@ -285,9 +285,8 @@ def test_schwinger_image_maps_partner_labels():
             p = accidental_partner(idx)
             if p is None:
                 continue
-            image = [schwinger_image(idx.jj, lab.mm, lab.k)
-                     for lab in basis_labels(idx)]
-            assert image == [(p.jj, lab.mm, lab.k) for lab in basis_labels(p)]
+            image = [schwinger_image(*lab) for lab in basis_labels(idx)]
+            assert image == basis_labels(p)
 
 
 @pytest.mark.parametrize("jj,want", [(1, 4), (2, 9), (4, 25)])

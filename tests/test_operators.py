@@ -56,8 +56,7 @@ def test_tower_matches_blocks():
         for idx in enumerate_sectors(n, 4):
             if idx.jj != jj:
                 continue
-            rows = [ops.tower_index(jj, lab.mm, lab.k)
-                    for lab in basis_labels(idx)]
+            rows = [ops.tower_index(*lab) for lab in basis_labels(idx)]
             sub = ht[np.ix_(rows, rows)]
             assert np.allclose(sub, ops.htc_block(idx), atol=1e-12)
 
@@ -79,8 +78,8 @@ def test_energy_variance_closed_form():
 def test_charge_vectors_exact():
     for n in range(1, 7):
         for idx in enumerate_sectors(n, 10):
-            jz_sum = sum(Fraction(lab.mm, 2) for lab in basis_labels(idx))
-            n_sum = sum(Fraction(lab.k) for lab in basis_labels(idx))
+            jz_sum = sum(Fraction(mm, 2) for _, mm, _ in basis_labels(idx))
+            n_sum = sum(Fraction(k) for _, _, k in basis_labels(idx))
             assert ops.charge_vector(idx, "jz") == jz_sum
             assert ops.charge_vector(idx, "n") == n_sum
     assert ops.charge_vector(SectorIndex(2, 2, 2), "jz") == 0

@@ -9,11 +9,12 @@ from tcforge.sectors import j_min2, multiplicity
 def test_jm_basis_orthonormal_complete(n):
     basis = qb.jm_basis(n)
     total = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for (jj, mm), frame in basis.items():
-        assert frame.shape == (2 ** n, multiplicity(n, jj))
-        gram = frame.conj().T @ frame
-        assert np.abs(gram - np.eye(frame.shape[1])).max() < 1e-10
-        total += frame @ frame.conj().T
+    for jj, frames in basis.items():
+        assert frames.shape == (jj + 1, 2 ** n, multiplicity(n, jj))
+        for frame in frames:
+            gram = frame.conj().T @ frame
+            assert np.abs(gram - np.eye(frame.shape[1])).max() < 1e-10
+            total += frame @ frame.conj().T
     assert np.abs(total - np.eye(2 ** n)).max() < 1e-9
 
 
@@ -21,18 +22,19 @@ def test_jm_basis_orthonormal_complete(n):
 def test_jm_basis_eigenvectors(n):
     jx, jy, jz = qb.spin_ops(n)
     j2 = jx @ jx + jy @ jy + jz @ jz
-    for (jj, mm), frame in qb.jm_basis(n).items():
-        j, m = jj / 2, mm / 2
-        assert np.abs(j2 @ frame - j * (j + 1) * frame).max() < 1e-9
-        assert np.abs(jz @ frame - m * frame).max() < 1e-9
+    for jj, frames in qb.jm_basis(n).items():
+        for r, frame in enumerate(frames):  # row r holds m = j - r
+            j, m = jj / 2, jj / 2 - r
+            assert np.abs(j2 @ frame - j * (j + 1) * frame).max() < 1e-9
+            assert np.abs(jz @ frame - m * frame).max() < 1e-9
 
 
 def test_jm_basis_two_qubits_bell():
     basis = qb.jm_basis(2)
     psi_minus = np.array([0, 1, -1, 0]) / np.sqrt(2)
-    overlap = abs(np.vdot(basis[(0, 0)][:, 0], psi_minus))
+    overlap = abs(np.vdot(basis[0][0][:, 0], psi_minus))
     assert abs(overlap - 1) < 1e-12
-    assert abs(abs(basis[(2, 2)][0, 0]) - 1) < 1e-12  # |00⟩ is the top level
+    assert abs(abs(basis[2][0][0, 0]) - 1) < 1e-12  # |00⟩ is the top level
 
 
 def test_assemble_pi_invariant_under_transpositions():

@@ -48,11 +48,11 @@ def test_enumerate_examples():
 
 def test_basis_labels_examples():
     labs = basis_labels(SectorIndex(2, 2, 2))
-    assert [(l.mm, l.k) for l in labs] == [(2, 0), (0, 1), (-2, 2)]
+    assert labs == [(2, 2, 0), (2, 0, 1), (2, -2, 2)]
     labs = basis_labels(SectorIndex(2, 0, 2))
-    assert [(l.mm, l.k) for l in labs] == [(-2, 0)]
+    assert labs == [(2, -2, 0)]
     labs = basis_labels(SectorIndex(3, 4, 1))
-    assert [(l.mm, l.k) for l in labs] == [(1, 2), (-1, 3)]
+    assert labs == [(1, 1, 2), (1, -1, 3)]
 
 
 @given(st.integers(1, 8), st.integers(0, 14))
@@ -60,10 +60,11 @@ def test_basis_labels_consistent(n, q):
     for idx in enumerate_sectors(n, q):
         labs = basis_labels(idx)
         assert len(labs) == sector_dim(idx)
-        for lab in labs:
-            assert lab.mm + 2 * lab.k + n == 2 * idx.q
-            assert -idx.jj <= lab.mm <= idx.jj
-            assert lab.k >= 0
+        for jj, mm, k in labs:
+            assert jj == idx.jj
+            assert mm + 2 * k + n == 2 * idx.q
+            assert -idx.jj <= mm <= idx.jj
+            assert k >= 0
 
 
 def test_dimension_saturation():
