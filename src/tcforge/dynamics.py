@@ -105,12 +105,11 @@ def simplify(circ: Circuit) -> Circuit:
     out: list[Gate] = []
     for g in circ.gates:
         if out and out[-1].kind == g.kind:
-            merged = out[-1].param + g.param
-            out.pop()
+            merged = out.pop().param + g.param
             if merged != 0.0:
                 out.append(Gate(g.kind, merged))
         elif g.param != 0.0:
-            out.append(Gate(g.kind, g.param))
+            out.append(g)
     return Circuit(circ.n, tuple(out))
 
 
@@ -232,21 +231,12 @@ def tower_k_max(circ: Circuit, q_max: int, jj: int) -> int:
     stays below k = q_max + j - n/2.  Each rx can raise the charge support by
     up to 2j, which the next coupling pulse converts into oscillator support,
     so every tc run that follows an rx widens the required window by 2j.
+    rz conserves the charge and ends no run, so the runs are counted as the
+    rx → tc steps of the gate kinds with rz left out.
     """
-    grown = 0
-    seen_rx = False
-    in_run = False
-    for g in circ.gates:
-        if g.kind == "rx":
-            seen_rx = True
-            in_run = False
-        elif g.kind == "tc":
-            if seen_rx and not in_run:
-                grown += jj
-                in_run = True
-        else:
-            continue
-    return max(0, q_max + grown + (jj - circ.n) // 2)
+    kinds = [g.kind for g in circ.gates if g.kind != "rz"]
+    runs = sum(a == "rx" and b == "tc" for a, b in zip(kinds, kinds[1:]))
+    return max(0, q_max + runs * jj + (jj - circ.n) // 2)
 
 
 def apply_circuit(circ: Circuit, q_max: int, backend: str = "auto") -> BlockUnitary:
