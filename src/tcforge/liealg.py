@@ -239,7 +239,8 @@ def schwinger_check(jj_max: int, k_max: int) -> SchwingerReport:
 
     W is the index vector of each label's image (-1 out of bounds), and
     J+ ⊗ a the half of ``coupling(labels)`` that raises m.  A column is
-    tested when W maps it, and the image of J+ ⊗ a there, into bounds.
+    tested when W maps it into bounds; amplitude of W(J+ ⊗ a)W that W sends
+    out of bounds counts as deviation, since J+ ⊗ a stays in bounds.
     """
     labels = [(jj, mm, k) for jj in range(jj_max + 1)
               for mm in range(-jj, jj + 1, 2) for k in range(k_max + 1)]
@@ -251,10 +252,10 @@ def schwinger_check(jj_max: int, k_max: int) -> SchwingerReport:
     inb = w >= 0
     involution_ok = bool((w[w[inb]] == np.flatnonzero(inb)).all())
     cols = np.flatnonzero(inb)
-    cols = cols[~up[~inb][:, w[cols]].any(axis=0)]
     got = np.zeros((len(labels), len(cols)))
     got[w[inb]] = up[inb][:, w[cols]]  # W (J+ ⊗ a) W on the tested columns
-    worst = float(np.abs(got - up[:, cols]).max(initial=0.0))
+    lost = up[~inb][:, w[cols]]  # the amplitude W sends out of bounds
+    worst = float(np.abs(np.vstack([got - up[:, cols], lost])).max(initial=0.0))
     ok = involution_ok and worst < 1e-10
     return SchwingerReport(jj_max, k_max, len(labels), involution_ok, worst,
                            len(cols), len(labels) - len(cols), ok)

@@ -238,13 +238,13 @@ def test_schwinger_map():
                 assert jj + mm == jj2 + mm2
 
 
-def _ref_schwinger_check(jj_max, k_max):
+def _ref_schwinger_check(jj_max, k_max, image=schwinger_image):
     """schwinger_check label by label: (involution_ok, dev, tested, skipped)."""
     labels = [(jj, mm, k) for jj in range(jj_max + 1)
               for mm in range(-jj, jj + 1, 2) for k in range(k_max + 1)]
 
     def w(lab):
-        out = schwinger_image(*lab)
+        out = image(*lab)
         return out if out in labels else None
 
     def raise_op(lab):  # J+ ⊗ a: (target label or None, amplitude)
@@ -259,11 +259,9 @@ def _ref_schwinger_check(jj_max, k_max):
         if w(lab) is None:
             continue
         mid, amp1 = raise_op(w(lab))
-        if mid is not None and w(mid) is None:
-            continue
         tested += 1
         direct, amp0 = raise_op(lab)
-        got = {} if mid is None else {w(mid): amp1}
+        got = {} if mid is None else {w(mid): amp1}  # key None: out of bounds
         want = {} if direct is None else {direct: amp0}
         dev = max([dev] + [abs(got.get(x, 0.0) - want.get(x, 0.0))
                            for x in set(got) | set(want)])
@@ -276,6 +274,24 @@ def test_schwinger_check_matches_label_loop():
             rep = la.schwinger_check(jj_max, k_max)
             assert (rep.involution_ok, rep.conjugation_dev, rep.tested,
                     rep.skipped) == _ref_schwinger_check(jj_max, k_max)
+
+
+def _broken_image(jj, mm, k):
+    """W with k' raised by one wherever k = 1: neither an involution nor a
+    symmetry of J+ ⊗ a."""
+    jj2, mm2, k2 = schwinger_image(jj, mm, k)
+    return jj2, mm2, k2 + (k == 1)
+
+
+def test_schwinger_check_counts_lost_amplitude(monkeypatch):
+    # columns whose W(J+a)W amplitude leaves the truncation are tested, not
+    # skipped: only the 210 labels that W maps out of bounds are skipped
+    monkeypatch.setattr(la, "schwinger_image", _broken_image)
+    rep = la.schwinger_check(8, 10)
+    assert (rep.tested, rep.skipped) == (285, 210)
+    assert not rep.involution_ok and not rep.ok
+    assert (rep.involution_ok, rep.conjugation_dev, rep.tested,
+            rep.skipped) == _ref_schwinger_check(8, 10, _broken_image)
 
 
 def test_schwinger_image_maps_partner_labels():
