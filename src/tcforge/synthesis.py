@@ -119,7 +119,9 @@ class TwoStepFamily:
                         for x in (self.alpha, self.gamma))
         c, s = np.cos(gamma), np.sin(gamma)
         d = np.clip((c * c - np.cos(alpha)) / (s * s), -1.0, 1.0)
-        self._u = np.sqrt((1 + d) / 2)
+        # u = sqrt((1 + d)/2) = |sin(α/2)/sin γ|, taken in the second form:
+        # 1 + d cancels to 0 once cos α rounds to 1 (α below ≈ 1.5e-8)
+        self._u = np.minimum(np.abs(np.sin(alpha / 2) / s), 1.0)
         self._w = np.sqrt((1 - d) / 2)
         self._a = 2 * s * c * self._u
         self._b = 2 * s * s * self._u * self._w

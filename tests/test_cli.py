@@ -27,6 +27,14 @@ def test_synthesize_phases_identity(tmp_path):
     assert report["tau"] == 0.0
 
 
+def test_synthesize_phases_near_identity(tmp_path):
+    # a phase far below 1e-8 once crashed the compiler with a traceback
+    rc = run(["synthesize", "--phases", "0,1e-10,0", "--out", str(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "phases_0.0_1e-10_0.0.report.json").read_text())
+    assert report["residual"] < 1e-8
+
+
 def test_synthesize_unknown_gate():
     assert run(["synthesize", "--gate", "toffoli"]) == 1
     assert run(["synthesize"]) == 1

@@ -185,6 +185,17 @@ def test_decompose_kind_selection():
     assert abs(dec.tau - 0.585) < 0.01
 
 
+def test_decompose_near_identity_rotation():
+    # below α ≈ 1.5e-8, cos α rounds to 1; the pair axes once came out 0/0
+    u = syn.aa_matrix(1e-9, np.array([0, 0.6, 0.8]))
+    dec = syn.decompose_fixed_angle(u)
+    assert dec.kind == "2-step"
+    acc = np.eye(2, dtype=complex)
+    for k, axis in dec.steps:
+        acc = syn.aa_matrix(k * DELTA, axis) @ acc
+    assert np.abs(acc - u).max() < 1e-12
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10**6))
 def test_a_gate_block_contract(seed):
@@ -387,6 +398,16 @@ def test_compile_zero_phases_trivial():
     res = syn.compile_two_qubit(0.0, 0.0, 0.0)
     assert res.tau == 0.0
     assert res.residual < 1e-12
+
+
+@pytest.mark.parametrize("phi", [3e-12, 1e-10, -1e-9, 1e-8])
+def test_compile_near_identity_phases(phi):
+    # one tiny phase, the others 0 or φ11 = -φ00
+    for phis in ((phi, 0, 0), (0, phi, 0), (0, 0, phi), (phi, 0, -phi),
+                 (phi, phi, -phi)):
+        res = syn.compile_two_qubit(*phis)
+        assert res.residual < 1e-8, phis
+        assert res.tau <= 3.92
 
 
 def test_named_gates_match_tables():
