@@ -2,7 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tcforge import synthesis as syn
 from tcforge.dynamics import (Circuit, Gate, apply_circuit, distance_up_to_phase,
@@ -408,6 +408,26 @@ def test_compile_near_identity_phases(phi):
         res = syn.compile_two_qubit(*phis)
         assert res.residual < 1e-8, phis
         assert res.tau <= 3.92
+
+
+_TINY = st.builds(lambda sign, e: sign * 10.0 ** e,
+                  st.sampled_from([-1.0, 1.0]), st.floats(-13, -6))
+_EDGE = st.sampled_from([np.pi, -np.pi, np.nextafter(np.pi, 0),
+                         np.nextafter(-np.pi, 0), np.pi / 2, -np.pi / 2, 0.0])
+_PHASE = st.one_of(st.floats(-np.pi, np.pi), _TINY, _EDGE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_PHASE, _PHASE, _PHASE, st.booleans())
+@example(0.0, 1e-10, 0.0, False)
+@example(-np.pi, -np.pi, -np.pi, False)  # SWAP: an A target at angle π
+def test_compile_two_qubit_property(phi00, phi_psi_plus, phi11, shortcut):
+    # generic triples, ±π edges, tiny phases and the φ11 = -φ00 shortcut
+    if shortcut:
+        phi11 = -phi00
+    res = syn.compile_two_qubit(phi00, phi_psi_plus, phi11)
+    assert res.residual < 1e-8
+    assert res.tau <= 3.92
 
 
 def test_named_gates_match_tables():
