@@ -68,10 +68,9 @@ def su2_axis_angle(u: np.ndarray) -> AxisAngle:
 
 def _euler_options(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """θ1/θ2 for all four branches; axes (..., 3) -> arrays (..., 4)."""
-    nx = np.clip(axes[..., 0], -1.0, 1.0)
-    two_gamma = np.arccos(nx)
-    sin_tg = np.sin(two_gamma)
-    beta = np.where(sin_tg < 1e-12, 0.0,
+    tilt = np.hypot(axes[..., 1], axes[..., 2])  # sin 2γ
+    two_gamma = np.arctan2(tilt, axes[..., 0])
+    beta = np.where(tilt < 1e-12, 0.0,
                     np.arctan2(axes[..., 2], -axes[..., 1]) / 2)
     betas = np.stack([beta, beta + np.pi, beta + np.pi / 2, beta - np.pi / 2],
                      axis=-1)

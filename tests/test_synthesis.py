@@ -410,6 +410,13 @@ def test_compile_near_identity_phases(phi):
         assert res.tau <= 3.92
 
 
+def test_compile_keeps_tiny_psi_plus_phase():
+    # its pair axes lie ~1e-8 off the x pole of the Euler embedding, where
+    # arccos(n_x) once read the tilt as 0 and lost the phase (residual φ/2)
+    for phi in (1e-10, 1e-8, -1.3e-8):
+        assert syn.compile_two_qubit(0, phi, 0).residual < 1e-12
+
+
 _TINY = st.builds(lambda sign, e: sign * 10.0 ** e,
                   st.sampled_from([-1.0, 1.0]), st.floats(-13, -6))
 _EDGE = st.sampled_from([np.pi, -np.pi, np.nextafter(np.pi, 0),
