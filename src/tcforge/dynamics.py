@@ -137,11 +137,11 @@ def _skew(jj: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
 def _tc_eig(jj: int, k_max: int):
     """Real eigensystems of the coupling on each charge diagonal of the jj
     tower, stacked [s, r, r]; slots outside 0 ≤ k ≤ k_max stay uncoupled."""
-    s, r = (a.ravel() for a in _skew(jj, k_max))
-    h = ops.htc_tower(jj, k_max)
-    a, b = np.nonzero(h)  # every nonzero element stays on one diagonal
     blocks = np.zeros((jj + k_max + 1, jj + 1, jj + 1))
-    blocks[s[a], r[a], r[b]] = h[a, b]
+    for s, block in enumerate(blocks):
+        lo, hi = max(0, jj - s), min(jj, jj + k_max - s) + 1  # k = s + r - jj
+        block[lo:hi, lo:hi] = ops.coupling(
+            [(jj, jj - 2 * r, s + r - jj) for r in range(lo, hi)])
     w, v = np.linalg.eigh(blocks)
     vt = v.transpose(0, 2, 1).astype(complex)  # complex @ complex skips a cast
     for arr in (w, v, vt):

@@ -370,3 +370,40 @@ def test_structured_evolution_matches_brute_force(n, gate_spec, start):
         rows = [tower_index(*lab) for lab in basis_labels(idx)]
         assert np.abs(ch.blocks[idx] - want).max() < 1e-9
         assert np.abs(tw.blocks[idx.jj][np.ix_(rows, rows)] - want).max() < 1e-9
+
+
+# ------------------------------------------- references for the block paths
+# The dense formulas these paths replaced, kept as references.
+
+def _tc_eig_by_tower_scatter(jj, k_max):
+    """Diagonal blocks scattered out of the dense D×D tower coupling."""
+    from tcforge import operators as ops
+    s, r = (a.ravel() for a in dyn._skew(jj, k_max))
+    h = ops.htc_tower(jj, k_max)
+    a, b = np.nonzero(h)
+    blocks = np.zeros((jj + k_max + 1, jj + 1, jj + 1))
+    blocks[s[a], r[a], r[b]] = h[a, b]
+    return np.linalg.eigh(blocks)
+
+
+def test_tc_eig_matches_tower_scatter():
+    for jj in range(13):
+        for k_max in range(0, 50, 7):
+            w, v, vt = dyn._tc_eig(jj, k_max)
+            w_ref, v_ref = _tc_eig_by_tower_scatter(jj, k_max)
+            assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+            assert np.array_equal(vt, v_ref.transpose(0, 2, 1))
+
+
+def test_apply_circuit_never_builds_the_dense_tower(monkeypatch):
+    from tcforge import operators as ops
+
+    def dense(*args):
+        raise AssertionError("htc_tower called")
+
+    monkeypatch.setattr(ops, "htc_tower", dense)
+    dyn._tc_eig.cache_clear()  # every key a cache miss
+    gates = [Gate("tc", 0.7), Gate("rz", 0.3), Gate("tc", -1.2)]
+    for backend in ("charge", "jtower"):
+        dyn.apply_circuit(Circuit(3, gates), 4, backend=backend)
+    dyn.apply_circuit(Circuit(3, gates + [Gate("rx", 0.4), Gate("tc", 0.5)]), 4)
