@@ -30,7 +30,7 @@ import numpy as np
 
 from . import operators as ops
 from .qubits import assemble_pi, jm_basis
-from .sectors import SectorIndex, enumerate_sectors, j_min2
+from .sectors import SectorIndex, enumerate_sectors, j_min2, multiplicity
 
 GATE_KINDS = ("tc", "rz", "rx")
 
@@ -289,9 +289,10 @@ def vacuum_sandwich(bu: BlockUnitary) -> VacuumSandwich:
                                   for q in qs])
     else:  # tower rows and columns 0..2j hold k = 0
         u_by_j = {jj: tower[:jj + 1, :jj + 1] for jj, tower in bu.blocks.items()}
-    mat = assemble_pi(n, u_by_j)
-    residual = float(np.linalg.norm(mat.conj().T @ mat - np.eye(2 ** n)))
-    return VacuumSandwich(n, u_by_j, mat, residual)
+    # ‖M†M - I‖_F² = Σ_j mult_j ‖u_j†u_j - I‖_F², as M = ⊕_j I_mult ⊗ u_j
+    residual = np.sqrt(sum(multiplicity(n, jj) * np.linalg.norm(
+        u.conj().T @ u - np.eye(jj + 1)) ** 2 for jj, u in u_by_j.items()))
+    return VacuumSandwich(n, u_by_j, assemble_pi(n, u_by_j), float(residual))
 
 
 def distance_up_to_phase(u: np.ndarray, v: np.ndarray) -> float:

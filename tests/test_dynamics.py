@@ -407,3 +407,52 @@ def test_apply_circuit_never_builds_the_dense_tower(monkeypatch):
     for backend in ("charge", "jtower"):
         dyn.apply_circuit(Circuit(3, gates), 4, backend=backend)
     dyn.apply_circuit(Circuit(3, gates + [Gate("rx", 0.4), Gate("tc", 0.5)]), 4)
+
+
+def _assemble_pi_by_outer_products(n, u_by_j):
+    """⊕_j I_mult ⊗ u_j as one outer product of frames per nonzero of u_j."""
+    from tcforge.qubits import jm_basis
+    out = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for jj, u in u_by_j.items():
+        frames = jm_basis(n)[jj]
+        for r, c in zip(*np.nonzero(u)):
+            out += u[r, c] * (frames[r] @ frames[c].conj().T)
+    return out
+
+
+def _seeded_circuits(seed, count, kinds):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
+        yield Circuit(n, [Gate(str(rng.choice(kinds)), float(rng.uniform(-2, 2)))
+                          for _ in range(int(rng.integers(1, 12)))])
+
+
+def test_vacuum_sandwich_matches_dense_reference():
+    cases = [(circ, backend) for circ in _seeded_circuits(11, 20, ["tc", "rz"])
+             for backend in ("charge", "jtower")]
+    cases += [(circ, "jtower") for circ in _seeded_circuits(12, 20, ["tc", "rz", "rx"])]
+    for circ, backend in cases:
+        vs = dyn.vacuum_sandwich(dyn.apply_circuit(circ, circ.n, backend=backend))
+        mat = _assemble_pi_by_outer_products(circ.n, vs.u_by_j)
+        dense = np.linalg.norm(mat.conj().T @ mat - np.eye(2 ** circ.n))
+        assert abs(vs.residual - dense) <= 1e-13 * max(1.0, dense)
+        assert np.abs(vs.matrix - mat).max() <= 1e-14
+
+
+def test_vacuum_sandwich_backends_agree_bit_for_bit():
+    for circ in _seeded_circuits(13, 40, ["tc", "rz"]):
+        ch = dyn.vacuum_sandwich(dyn.apply_circuit(circ, circ.n, backend="charge"))
+        tw = dyn.vacuum_sandwich(dyn.apply_circuit(circ, circ.n, backend="jtower"))
+        assert tw.residual == ch.residual
+        assert np.array_equal(tw.matrix, ch.matrix)
+
+
+def test_ghz_vacuum_sandwich_matches_brute_force():
+    from tcforge.synthesis import ghz_circuit
+    circ, k_cut = ghz_circuit(), 8
+    vac = np.arange(2 ** circ.n) * (k_cut + 1)  # |b⟩⊗|0⟩ rows of the dense space
+    want = _brute_force(circ, k_cut)[np.ix_(vac, vac)]
+    vs = dyn.vacuum_sandwich(dyn.apply_circuit(circ, circ.n))
+    assert np.abs(vs.matrix - want).max() < 1e-12
+    assert vs.residual < 1e-12
