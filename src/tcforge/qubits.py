@@ -125,9 +125,9 @@ def assemble_pi(n: int, u_by_j: dict[int, np.ndarray]) -> np.ndarray:
     for jj, u in u_by_j.items():
         if u.shape != (jj + 1, jj + 1):
             raise ValueError(f"block for 2j={jj} must be {(jj + 1, jj + 1)}")
-        frames = basis[jj]
-        for r, c in zip(*np.nonzero(u)):
-            out += u[r, c] * (frames[r] @ frames[c].conj().T)
+        frames = basis[jj]  # F[r, p, alpha]; out += F (u ⊗ I_mult) F†
+        right = np.einsum("rc,cqa->raq", u, frames.conj()).reshape(-1, 2 ** n)
+        out += frames.transpose(1, 0, 2).reshape(2 ** n, -1) @ right
     return out
 
 
