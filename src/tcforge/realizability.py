@@ -28,8 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .operators import charge_vector
-from .sectors import SectorIndex, accidental_pairs, enumerate_sectors, j_min2
-from .synthesis import wrap_pi
+from .sectors import SectorIndex, accidental_pairs, enumerate_sectors, j_min2, wrap_pi
 
 # identifiers used in violation reports
 AFFINE_LOWEST_WEIGHT = "lowest-weight-phase-affine"

@@ -18,6 +18,13 @@ from functools import lru_cache
 from math import comb
 from typing import Optional
 
+import numpy as np
+
+
+def wrap_pi(x):
+    """Wrap to [-π, π)."""
+    return (np.asarray(x) + np.pi) % (2 * np.pi) - np.pi
+
 
 def j_min2(n: int) -> int:
     """Doubled minimal total spin: 0 for even n, 1 (= 2*1/2) for odd n."""

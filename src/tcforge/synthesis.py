@@ -23,21 +23,14 @@ import numpy as np
 
 from .dynamics import Circuit, Gate, apply_circuit, interaction_time, \
     simplify, vacuum_sandwich
-from .qubits import CZ, ISWAP, SQRT_ISWAP, SWAP, u_psi_plus, uzz
-from .sectors import SectorIndex
+from .qubits import CZ, ISWAP, SIGMA_X, SIGMA_Y, SIGMA_Z, SQRT_ISWAP, SWAP, u_psi_plus, uzz
+from .sectors import SectorIndex, wrap_pi
 
 DELTA = 2 * np.pi / np.sqrt(3)      # fixed Bloch rotation angle per pulse
 CORE_R = 2 * np.pi / np.sqrt(6)     # tc parameter realizing one such pulse
+RECOMPOSE_ATOL = 1e-9               # largest entry error of a checked product
 
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-_PAULI = np.stack([_SX, _SY, _SZ])
-
-
-def wrap_pi(x):
-    """Wrap to [-π, π)."""
-    return (np.asarray(x) + np.pi) % (2 * np.pi) - np.pi
+_PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
 @dataclass(frozen=True)
@@ -264,12 +257,12 @@ def _gadgets(steps, eulers) -> tuple[Gate, ...]:
     return tuple(gates)
 
 
-def _verify_steps(steps, target: np.ndarray, atol: float = 1e-9) -> None:
+def _verify_steps(steps, target: np.ndarray) -> None:
     acc = np.eye(2, dtype=complex)
     for k, axis in steps:
         acc = aa_matrix(k * DELTA, axis) @ acc
     defect = np.abs(acc - target).max()
-    if not defect <= atol:
+    if not defect <= RECOMPOSE_ATOL:
         raise AssertionError(f"recomposition defect {defect:.2e}")
 
 

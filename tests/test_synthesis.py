@@ -8,7 +8,8 @@ from tcforge import synthesis as syn
 from tcforge.dynamics import (Circuit, Gate, apply_circuit, distance_up_to_phase,
                               evolve_vacuum_state, interaction_time, simplify,
                               vacuum_sandwich)
-from tcforge.qubits import CZ, ISWAP, SQRT_ISWAP, SWAP, u_psi_plus, uzz
+from tcforge.qubits import (CZ, ISWAP, SIGMA_X, SIGMA_Y, SIGMA_Z, SQRT_ISWAP, SWAP,
+                            u_psi_plus, uzz)
 from tcforge.sectors import SectorIndex
 
 DELTA = syn.DELTA
@@ -18,7 +19,7 @@ def rand_su2(rng):
     a = rng.normal(size=4)
     a /= np.linalg.norm(a)
     return (a[0] * np.eye(2)
-            + 1j * (a[1] * syn._SX + a[2] * syn._SY + a[3] * syn._SZ))
+            + 1j * (a[1] * SIGMA_X + a[2] * SIGMA_Y + a[3] * SIGMA_Z))
 
 
 def rand_axis(rng):
