@@ -1,6 +1,8 @@
 import dataclasses
 import json
 
+import numpy as np
+
 from tcforge.cli import main
 from tcforge.dynamics import Circuit
 from tcforge.sectors import enumerate_sectors, sector_dim
@@ -79,6 +81,30 @@ def test_simulate_psi_plus_entangles(tmp_path):
                 "--out", str(out)]) == 0
     res = json.loads(out.read_text())
     assert res["oscillator_excited_weight"] > 0.1
+
+
+def test_simulate_rx_circuit_reports_towers(tmp_path):
+    from tcforge.dynamics import tower_k_max
+    from tcforge.synthesis import ghz_circuit
+    circ = ghz_circuit()
+    path = tmp_path / "ghz.json"
+    path.write_text(circ.to_json())
+    out = tmp_path / "towers.json"
+    assert run(["simulate", str(path), "--out", str(out)]) == 0
+    res = json.loads(out.read_text())
+    assert "blocks" not in res and "vacuum_residual" not in res  # rx breaks q
+    assert [t["jj"] for t in res["towers"]] == [0, 2]
+    for t in res["towers"]:
+        assert t["k_max"] == tower_k_max(circ, res["q_max"], t["jj"])
+        m = np.array(t["matrix"]) @ [1, 1j]
+        assert m.shape == ((t["jj"] + 1) * (t["k_max"] + 1),) * 2
+        assert np.abs(m.conj().T @ m - np.eye(len(m))).max() < 1e-12
+    # column |j=1, m=1⟩⊗|0⟩ = |00⟩⊗|0⟩ goes to (|00⟩ + |11⟩)/√2 ⊗ |0⟩, whose
+    # rows are m = ±1 at k = 0
+    column = (np.array(res["towers"][1]["matrix"]) @ [1, 1j])[:, 0]
+    ghz = np.zeros(len(column))
+    ghz[[0, 2]] = np.sqrt(0.5)
+    assert np.abs(np.abs(column) - ghz).max() < 1e-9
 
 
 def test_simulate_bad_file(tmp_path):
@@ -173,6 +199,18 @@ def test_report_table(tmp_path):
     assert abs(float(rows["swap"]) - 1.273) < 0.01
     assert abs(float(rows["iswap"]) - 2.546) < 0.01
     assert abs(float(rows["sqrt_iswap"]) - 2.688) < 0.01
+
+
+def test_report_json_matches_csv(tmp_path, capsys):
+    assert run(["report", "--format", "csv", "--out", str(tmp_path / "t.csv")]) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "t.csv").read_text().strip().split("\n")[1:]]
+    assert run(["report"]) == 0  # json on stdout by default
+    report = json.loads(capsys.readouterr().out)
+    assert sorted(report) == ["gates", "worst_residual"]
+    assert [(g["gate"], g["tau"]) for g in report["gates"]] == [
+        (name, float(tau)) for name, tau in rows]
+    assert 0 <= report["worst_residual"] < 1e-8
 
 
 def test_verify_lie_closed_form_check_is_computed(monkeypatch):
