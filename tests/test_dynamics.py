@@ -373,7 +373,7 @@ def test_structured_evolution_matches_brute_force(n, gate_spec, start):
 
 
 # ------------------------------------------- references for the block paths
-# The dense formulas these paths replaced, kept as references.
+# Dense formulas for _tc_eig, assemble_pi and the vacuum residual.
 
 def _tc_eig_by_tower_scatter(jj, k_max):
     """Diagonal blocks scattered out of the dense D×D tower coupling."""
