@@ -29,6 +29,7 @@ from .sectors import SectorIndex, wrap_pi
 DELTA = 2 * np.pi / np.sqrt(3)      # fixed Bloch rotation angle per pulse
 CORE_R = 2 * np.pi / np.sqrt(6)     # tc parameter realizing one such pulse
 RECOMPOSE_ATOL = 1e-9               # largest entry error of a checked product
+TAU_TIE = 1e-12                     # placements this close in τ are equally fast
 
 _PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
@@ -441,9 +442,10 @@ def compile_two_qubit(phi00: float, phi_psi_plus: float,
                       phi11: float) -> SynthesisResult:
     """Circuit realizing diag phases (φ00, φΨ+, φ11, 0 on the singlet).
 
-    Tries the four F/F† placements, plus the F-free shortcut available when
-    φ00 + φ11 ≡ 0 (mod 2π), with all their A gates in one search, and keeps
-    the fastest.
+    Tries the F-free shortcut, available when φ00 + φ11 ≡ 0 (mod 2π), and
+    the four F/F† placements, with all their A gates in one search.  The
+    first plan in that order within TAU_TIE of the fastest wins, so rounding
+    noise in τ never decides between equally fast placements.
     """
     if not np.all(np.isfinite([phi00, phi_psi_plus, phi11])):
         raise ValueError("phases must be finite, got "
@@ -455,19 +457,19 @@ def compile_two_qubit(phi00: float, phi_psi_plus: float,
 
     # (label, gates before the A gate, gates after it, A's image of e1, θ, θ')
     plans = []
+    if abs(wrap_pi(phi00 + phi11)) < 1e-9:
+        plans.append(("no-f", (Gate("rz", phi11),), (), rz11(phi11) @ e1,
+                      phi11, 0.0))
     for s1, (c1, b1) in _f_parts().items():
         for s2, (c2, b2) in _f_parts().items():
             plans.append((f"{s1}+{s2}", c1.gates + (Gate("rz", theta),) + c2.gates,
                           (Gate("rz", theta_p),), b2 @ rz11(theta) @ b1 @ e1,
                           theta, theta_p))
-    if abs(wrap_pi(phi00 + phi11)) < 1e-9:
-        plans.append(("no-f", (Gate("rz", phi11),), (), rz11(phi11) @ e1,
-                      phi11, 0.0))
     decs = _decompose_all([_su2_map_to_first(p[3], phi_psi_plus) for p in plans])
     cands = [simplify(Circuit(2, before + _gadgets(dec.steps, dec.eulers) + after))
              for (_, before, after, *_), dec in zip(plans, decs)]
     taus = [interaction_time(c) for c in cands]
-    best = taus.index(min(taus))  # the first of equally fast placements
+    best = next(i for i, t in enumerate(taus) if t <= min(taus) + TAU_TIE)
     label, _, _, _, th, thp = plans[best]
     return _phase_result(cands[best], taus[best], label,
                          (phi00, phi_psi_plus, phi11), th, thp)
