@@ -30,6 +30,7 @@ DELTA = 2 * np.pi / np.sqrt(3)      # fixed Bloch rotation angle per pulse
 CORE_R = 2 * np.pi / np.sqrt(6)     # tc parameter realizing one such pulse
 RECOMPOSE_ATOL = 1e-9               # largest entry error of a checked product
 TAU_TIE = 1e-12                     # placements this close in τ are equally fast
+NEAR_IDENTITY = 1e-12               # angle below which a target is already there
 
 _PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
@@ -318,7 +319,7 @@ def _candidates(u: np.ndarray) -> tuple[list[tuple], list[Decomposition]]:
     """One target's chains (k, mu, alpha, last) for _decompose_all (2- and
     4-step, then 3-step) and its candidates that need no search."""
     aa = su2_axis_angle(u)
-    if aa.axis is None and aa.angle < 1e-12:
+    if aa.axis is None and aa.angle < NEAR_IDENTITY:
         return [], [Decomposition("0-step", (), (), 0.0)]
     chains = [(k, _axis_or_z(aa), aa.angle, None) for k in (1, 2)
               if _two_step_ok(aa.angle, k * DELTA)]
@@ -442,7 +443,8 @@ def compile_two_qubit(phi00: float, phi_psi_plus: float,
                       phi11: float) -> SynthesisResult:
     """Circuit realizing diag phases (φ00, φΨ+, φ11, 0 on the singlet).
 
-    Tries the F-free shortcut, available when φ00 + φ11 ≡ 0 (mod 2π), and
+    Tries the F-free shortcut, available when φ00 + φ11 ≡ 0 (mod 2π) to
+    within NEAR_IDENTITY (the cut that also makes an A target 0-step), and
     the four F/F† placements, with all their A gates in one search.  The
     first plan in that order within TAU_TIE of the fastest wins, so rounding
     noise in τ never decides between equally fast placements.
@@ -457,7 +459,7 @@ def compile_two_qubit(phi00: float, phi_psi_plus: float,
 
     # (label, gates before the A gate, gates after it, A's image of e1, θ, θ')
     plans = []
-    if abs(wrap_pi(phi00 + phi11)) < 1e-9:
+    if abs(wrap_pi(phi00 + phi11)) < NEAR_IDENTITY:
         plans.append(("no-f", (Gate("rz", phi11),), (), rz11(phi11) @ e1,
                       phi11, 0.0))
     for s1, (c1, b1) in _f_parts().items():

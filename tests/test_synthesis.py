@@ -330,7 +330,7 @@ def reference_compile(phi00, phi_psi_plus, phi11):
     rz11 = lambda th: np.diag([1.0, np.exp(1j * th)])
     e1 = np.array([1.0, 0])
     options = []
-    if abs(syn.wrap_pi(phi00 + phi11)) < 1e-9:
+    if abs(syn.wrap_pi(phi00 + phi11)) < syn.NEAR_IDENTITY:
         v = rz11(phi11) @ e1
         a = syn.a_gate(syn._su2_map_to_first(v, phi_psi_plus))
         options.append(("no-f", simplify(Circuit(2, (Gate("rz", phi11),)
@@ -435,6 +435,15 @@ def test_compile_keeps_tiny_psi_plus_phase():
     # arccos(n_x) once read the tilt as 0 and lost the phase (residual φ/2)
     for phi in (1e-10, 1e-8, -1.3e-8):
         assert syn.compile_two_qubit(0, phi, 0).residual < 1e-12
+
+
+def test_compile_one_near_identity_cut():
+    # one cut for "already there": a phase above NEAR_IDENTITY is compiled,
+    # whether it sits on Ψ+ (the A target) or on φ00 + φ11 (the F-free plan)
+    for phis in ((0, 1e-10, 0), (1e-10, 0, 0), (-1e-12, -1.8e-13, 1e-9)):
+        res = syn.compile_two_qubit(*phis)
+        assert res.residual < 1e-12, phis
+        assert res.tau <= 3.92
 
 
 _TINY = st.builds(lambda sign, e: sign * 10.0 ** e,
