@@ -94,55 +94,46 @@ class TwoStepFamily:
     """One-parameter family of axis pairs with
     exp(iγ n̂2·σ)·exp(iγ n̂1·σ) = exp(iα μ̂·σ), parametrised by a rotation
     of the pair about the target axis μ̂.  mu may carry leading batch axes
-    (..., 3); alpha and gamma are shared scalars or one value per row."""
+    (..., 3); alpha and gamma are shared scalars or one value per row.
+    Each axis traces a circle n̂ = A + B cos θ + C sin θ, with A (..., 3)
+    and B, C (..., 2, 3) for n̂1, n̂2: n̂1,2 = (u ê ± w μ̂ × g)/√(u² + w²) for
+    g = cos θ ĝ0 + sin θ ĝ1 ⊥ μ̂, with ê ∝ ±(cos γ μ̂ − w sin γ g) their unit
+    bisector.  An identity row (α = 0, u = 0) is an antipodal pair."""
 
     mu: np.ndarray
     alpha: float | np.ndarray
     gamma: float | np.ndarray
-    _u: np.ndarray = field(init=False)
-    _w: np.ndarray = field(init=False)
-    _a: np.ndarray = field(init=False)
-    _b: np.ndarray = field(init=False)
-    _sin_a: np.ndarray = field(init=False)
-    _g0: np.ndarray = field(init=False)
-    _g1: np.ndarray = field(init=False)
+    A: np.ndarray = field(init=False)
+    B: np.ndarray = field(init=False)
+    C: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        # per-row scalars, shaped (..., 1, 1) against the (..., G, 3) axes
-        alpha, gamma = (np.asarray(x, dtype=float)[..., None, None]
+        # per-row scalars, shaped (..., 1) against the (..., 3) axes
+        alpha, gamma = (np.asarray(x, dtype=float)[..., None]
                         for x in (self.alpha, self.gamma))
         c, s = np.cos(gamma), np.sin(gamma)
         d = np.clip((c * c - np.cos(alpha)) / (s * s), -1.0, 1.0)
-        # u = sqrt((1 + d)/2) = |sin(α/2)/sin γ|, taken in the second form:
-        # 1 + d cancels to 0 once cos α rounds to 1 (α below ≈ 1.5e-8)
-        self._u = np.minimum(np.abs(np.sin(alpha / 2) / s), 1.0)
-        self._w = np.sqrt((1 - d) / 2)
-        self._a = 2 * s * c * self._u
-        self._b = 2 * s * s * self._u * self._w
-        self._sin_a = np.sin(alpha)
-        self._g0 = _perp(self.mu)
-        self._g1 = np.cross(self.mu, self._g0)
+        # u = |sin(α/2)/sin γ|, not √((1 + d)/2): 1 + d cancels to 0 once
+        # cos α rounds to 1 (α below ≈ 1.5e-8)
+        u = np.minimum(np.abs(np.sin(alpha / 2) / s), 1.0)
+        w = np.sqrt((1 - d) / 2)
+        r = np.hypot(u, w)  # 1 up to rounding in d
+        sign, norm = np.sign(np.sin(alpha) * s), np.sqrt(c * c + w * w * s * s)
+        e_mu, e_g = sign * c / norm, -sign * s * w / norm  # ê = e_mu μ̂ + e_g g
+        g0 = _perp(self.mu)
+        g1 = np.cross(self.mu, g0)
+        p, q = (u * e_g / r)[..., None], (w / r)[..., None] * [[1.0], [-1.0]]
+        self.A = u * e_mu * self.mu / r
+        self.B = p * g0[..., None, :] + q * g1[..., None, :]  # rows n̂1, n̂2
+        self.C = p * g1[..., None, :] - q * g0[..., None, :]
 
     def axes(self, theta):
         """(n̂1, n̂2) at family parameter theta, (G,) shared or (..., G) per
         row, each (..., G, 3)."""
-        theta = np.asarray(theta, dtype=float)[..., None]
-        mu = np.asarray(self.mu)[..., None, :]
-        g = (np.cos(theta) * self._g0[..., None, :]
-             + np.sin(theta) * self._g1[..., None, :])
-        ident = np.abs(self._sin_a) < 1e-12  # identity target: antipodal pair
-        sin_a = np.where(ident, 1.0, self._sin_a)
-        e_hat = (self._a * mu - self._b * g) / sin_a
-        f_hat = (-self._b * mu - self._a * g) / sin_a
-        w_hat = np.cross(f_hat, e_hat)
-        n1 = self._u * e_hat + self._w * w_hat
-        n2 = self._u * e_hat - self._w * w_hat
-        # at the 2-step boundary (d → 1) rounding in d leaves |n| off 1;
-        # identity rows may read 0/0 here and take ±g instead
-        with np.errstate(invalid="ignore"):
-            n1 = n1 / np.linalg.norm(n1, axis=-1, keepdims=True)
-            n2 = n2 / np.linalg.norm(n2, axis=-1, keepdims=True)
-        return np.where(ident, g, n1), np.where(ident, -g, n2)
+        theta = np.asarray(theta, dtype=float)[..., None, None]
+        n = (self.A[..., None, None, :] + np.cos(theta) * self.B[..., None, :, :]
+             + np.sin(theta) * self.C[..., None, :, :])
+        return n[..., 0, :], n[..., 1, :]
 
 
 def _two_step_ok(angle: float, step_angle: float) -> bool:
@@ -443,11 +434,10 @@ def compile_two_qubit(phi00: float, phi_psi_plus: float,
                       phi11: float) -> SynthesisResult:
     """Circuit realizing diag phases (φ00, φΨ+, φ11, 0 on the singlet).
 
-    Tries the F-free shortcut, available when φ00 + φ11 ≡ 0 (mod 2π) to
-    within NEAR_IDENTITY (the cut that also makes an A target 0-step), and
-    the four F/F† placements, with all their A gates in one search.  The
-    first plan in that order within TAU_TIE of the fastest wins, so rounding
-    noise in τ never decides between equally fast placements.
+    Tries the F-free shortcut, when |φ00 + φ11| mod 2π < NEAR_IDENTITY, and
+    the four F/F† placements, with all their A gates in one search; the
+    first plan within TAU_TIE of the fastest wins, so rounding in τ never
+    picks between equally fast placements.
     """
     if not np.all(np.isfinite([phi00, phi_psi_plus, phi11])):
         raise ValueError("phases must be finite, got "

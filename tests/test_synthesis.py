@@ -113,6 +113,52 @@ def test_two_step_family_broadcasts_over_axes():
     assert np.abs(np.linalg.norm(n1s, axis=-1) - 1).max() < 1e-15
 
 
+def reference_axes(mu, alpha, gamma, theta):
+    """One row of TwoStepFamily.axes built point by point: ê and f̂ in the
+    plane of μ̂ and g = cos θ ĝ0 + sin θ ĝ1, ŵ = f̂ × ê, n̂1,2 ∝ u ê ± w ŵ;
+    an identity target (sin α = 0) gives the antipodal pair ±g."""
+    c, s = np.cos(gamma), np.sin(gamma)
+    d = np.clip((c * c - np.cos(alpha)) / (s * s), -1.0, 1.0)
+    u = min(abs(np.sin(alpha / 2) / s), 1.0)
+    w = np.sqrt((1 - d) / 2)
+    a, b = 2 * s * c * u, 2 * s * s * u * w
+    g0 = syn._perp(mu)
+    g = np.cos(theta)[:, None] * g0 + np.sin(theta)[:, None] * np.cross(mu, g0)
+    if abs(np.sin(alpha)) < 1e-12:
+        return g, -g
+    e_hat = (a * mu - b * g) / np.sin(alpha)
+    f_hat = (-b * mu - a * g) / np.sin(alpha)
+    w_hat = np.cross(f_hat, e_hat)
+    return tuple(n / np.linalg.norm(n, axis=-1, keepdims=True)
+                 for n in (u * e_hat + w * w_hat, u * e_hat - w * w_hat))
+
+
+def test_two_step_family_circles_match_point_reference():
+    rng = np.random.default_rng(29)
+    rows = []  # (mu, alpha, gamma)
+    for k in (1, 2):
+        gamma = k * DELTA
+        top = np.arccos(np.cos(2 * gamma))  # the 2-step boundary
+        rows += [(rand_axis(rng), a, gamma)
+                 for a in list(rng.uniform(0, top, 6)) + [1e-8, 1e-11, top, 0.0]]
+    mus, alphas, gammas = (np.array(x) for x in zip(*rows))
+    fam = syn.TwoStepFamily(mus, alphas, gammas)
+    thetas = np.linspace(0, 2 * np.pi, 33)
+    n1s, n2s = fam.axes(thetas)
+    for mu, alpha, gamma, n1, n2 in zip(mus, alphas, gammas, n1s, n2s):
+        # an identity row is the parent's ±g a quarter turn later
+        shift = np.pi / 2 if alpha == 0 else 0.0
+        r1, r2 = reference_axes(mu, alpha, gamma, thetas + shift)
+        assert np.abs(n1 - r1).max() < 1e-14, alpha
+        assert np.abs(n2 - r2).max() < 1e-14, alpha
+    # the public circles: n̂ = A + B cos θ + C sin θ, one B and C per axis
+    for i, n in enumerate((n1s, n2s)):
+        want = (fam.A[:, None] + np.cos(thetas)[:, None] * fam.B[:, None, i]
+                + np.sin(thetas)[:, None] * fam.C[:, None, i])
+        assert np.abs(n - want).max() < 1e-15
+        assert np.abs(np.linalg.norm(n, axis=-1) - 1).max() < 1e-15
+
+
 # -------------------------------------------------------------------- euler
 
 def test_euler_embed_examples():
