@@ -50,7 +50,9 @@ def lie_closure(generators, tol: float = 1e-8) -> OperatorBasis:
     for g in gens:
         if g.shape != (d, d):
             raise ValueError("generators must share one square shape")
-        if np.abs(g + g.conj().T).max() > 1e-9 * max(1.0, np.abs(g).max()):
+        if not np.all(np.isfinite(g)):
+            raise ValueError("generators must be finite")
+        if not np.abs(g + g.conj().T).max() <= 1e-9 * max(1.0, np.abs(g).max()):
             raise ValueError("generators must be skew-Hermitian")
     traced = any(abs(np.trace(g)) > tol * np.sqrt(d) * np.linalg.norm(g)
                  for g in gens)

@@ -569,10 +569,10 @@ def _pi_u1_phases(g: np.ndarray) -> dict[str, float]:
     vals = {"00": g[0, 0], "11": g[3, 3],
             "psi+": psi_p @ g @ psi_p, "psi-": psi_m @ g @ psi_m}
     for key, v in vals.items():
-        if abs(abs(v) - 1) > 1e-9:
+        if not abs(abs(v) - 1) <= 1e-9:  # NaN: rejected
             raise ValueError("target is not PI and U(1)-invariant "
                              f"(|{key}| component = {abs(v):.3f})")
-    if abs(psi_p @ g @ psi_m) > 1e-9:
+    if not abs(psi_p @ g @ psi_m) <= 1e-9:
         raise ValueError("target mixes the singlet with the triplet")
     return {k: float(np.angle(v)) for k, v in vals.items()}
 

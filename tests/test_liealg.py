@@ -48,6 +48,14 @@ def test_closure_rejects_non_skew():
         la.lie_closure([SX])
 
 
+def test_closure_rejects_non_finite():
+    # one NaN entry once read as a generator of full rank (8 = dim su(3))
+    for bad in (np.nan, np.inf):
+        g = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, bad]], dtype=complex)
+        with pytest.raises(ValueError, match="finite"):
+            la.lie_closure([1j * np.diag([1.0, -1.0, 0.0]), g])
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_sector_rank_check(n):
     for idx in enumerate_sectors(n, 12):

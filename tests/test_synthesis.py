@@ -542,6 +542,12 @@ def test_named_uzz_and_psi_plus():
         syn.named_gate("toffoli")
 
 
+def test_pi_u1_phases_rejects_nan():
+    # NaN phases once came back in place of this error
+    with pytest.raises(ValueError, match="not PI and U\\(1\\)-invariant"):
+        syn._pi_u1_phases(np.full((4, 4), np.nan))
+
+
 def test_qubit_osc_swap_mapping():
     res = syn.qubit_osc_swap()
     assert abs(res.tau - 1.44) <= 0.01
