@@ -201,6 +201,19 @@ def test_best_over_branches_matches_brute_force(seed, s):
         assert all(tuple(p) in options[i] for i, p in enumerate(zip(t1[g], t2[g])))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_best_over_branches_mirror_invariant(seed):
+    # the σz mirror (x, y, z) → (-x, -y, z) sends β to π/2 - β, which negates
+    # each factor's branch set, so the chain cost is unchanged
+    rng = np.random.default_rng(seed)
+    axes = [np.stack([rand_axis(rng) for _ in range(50)]) for _ in range(3)]
+    mirror = np.array([-1.0, -1.0, 1.0])
+    cost = syn._best_over_branches(axes)[0]
+    assert np.abs(syn._best_over_branches([a * mirror for a in axes])[0]
+                  - cost).max() < 1e-14
+
+
 def test_gadget_realizes_fixed_rotation():
     # charge-1 block rotates by the fixed angle; charges 0 and 2 untouched
     rng = np.random.default_rng(11)
@@ -343,6 +356,13 @@ def test_f_fixes_singlet_and_ground():
     # and stashes |00⟩⊗|0⟩ into |11⟩⊗|2⟩
     joint = evolve_vacuum_state(syn.f_gate(), np.array([1.0, 0, 0, 0]), 2)
     assert abs(joint[3, 2] - 1) < 1e-9
+
+
+def test_f_dagger_block_is_sigma_z_mirror():
+    # σz commutes with rz and fixes e1, so the A targets of (fd, ·) and
+    # (f, ·) placements are σz conjugates: axes mirrored (x, y, z) → (-x, -y, z)
+    parts = syn._f_parts()
+    assert np.abs(parts["fd"][1] - SIGMA_Z @ parts["f"][1] @ SIGMA_Z).max() < 1e-15
 
 
 def test_f_dagger_inverts():
