@@ -30,7 +30,7 @@ DELTA = 2 * np.pi / np.sqrt(3)      # fixed Bloch rotation angle per pulse
 CORE_R = 2 * np.pi / np.sqrt(6)     # tc parameter realizing one such pulse
 RECOMPOSE_ATOL = 1e-9               # largest entry error of a checked product
 TAU_TIE = 1e-12                     # placements this close in τ are equally fast
-NEAR_IDENTITY = 1e-12               # angle below which a target is already there
+NEAR_IDENTITY = 1e-12               # angle or phase below which a target is reached
 
 _PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
@@ -95,10 +95,10 @@ class TwoStepFamily:
     exp(iγ n̂2·σ)·exp(iγ n̂1·σ) = exp(iα μ̂·σ), parametrised by a rotation
     of the pair about the target axis μ̂.  mu may carry leading batch axes
     (..., 3); alpha and gamma are shared scalars or one value per row.
-    Each axis traces a circle n̂ = A + B cos θ + C sin θ, with A (..., 3)
-    and B, C (..., 2, 3) for n̂1, n̂2: n̂1,2 = (u ê ± w μ̂ × g)/√(u² + w²) for
-    g = cos θ ĝ0 + sin θ ĝ1 ⊥ μ̂, with ê ∝ ±(cos γ μ̂ − w sin γ g) their unit
-    bisector.  An identity row (α = 0, u = 0) is an antipodal pair."""
+    Each axis traces a circle n̂ = A + B cos θ + C sin θ, A (..., 3) shared
+    and B, C (..., 2, 3) per axis: n̂1,2 = (u ê ± w μ̂ × g)/√(u² + w²) with
+    g = cos θ ĝ0 + sin θ ĝ1 ⊥ μ̂ and ê ∝ ±(cos γ μ̂ − w sin γ g) the pair's
+    unit bisector.  An identity row (α = 0, u = 0) is an antipodal pair."""
 
     mu: np.ndarray
     alpha: float | np.ndarray
