@@ -196,12 +196,7 @@ def _best_over_branches(
             np.take_along_axis(t2, combo, -1)[..., 0])
 
 
-ZOOM_POINTS = 65    # grid points per coordinate and round
-ZOOM_ROUNDS = 6     # one full-period grid, then five zoom rounds
-
-
-def _zoom_min(objective: Callable, center, step: float,
-              rounds: int = ZOOM_ROUNDS, points: int = ZOOM_POINTS):
+def _zoom_min(objective: Callable, center, step: float, rounds: int, points: int):
     """Grid-zoom minimisation of a vectorized objective, one search per row.
 
     ``center`` holds one start per row, (R,) or (R, d).  Each round calls
@@ -241,6 +236,73 @@ def _chain_cost(fam: TwoStepFamily, ends: np.ndarray, thetas):
             t2.reshape(n1.shape), n1, n2)
 
 
+def _mul(p, q):
+    """Product of Laurent polynomials in z = e^{iθ}, coefficients (..., m)."""
+    i, j = np.arange(p.shape[-1]), np.arange(q.shape[-1])
+    return np.einsum("...i,...j,ijk->...k", p, q, np.add.outer(i, j)[..., None]
+                     == np.arange(len(i) + len(j) - 1))
+
+
+def _linear_roots(c):
+    """Both θ of a + ρ cos(θ - φ) = 0 per row, c (R, k, 3) = (ρe^{iφ}/2, a, ·);
+    a root pair off the circle gives its angle, a zero polynomial NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.arccos(np.clip(-c[..., 1].real / (2 * np.abs(c[..., 0])), -1, 1))
+    return (np.angle(c[..., :1]) + np.stack([d, -d], axis=-1)).reshape(len(c), -1)
+
+
+def _companion_roots(q):
+    """Angles of all roots of z^d·p(z) per row, q (R, ..., 2d + 1) the
+    Laurent coefficients of p, by companion eigvals.  A vanishing top
+    harmonic is dropped with its mirror and z² - i^j, two fixed angles,
+    multiplied in; a zero or NaN p gives the 2d-th roots of unity."""
+    n = q.shape[-1] - 1
+    for j in range(n // 2):
+        low = ~(np.abs(q[..., -1:]) > 1e-13 * np.abs(q).max(-1, keepdims=True))
+        up = np.concatenate([0 * q[..., :2], q[..., 1:-1]], -1)  # z²·r
+        q = np.where(low, up - 1j ** j * np.roll(up, -2, -1), q)
+    q = np.where(np.abs(q[..., -1:]) > 0, q, np.eye(n + 1)[n] - np.eye(n + 1)[0])
+    comp = np.broadcast_to(np.eye(n, k=-1), q.shape[:-1] + (n, n)).astype(complex)
+    comp[..., -1] = -q[..., :-1] / q[..., -1:]
+    return np.angle(np.linalg.eigvals(comp)).reshape(len(q), -1)
+
+
+def _critical_thetas(fam: TwoStepFamily, ends: np.ndarray) -> np.ndarray:
+    """Every θ where the chain cost of (-n̂1, -n̂2, ends) can be least, (R, 26).
+    A branch combo's cost is linear in β = ½atan2(z, -y) of the moving axes:
+    it kinks where a t vanishes (z = 0) or neighbours meet (y₁z₂ = y₂z₁,
+    y₂z₃ = y₃z₂), and is stationary where β₁', β₂' or β₁' ± β₂' vanish, with
+    β' ∝ N = yz' - zy' of degree 1 (N₁ρ₂ ± N₂ρ₁ = 0, ρ = y² + z²).  A wrap
+    of β moves only a branch with |t| ≈ π/√2, never in a cheapest chain."""
+    # Laurent coefficients (z⁻¹, 1, z) of every axis component, (R, 2, 3, 3)
+    circ = np.stack([(fam.B + 1j * fam.C) / 2,
+                     np.broadcast_to(fam.A[:, None], fam.B.shape),
+                     (fam.B - 1j * fam.C) / 2], axis=-1)
+    (y1, z1), (y2, z2) = np.moveaxis(circ[:, :, 1:], 0, 2)
+    ey, ez = ends[:, 0, 1:2], ends[:, 0, 2:]
+    ik = np.array([-1j, 0, 1j])  # d/dθ; the z^±2 terms of yz' - zy' cancel
+    (n1, rho1), (n2, rho2) = (((_mul(y, z * ik) - _mul(z, y * ik))[..., 1:-1],
+                               _mul(y, y) + _mul(z, z)) for y, z in ((y1, z1), (y2, z2)))
+    return np.concatenate([
+        _linear_roots(np.stack([z1, z2, y2 * ez - ey * z2, n1, n2], axis=1)),
+        _companion_roots(_mul(y1, z2) - _mul(y2, z1)),
+        _companion_roots(np.stack([_mul(n1, rho2) + sign * _mul(n2, rho1)
+                                   for sign in (1, -1)], axis=1))], axis=1)
+
+
+def _family_min(fam: TwoStepFamily, ends: np.ndarray):
+    """_chain_cost's entries at each row's first critical θ in [0, 2π) within
+    TAU_TIE of its least finite cost; a row with no finite cost raises."""
+    thetas = np.sort(np.mod(_critical_thetas(fam, ends), 2 * np.pi), axis=1)
+    out = _chain_cost(fam, ends, thetas)
+    cost = np.where(np.isfinite(out[0]), out[0], np.inf)
+    least = cost.min(axis=1, keepdims=True)
+    if not np.isfinite(least).all():
+        raise AssertionError("no finite chain cost in a family")
+    i, rows = np.argmax(cost <= least + TAU_TIE, axis=1), np.arange(len(cost))
+    return tuple(o[rows, i] for o in out)
+
+
 def _gadgets(steps, eulers) -> tuple[Gate, ...]:
     """The five-gate gadget of every factor, in time order."""
     gates: list[Gate] = []
@@ -267,7 +329,7 @@ def decompose_fixed_angle(u: np.ndarray) -> Decomposition:
 
 
 def _decompose_all(us) -> list[Decomposition]:
-    """decompose_fixed_angle of every target, with one zoom search over
+    """decompose_fixed_angle of every target, with one exact search over
     the family parameter and Euler branches of all their chains.
 
     A chain (t, k, mu, alpha, last) is the TwoStepFamily pair of k-fold
@@ -289,9 +351,7 @@ def _decompose_all(us) -> list[Decomposition]:
         _, ks, mus, alphas, lasts = zip(*chains)
         fam = TwoStepFamily(np.stack(mus), np.array(alphas), np.array(ks) * DELTA)
         ends = np.stack([_PAD_AXIS if a is None else -a for a in lasts])[:, None]
-        _, (chain, t1, t2, n1, n2) = _zoom_min(
-            lambda thetas: _chain_cost(fam, ends, thetas),
-            np.full(len(chains), np.pi), np.pi)
+        chain, t1, t2, n1, n2 = _family_min(fam, ends)
     for r, (t, k, _, _, last) in enumerate(chains):
         steps = ((k, n1[r]), (k, n2[r])) + (() if last is None else ((1, last),))
         pulses = sum(kk for kk, _ in steps)
@@ -521,7 +581,7 @@ def _published_sqrt_iswap() -> SynthesisResult:
         return (np.linalg.norm(n1s - refs[0], axis=-1)
                 + np.linalg.norm(n2s - refs[1], axis=-1), n1s, n2s)
 
-    _, (_, n1, n2) = _zoom_min(miss, np.full(1, np.pi), np.pi)
+    _, (_, n1, n2) = _zoom_min(miss, np.full(1, np.pi), np.pi, rounds=6, points=65)
     steps = ((1, n1[0]), (1, n2[0]), (1, -mu.axis))
     _verify_steps(steps, u_a)
     seed_t2 = [_SQRT_ISWAP_SEED[k][1] for k in ("n1", "n2", "n")]

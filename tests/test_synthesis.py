@@ -1,3 +1,4 @@
+import warnings
 from itertools import product
 
 import numpy as np
@@ -212,6 +213,103 @@ def test_best_over_branches_mirror_invariant(seed):
     cost = syn._best_over_branches(axes)[0]
     assert np.abs(syn._best_over_branches([a * mirror for a in axes])[0]
                   - cost).max() < 1e-14
+
+
+# ---------------------------------------------------- exact family minimum
+
+def trig_laurent(coeffs):
+    """Laurent coefficients (z^-d … z^d) of a0 + Σ_k a_k cos kθ + b_k sin kθ,
+    coeffs = [a0, (a1, b1), …]."""
+    d = len(coeffs) - 1
+    out = np.zeros(2 * d + 1, dtype=complex)
+    out[d] = coeffs[0]
+    for k, (a, b) in enumerate(coeffs[1:], start=1):
+        out[d + k], out[d - k] = (a - 1j * b) / 2, (a + 1j * b) / 2
+    return out
+
+
+def sign_changes(coeffs):
+    theta = np.linspace(0, 2 * np.pi, 20001)
+    val = coeffs[0] + sum(a * np.cos(k * theta) + b * np.sin(k * theta)
+                          for k, (a, b) in enumerate(coeffs[1:], start=1))
+    return theta[1:][np.sign(val[1:]) != np.sign(val[:-1])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 3))
+def test_root_angles_cover_every_sign_change(seed, drop):
+    # degree-2 and degree-3 polynomials whose top `drop` harmonics vanish,
+    # as they do for the compiler's axes about μ̂ = z, and degree-1 ones
+    rng = np.random.default_rng(seed)
+    polys = []
+    for d in (1, 2, 3):
+        c = [rng.normal()] + [tuple(rng.normal(size=2)) for _ in range(d)]
+        if d > 1:
+            c = c[:len(c) - min(drop, d)] + [(0.0, 0.0)] * min(drop, d)
+        polys.append(c)
+    found = [syn._linear_roots(trig_laurent(polys[0])[None, None])[0]]
+    for c in polys[1:]:
+        found.append(syn._companion_roots(trig_laurent(c)[None])[0])
+    for c, got in zip(polys, found):
+        got = np.mod(got[np.isfinite(got)], 2 * np.pi)
+        for t in sign_changes(c):
+            gap = np.abs(np.angle(np.exp(1j * (got - t))))
+            assert gap.min() < 1e-3, (c, t, got)
+
+
+def test_root_angles_of_zero_and_nan_polynomials():
+    # an identically zero polynomial has no roots to add: linear ones give
+    # NaN, companion ones the 2d-th roots of unity; NaN rows raise nothing
+    assert np.isnan(syn._linear_roots(np.zeros((1, 1, 3), dtype=complex))).all()
+    for q in (np.zeros(5), np.full(7, np.nan)):
+        got = syn._companion_roots(q.astype(complex)[None])[0]
+        assert np.isfinite(got).all() and len(got) == len(q) - 1
+
+
+BOUNDARY = (1.4884739462014362, 2.4012876269253036, -2.439352522382718)
+
+
+def test_family_min_is_grid_safe_on_degenerate_rows(monkeypatch):
+    # the padding axis +x (2-step rows) and identity rows (a 1-step target's
+    # 3-step remainder, and an exact α = 0 row) give identically zero
+    # polynomials; SWAP's plans have μ̂ = z, where y₁z₂ - y₂z₁ drops to
+    # degree 1.  No row may fail or warn, and none may end above the best of
+    # a 4097-point θ grid
+    family_min, seen = syn._family_min, []
+
+    def spy(fam, ends):
+        seen.append((fam, ends))
+        return family_min(fam, ends)
+
+    monkeypatch.setattr(syn, "_family_min", spy)
+    rng = np.random.default_rng(31)
+    targets = [np.eye(2, dtype=complex), -np.eye(2, dtype=complex),
+               syn.aa_matrix(DELTA, rand_axis(rng)),
+               syn.aa_matrix(1.5, rand_axis(rng)),
+               syn.aa_matrix(2.9, rand_axis(rng))] + [rand_su2(rng) for _ in range(5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        syn._decompose_all(targets)
+        spy(syn.TwoStepFamily(np.array([[0, 0.6, 0.8]]), 0.0, DELTA),
+            syn._PAD_AXIS[None, None])
+        for phis in ((-np.pi, -np.pi, -np.pi), BOUNDARY):
+            assert syn.compile_two_qubit(*phis).residual < 1e-8
+    grid = np.linspace(0, 2 * np.pi, 4097)
+    pads = identities = 0
+    for fam, ends in seen:
+        pads += int((ends[:, 0] == syn._PAD_AXIS).all(axis=1).sum())
+        identities += int((np.asarray(fam.alpha) < 1e-12).sum())
+        cost = family_min(fam, ends)[0]
+        assert np.isfinite(cost).all()
+        assert (cost <= syn._chain_cost(fam, ends, grid)[0].min(axis=1) + 1e-12).all()
+    assert pads and identities
+
+
+def test_family_min_rejects_rows_without_finite_cost():
+    fam = syn.TwoStepFamily(np.array([[np.nan, 0, 1.0]]), 0.3, DELTA)
+    with pytest.raises(AssertionError, match="no finite chain cost"):
+        with np.errstate(invalid="ignore"):
+            syn._family_min(fam, syn._PAD_AXIS[None, None])
 
 
 def test_gadget_realizes_fixed_rotation():
@@ -430,12 +528,13 @@ def test_compile_matches_per_placement_reference():
 
 def test_compile_tie_goes_to_first_placement():
     # pool triples #14 and #27 of default_rng(0).uniform(-π, π, (2000, 3)):
-    # their F† placements were ahead of the F ones by under 1e-15 of τ
+    # their F† placements were ahead of the F ones by under 1e-15 of τ; the
+    # exact search took #27 down by 6.5e-11
     for phis, kind, tau in (
             ((0.5925045642173261, -1.0184338063523257, -0.6809779034588956),
-             "f+f", 2.513409227796609),
+             "f+f", 2.5134092277966094),
             ((-0.016193681844320018, 0.18417373427004202, 1.7956445157270178),
-             "f+fd", 2.0858210930329903)):
+             "f+fd", 2.0858210929676657)):
         res = syn.compile_two_qubit(*phis)
         assert res.kind == kind
         assert abs(res.tau - tau) <= syn.TAU_TIE
@@ -461,8 +560,60 @@ def test_compile_runs_one_search(monkeypatch):
                         counted("axes", syn.TwoStepFamily.axes))
     monkeypatch.setattr(syn, "apply_circuit", counted("apply", syn.apply_circuit))
     syn.compile_two_qubit(*phis)
-    assert calls == {"branches": syn.ZOOM_ROUNDS, "axes": syn.ZOOM_ROUNDS,
-                     "apply": 1}
+    # one chain-cost pass at every row's critical points
+    assert calls == {"branches": 1, "axes": 1, "apply": 1}
+
+
+# pool triples #477, #1387, #211, #362, #175 and #1075 of
+# default_rng(0).uniform(-π, π, (2000, 3)), with the exact family minimum;
+# a 6-round 65-point θ zoom found 2.5936, 2.6308, 2.6356, 2.6246 and 2.16056
+# for the first five.  #1075's least point is a stationary point of
+# β₁ ± β₂, which no kink finds (2.1354 without N₁ρ₂ ± N₂ρ₁)
+_POOL_WELLS = [
+    ((-2.9548268811183167, 1.2623427771930826, -2.4629987321441744),
+     2.5040882524566324),
+    ((-1.057205175772598, 1.7443050296470073, -1.1127194024242604),
+     2.5517477683320124),
+    ((-1.9803091214051742, -1.6216714595150272, 1.4582021699186702),
+     2.5848357386165786),
+    ((-0.9993163393243565, 2.039799681537504, -0.28714767868581115),
+     2.5820346893804382),
+    ((1.6474334178098902, 0.7172713050889916, -1.1049209077413753),
+     2.1604646497283135),
+    ((-0.15014615717708102, 0.18747094226557248, -0.3055331830501351),
+     2.1042733703661267),
+]
+
+
+@pytest.mark.parametrize("phis,tau", _POOL_WELLS)
+def test_compile_finds_narrow_wells(phis, tau):
+    res = syn.compile_two_qubit(*phis)
+    assert res.tau <= tau + 1e-9
+    assert res.residual < 1e-8
+
+
+def zoom_family_min(fam, ends):
+    """The grid search _family_min replaced: a 65-point full-period θ grid,
+    then five 65-point zoom rounds, per row."""
+    _, out = syn._zoom_min(lambda thetas: syn._chain_cost(fam, ends, thetas),
+                           np.full(len(ends), np.pi), np.pi, rounds=6, points=65)
+    return out
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
+       st.tuples(*[st.integers(-3, 3)] * 3))
+@example((np.pi, -0.004537324106032248, 2.333762244609258), (0, -2, -1))
+def test_compile_exact_minimum_property(phis, turns):
+    # the exact minimum does not depend on how the phases are written mod
+    # 2π, and no zoom over the same families beats it; under the zoom the
+    # example's two writings differed by 4.8e-5 of τ
+    res = syn.compile_two_qubit(*phis)
+    shifted = syn.compile_two_qubit(*(p + 2 * np.pi * k for p, k in zip(phis, turns)))
+    assert abs(res.tau - shifted.tau) <= 1e-9
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(syn, "_family_min", zoom_family_min)
+        assert res.tau <= syn.compile_two_qubit(*phis).tau + 1e-9
 
 
 def test_compile_two_step_boundary_triple():
