@@ -495,9 +495,9 @@ def compile_two_qubit(phi00: float, phi_psi_plus: float,
     """Circuit realizing diag phases (φ00, φΨ+, φ11, 0 on the singlet).
 
     Tries the F-free shortcut, when |φ00 + φ11| mod 2π < NEAR_IDENTITY, and
-    the four F/F† placements, with all their A gates in one search; the
-    first plan within TAU_TIE of the fastest wins, so rounding in τ never
-    picks between equally fast placements.
+    f+f and f+fd, with all their A gates in one search; the first plan
+    within TAU_TIE of the fastest wins.  F†'s charge-1 block is σz·F's·σz,
+    so fd+fd and fd+f, σz mirrors of f+f and f+fd, are no faster.
     """
     if not np.all(np.isfinite([phi00, phi_psi_plus, phi11])):
         raise ValueError("phases must be finite, got "
@@ -512,11 +512,11 @@ def compile_two_qubit(phi00: float, phi_psi_plus: float,
     if abs(wrap_pi(phi00 + phi11)) < NEAR_IDENTITY:
         plans.append(("no-f", (Gate("rz", phi11),), (), rz11(phi11) @ e1,
                       phi11, 0.0))
-    for s1, (c1, b1) in _f_parts().items():
-        for s2, (c2, b2) in _f_parts().items():
-            plans.append((f"{s1}+{s2}", c1.gates + (Gate("rz", theta),) + c2.gates,
-                          (Gate("rz", theta_p),), b2 @ rz11(theta) @ b1 @ e1,
-                          theta, theta_p))
+    f, bf = _f_parts()["f"]
+    for s2, (c2, b2) in _f_parts().items():
+        plans.append((f"f+{s2}", f.gates + (Gate("rz", theta),) + c2.gates,
+                      (Gate("rz", theta_p),), b2 @ rz11(theta) @ bf @ e1,
+                      theta, theta_p))
     decs = _decompose_all([_su2_map_to_first(p[3], phi_psi_plus) for p in plans])
     cands = [simplify(Circuit(2, before + _gadgets(dec.steps, dec.eulers) + after))
              for (_, before, after, *_), dec in zip(plans, decs)]

@@ -484,8 +484,8 @@ def test_compile_phase_triple_round_trip():
 
 def reference_compile(phi00, phi_psi_plus, phi11):
     """compile_two_qubit written as a loop over the public pieces: the F-free
-    shortcut, then one a_gate per F/F† placement; the first one within
-    TAU_TIE of the fastest wins."""
+    shortcut, then one a_gate per placement f+f and f+fd; the first one
+    within TAU_TIE of the fastest wins."""
     theta = syn.wrap_pi((phi00 + phi11) / 2)
     theta_p = syn.wrap_pi((phi11 - phi00) / 2)
     circ = {"f": syn.f_gate(), "fd": syn.f_gate_dagger()}
@@ -499,13 +499,12 @@ def reference_compile(phi00, phi_psi_plus, phi11):
         a = syn.a_gate(syn._su2_map_to_first(v, phi_psi_plus))
         options.append(("no-f", simplify(Circuit(2, (Gate("rz", phi11),)
                                                   + a.gates))))
-    for s1 in ("f", "fd"):
-        for s2 in ("f", "fd"):
-            v = block[s2] @ rz11(theta) @ block[s1] @ e1
-            a = syn.a_gate(syn._su2_map_to_first(v, phi_psi_plus))
-            gates = (circ[s1].gates + (Gate("rz", theta),) + circ[s2].gates
-                     + a.gates + (Gate("rz", theta_p),))
-            options.append((f"{s1}+{s2}", simplify(Circuit(2, gates))))
+    for s2 in ("f", "fd"):
+        v = block[s2] @ rz11(theta) @ block["f"] @ e1
+        a = syn.a_gate(syn._su2_map_to_first(v, phi_psi_plus))
+        gates = (circ["f"].gates + (Gate("rz", theta),) + circ[s2].gates
+                 + a.gates + (Gate("rz", theta_p),))
+        options.append((f"f+{s2}", simplify(Circuit(2, gates))))
     fastest = min(interaction_time(c) for _, c in options)
     return next(o for o in options
                 if interaction_time(o[1]) <= fastest + syn.TAU_TIE)
@@ -528,8 +527,8 @@ def test_compile_matches_per_placement_reference():
 
 def test_compile_tie_goes_to_first_placement():
     # pool triples #14 and #27 of default_rng(0).uniform(-π, π, (2000, 3)):
-    # their F† placements were ahead of the F ones by under 1e-15 of τ; the
-    # exact search took #27 down by 6.5e-11
+    # their F† placements, no longer compiled, once were ahead of the F ones
+    # by under 1e-15 of τ; the exact search took #27 down by 6.5e-11
     for phis, kind, tau in (
             ((0.5925045642173261, -1.0184338063523257, -0.6809779034588956),
              "f+f", 2.5134092277966094),
@@ -562,6 +561,24 @@ def test_compile_runs_one_search(monkeypatch):
     syn.compile_two_qubit(*phis)
     # one chain-cost pass at every row's critical points
     assert calls == {"branches": 1, "axes": 1, "apply": 1}
+
+
+def test_f_dagger_placements_match_their_f_mirrors():
+    # fd+fd and fd+f are not compiled: their A targets are the σz mirrors of
+    # f+f's and f+fd's, and the exact family minimum gives both the same τ
+    parts = syn._f_parts()
+    rz11 = lambda th: np.diag([1.0, np.exp(1j * th)])
+    rng = np.random.default_rng(47)
+    for phi00, phi_psi_plus, phi11 in rng.uniform(-np.pi, np.pi, (12, 3)):
+        theta = syn.wrap_pi((phi00 + phi11) / 2)
+        a_gate = {}
+        for s1, s2 in product(("f", "fd"), repeat=2):
+            v = parts[s2][1] @ rz11(theta) @ parts[s1][1] @ np.array([1.0, 0])
+            a_gate[s1, s2] = syn._su2_map_to_first(v, phi_psi_plus)
+        keys = list(a_gate)
+        decs = dict(zip(keys, syn._decompose_all([a_gate[k] for k in keys])))
+        for dropped, kept in ((("fd", "fd"), ("f", "f")), (("fd", "f"), ("f", "fd"))):
+            assert abs(decs[dropped].tau - decs[kept].tau) <= 1e-9, dropped
 
 
 # pool triples #477, #1387, #211, #362, #175 and #1075 of
