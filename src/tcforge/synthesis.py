@@ -252,14 +252,14 @@ def _linear_roots(c):
 
 
 def _companion_roots(q):
-    """Angles of all roots of z^d·p(z) per row, q (R, ..., 2d + 1) the
-    Laurent coefficients of p, by companion eigvals.  A vanishing top
-    harmonic is dropped with its mirror and z² - i^j, two fixed angles,
-    multiplied in; a zero or NaN p gives the 2d-th roots of unity."""
+    """Angles of all roots of z^d·p(z) per row, q (R, ..., 2d + 1) the Laurent
+    coefficients of p, by companion eigvals.  A vanishing top harmonic lowers
+    the degree: both end coefficients go and z² - i^j, two fixed angles, is
+    multiplied in.  A zero or NaN p gives the 2d-th roots of unity."""
     n = q.shape[-1] - 1
     for j in range(n // 2):
         low = ~(np.abs(q[..., -1:]) > 1e-13 * np.abs(q).max(-1, keepdims=True))
-        up = np.concatenate([0 * q[..., :2], q[..., 1:-1]], -1)  # z²·r
+        up = np.concatenate([np.zeros_like(q[..., :2]), q[..., 1:-1]], -1)  # z²·r
         q = np.where(low, up - 1j ** j * np.roll(up, -2, -1), q)
     q = np.where(np.abs(q[..., -1:]) > 0, q, np.eye(n + 1)[n] - np.eye(n + 1)[0])
     comp = np.broadcast_to(np.eye(n, k=-1), q.shape[:-1] + (n, n)).astype(complex)
