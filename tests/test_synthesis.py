@@ -308,8 +308,7 @@ def test_family_min_is_grid_safe_on_degenerate_rows(monkeypatch):
 def test_family_min_rejects_rows_without_finite_cost():
     fam = syn.TwoStepFamily(np.array([[np.nan, 0, 1.0]]), 0.3, DELTA)
     with pytest.raises(AssertionError, match="no finite chain cost"):
-        with np.errstate(invalid="ignore"):
-            syn._family_min(fam, syn._PAD_AXIS[None, None])
+        syn._family_min(fam, syn._PAD_AXIS[None, None])
 
 
 def test_gadget_realizes_fixed_rotation():
