@@ -50,6 +50,11 @@ class SectorIndex:
             raise ValueError(f"2j={self.jj} outside [{j_min2(self.n)}, {self.n}]")
         if 2 * self.q < self.n - self.jj:
             raise ValueError(f"empty sector: q={self.q} < n/2 - j for 2j={self.jj}")
+        # the generated hash, once: every block dict lookup asks for it
+        object.__setattr__(self, "_hash", hash((self.n, self.q, self.jj)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def dim(self) -> int:

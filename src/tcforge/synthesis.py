@@ -236,11 +236,17 @@ def _chain_cost(fam: TwoStepFamily, ends: np.ndarray, thetas):
             t2.reshape(n1.shape), n1, n2)
 
 
+@lru_cache(maxsize=None)
+def _mul_mask(m: int, k: int) -> np.ndarray:
+    """[i, j, l] = (i + j == l): where a coefficient product of sizes m, k lands."""
+    mask = np.add.outer(np.arange(m), np.arange(k))[..., None] == np.arange(m + k - 1)
+    mask.setflags(write=False)
+    return mask
+
+
 def _mul(p, q):
     """Product of Laurent polynomials in z = e^{iθ}, coefficients (..., m)."""
-    i, j = np.arange(p.shape[-1]), np.arange(q.shape[-1])
-    return np.einsum("...i,...j,ijk->...k", p, q, np.add.outer(i, j)[..., None]
-                     == np.arange(len(i) + len(j) - 1))
+    return np.einsum("...i,...j,ijk->...k", p, q, _mul_mask(p.shape[-1], q.shape[-1]))
 
 
 def _linear_roots(c):
@@ -259,6 +265,8 @@ def _companion_roots(q):
     n = q.shape[-1] - 1
     for j in range(n // 2):
         low = ~(np.abs(q[..., -1:]) > 1e-13 * np.abs(q).max(-1, keepdims=True))
+        if not low.any():  # no row left to deflate
+            break
         up = np.concatenate([np.zeros_like(q[..., :2]), q[..., 1:-1]], -1)  # z²·r
         q = np.where(low, up - 1j ** j * np.roll(up, -2, -1), q)
     q = np.where(np.abs(q[..., -1:]) > 0, q, np.eye(n + 1)[n] - np.eye(n + 1)[0])
