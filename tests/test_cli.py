@@ -2,6 +2,7 @@ import dataclasses
 import json
 
 import numpy as np
+import pytest
 
 from tcforge.cli import main
 from tcforge.dynamics import Circuit
@@ -105,6 +106,33 @@ def test_simulate_rx_circuit_reports_towers(tmp_path):
     ghz = np.zeros(len(column))
     ghz[[0, 2]] = np.sqrt(0.5)
     assert np.abs(np.abs(column) - ghz).max() < 1e-9
+
+
+def _floats(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [x for item in obj for x in _floats(item)]
+    return [obj] if isinstance(obj, float) else []
+
+
+@pytest.mark.parametrize("n, gates", [
+    (4, [("rz", -1.999)]),  # rz-only: charge blocks
+    (2, [("rx", 0.8), ("tc", 0.9), ("rz", 0.3)]),  # rx: jtower matrices
+], ids=["rz_only", "rx"])
+def test_simulate_prints_exact_zeros_as_plus_zero(tmp_path, n, gates):
+    # The sign of an exact zero depends on how the arithmetic reached it, so
+    # simulate prints every zero as 0.0; both circuits leave -0.0 entries in
+    # their blocks.
+    from tcforge.dynamics import Gate
+    path = tmp_path / "c.json"
+    path.write_text(Circuit(n, [Gate(k, p) for k, p in gates]).to_json())
+    out = tmp_path / "out.json"
+    assert run(["simulate", str(path), "--out", str(out)]) == 0
+    text = out.read_text()
+    zeros = [x for x in _floats(json.loads(text)) if x == 0]
+    assert zeros and all(np.copysign(1.0, x) == 1.0 for x in zeros)
+    assert "-0.0," not in text and "-0.0]" not in text
 
 
 def test_simulate_bad_file(tmp_path):
