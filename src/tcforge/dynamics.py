@@ -7,13 +7,14 @@ Every circuit evolves on per-j towers span{|j,m⟩⊗|k⟩ : k ≤ k_max}, each 
 as an array [s, r, cols] over the charge diagonals s = k - r + 2j, r = j - m.
 A coupling pulse conserves s, so it is one stacked matmul built from the
 cached real eigensystems of the (2j+1)-square diagonal blocks, and rz is a
-phase on r; each run of them is multiplied out on that [s, r, r] stack before
-it reaches the columns.  rx conserves k and acts on r of the unskewed
-[k, r, cols] tower.  The callers differ only in the columns they evolve: the
-"charge" backend (no rx) evolves each diagonal's own columns and returns
-sector blocks, the "jtower" backend evolves every tower column, truncated at
-a k_max that keeps circuits with rx exact, and evolve_vacuum_state only the
-columns of its input state.
+phase on r; each run of them between rx gates is multiplied out on that
+[s, r, r] stack from its first gate on, with one exp for all its phases of
+each kind.  rx conserves k and acts on r of the unskewed [k, r, cols] tower.
+The callers differ only in the columns they evolve: the "charge" backend is
+the rx-free case, whose run stack holds each diagonal's own columns (the
+identity) and so is its sector blocks; the "jtower" backend scatters the
+first run into every tower column, truncated at a k_max that keeps circuits
+with rx exact; evolve_vacuum_state evolves only its input state's columns.
 
 All interaction times are reported in units of 2π/g.
 """
@@ -157,45 +158,61 @@ def _rx_eig(jj: int):
     return w, v
 
 
-def _evolve(gates, jj: int, k_max: int, x: np.ndarray) -> np.ndarray:
-    """Apply gates to x, an array [s, r, cols] on the jj tower truncated at
-    k_max, with s the charge diagonal (see _skew) and r = j - m.
-
-    tc and rz keep every diagonal apart, so each run of them between rx
-    gates is multiplied out as an [s, r, r] stack before it touches x.  An
-    rx-free x may hold only the first diagonals; only those are evolved.
-    """
-    w, v, vt = (a[:len(x)] for a in _tc_eig(jj, k_max))
-    m = jj / 2 - np.arange(jj + 1)
-    ident = np.tile(np.eye(jj + 1, dtype=complex), (len(w), 1, 1))
-    run = ident
-    for g in gates:
-        if g.kind == "tc":
-            run = (v * np.exp(-1j * g.param * w)[:, None, :]) @ (vt @ run)
-        elif g.kind == "rz":
-            run = np.exp(-1j * g.param * m)[:, None] * run
+def _run(gates, jj: int, k_max: int, size: int) -> np.ndarray:
+    """Product of rx-free gates on the first `size` charge diagonals of the jj
+    tower truncated at k_max, an [s, r, r] stack.  One exp gives the phases of
+    all tc gates, [G, s, r], one those of all rz gates, [G, r]."""
+    w, v, vt = (a[:size] for a in _tc_eig(jj, k_max))
+    run = np.eye(jj + 1, dtype=complex)  # leading rz gates keep it [r, r]
+    tc, rz = (iter(np.exp(-1j * np.multiply.outer(
+        [g.param for g in gates if g.kind == kind], e)))
+        for kind, e in (("tc", w), ("rz", jj / 2 - np.arange(jj + 1))))
+    for i, g in enumerate(gates):
+        if g.kind == "rz":
+            run = next(rz)[:, None] * run
         else:
+            a = v * next(tc)[:, None, :]
+            run = a @ vt if i == 0 else a @ (vt @ run)  # not vt @ identity
+    return run if run.ndim == 3 else np.tile(run, (len(w), 1, 1))
+
+
+def _evolve(gates, jj: int, k_max: int, x: np.ndarray | None = None) -> np.ndarray:
+    """Apply gates to x, an array [s, r, cols] on the jj tower truncated at
+    k_max, with s the charge diagonal (see _skew) and r = j - m; return the
+    tower [k, r, cols].  x=None is the identity, every tower column on its own
+    diagonal, so the first run is scattered into the columns, not multiplied."""
+    slots, d, start = _skew(jj, k_max), (jj + 1) * (k_max + 1), 0
+    for stop in [i for i, g in enumerate(gates) if g.kind == "rx"] + [len(gates)]:
+        run = _run(gates[start:stop], jj, k_max, jj + k_max + 1)
+        if x is None:  # each [s, r, r] entry goes to its place in the tower
+            col = np.full(run.shape[:2], -1)
+            col[slots] = np.arange(d).reshape(slots[0].shape)  # column = tower_index
+            a, b = col[:, :, None], col[:, None, :]
+            tower = np.zeros(d * d + 1, dtype=complex)  # the last entry: outside
+            tower[np.where((a >= 0) & (b >= 0), a * d + b, -1)] = run
+            tower = tower[:-1].reshape(k_max + 1, jj + 1, d)
+        else:
+            tower = (run @ x)[slots] if stop > start else x[slots]
+        if stop < len(gates):
             wx, vx = _rx_eig(jj)
-            slots = _skew(jj, k_max)
-            tower = (vx * np.exp(-1j * g.param * wx)) @ vx.T @ (run @ x)[slots]
-            x = np.zeros_like(x)
+            tower = (vx * np.exp(-1j * gates[stop].param * wx)) @ vx.T @ tower
+            x = np.zeros((jj + k_max + 1,) + tower.shape[1:], dtype=complex)
             x[slots] = tower
-            run = ident
-    return run @ x
+        start = stop + 1
+    return tower
 
 
 def _charge_blocks(gates, n: int, q_max: int) -> dict:
-    """Sector blocks with q ≤ q_max: each charge diagonal evolves only its
-    own columns, on the tower truncated at the largest k they reach."""
+    """Sector blocks with q ≤ q_max: the rx-free case of _evolve, one run
+    whose stack holds each charge diagonal's own columns, on the tower
+    truncated at the largest k they reach."""
     if any(g.kind == "rx" for g in gates):
         raise ValueError("rx gates break charge conservation; use the jtower backend")
     diagonals = {}
     for jj in _spins(n):
         k_max = q_max + (jj - n) // 2  # tower_k_max without rx
-        if k_max >= 0:
-            # sector blocks only come from the diagonals s ≤ k_max
-            x = np.broadcast_to(np.eye(jj + 1), (k_max + 1, jj + 1, jj + 1))
-            diagonals[jj] = _evolve(gates, jj, k_max, x)
+        if k_max >= 0:  # sector blocks only come from the diagonals s ≤ k_max
+            diagonals[jj] = _run(gates, jj, k_max, k_max + 1)
     blocks = {}
     for idx in enumerate_sectors(n, q_max):
         s = idx.q - (n - idx.jj) // 2
@@ -253,11 +270,8 @@ def apply_circuit(circ: Circuit, q_max: int, backend: str = "auto") -> BlockUnit
     blocks, kmaxes = {}, {}
     for jj in _spins(circ.n):
         k_max = kmaxes[jj] = tower_k_max(circ, q_max, jj)
-        s, r = _skew(jj, k_max)
-        d = s.size
-        x = np.zeros((jj + k_max + 1, jj + 1, d), dtype=complex)
-        x[s, r, np.arange(d).reshape(s.shape)] = 1.0  # column = tower_index
-        blocks[jj] = _evolve(circ.gates, jj, k_max, x)[s, r].reshape(d, d)
+        tower = _evolve(circ.gates, jj, k_max)  # column = tower_index
+        blocks[jj] = tower.reshape(tower.shape[-1], -1)
     return BlockUnitary("jtower", circ.n, q_max, blocks, kmaxes)
 
 
@@ -331,6 +345,6 @@ def evolve_vacuum_state(circ: Circuit, psi_qubits: np.ndarray,
         r = np.arange(jj + 1)
         x = np.zeros((jj + k_max + 1, jj + 1, frames.shape[2]), dtype=complex)
         x[jj - r, r] = frames.conj().transpose(0, 2, 1) @ psi_qubits  # k = 0
-        tower = _evolve(circ.gates, jj, k_max, x)[_skew(jj, k_max)]
+        tower = _evolve(circ.gates, jj, k_max, x)
         joint[:, :k_max + 1] += np.einsum("rpa,kra->pk", frames, tower)
     return joint

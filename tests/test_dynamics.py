@@ -456,3 +456,103 @@ def test_ghz_vacuum_sandwich_matches_brute_force():
     vs = dyn.vacuum_sandwich(dyn.apply_circuit(circ, circ.n))
     assert np.abs(vs.matrix - want).max() < 1e-12
     assert vs.residual < 1e-12
+
+
+# ------------------------------------ reference for the identity-free runs
+# The evolution gate by gate, each run of tc/rz multiplied out from the
+# identity and then into x, x the identity columns for both backends.  The
+# fast path skips those identity products and takes each run's phases from
+# one exp per gate kind, in the same matmul order, so values are equal.
+
+def _evolve_with_identity(gates, jj, k_max, x):
+    w, v, vt = (a[:len(x)] for a in dyn._tc_eig(jj, k_max))
+    m = jj / 2 - np.arange(jj + 1)
+    ident = np.tile(np.eye(jj + 1, dtype=complex), (len(w), 1, 1))
+    run = ident
+    for g in gates:
+        if g.kind == "tc":
+            run = (v * np.exp(-1j * g.param * w)[:, None, :]) @ (vt @ run)
+        elif g.kind == "rz":
+            run = np.exp(-1j * g.param * m)[:, None] * run
+        else:
+            wx, vx = dyn._rx_eig(jj)
+            slots = dyn._skew(jj, k_max)
+            tower = (vx * np.exp(-1j * g.param * wx)) @ vx.T @ (run @ x)[slots]
+            x = np.zeros_like(x)
+            x[slots] = tower
+            run = ident
+    return run @ x
+
+
+def _blocks_with_identity(circ, q_max, backend):
+    from tcforge.sectors import enumerate_sectors
+    n, blocks = circ.n, {}
+    if backend == "charge":
+        for idx in enumerate_sectors(n, q_max):
+            k_max = q_max + (idx.jj - n) // 2
+            x = np.broadcast_to(np.eye(idx.jj + 1), (k_max + 1, idx.jj + 1, idx.jj + 1))
+            s = idx.q - (n - idx.jj) // 2
+            r0 = max(0, idx.jj - s)
+            blocks[idx] = _evolve_with_identity(circ.gates, idx.jj, k_max, x)[s, r0:, r0:]
+        return blocks
+    for jj in dyn._spins(n):
+        k_max = dyn.tower_k_max(circ, q_max, jj)
+        s, r = dyn._skew(jj, k_max)
+        x = np.zeros((jj + k_max + 1, jj + 1, s.size), dtype=complex)
+        x[s, r, np.arange(s.size).reshape(s.shape)] = 1.0
+        out = _evolve_with_identity(circ.gates, jj, k_max, x)[s, r]
+        blocks[jj] = out.reshape(s.size, s.size)
+    return blocks
+
+
+def _vacuum_state_with_identity(circ, psi, q_max):
+    from tcforge.qubits import jm_basis
+    k_maxes = {jj: dyn.tower_k_max(circ, q_max, jj) for jj in dyn._spins(circ.n)}
+    joint = np.zeros((2 ** circ.n, max(k_maxes.values()) + 1), dtype=complex)
+    for jj, k_max in k_maxes.items():
+        frames, r = jm_basis(circ.n)[jj], np.arange(jj + 1)
+        x = np.zeros((jj + k_max + 1, jj + 1, frames.shape[2]), dtype=complex)
+        x[jj - r, r] = frames.conj().transpose(0, 2, 1) @ psi
+        tower = _evolve_with_identity(circ.gates, jj, k_max, x)[dyn._skew(jj, k_max)]
+        joint[:, :k_max + 1] += np.einsum("rpa,kra->pk", frames, tower)
+    return joint
+
+
+def _kind_sequences(rng):
+    """Gate-kind lists covering every way runs start and end."""
+    yield []
+    for _ in range(25):
+        length = int(rng.integers(1, 10))
+        yield ["rz"] * length
+        yield ["tc"] * length
+        yield ["rz", "rz"] + [str(k) for k in rng.choice(["tc", "rz"], length)]
+        mixed = [str(k) for k in rng.choice(["tc", "rz", "rx"], length)]
+        yield mixed
+        yield ["rx"] + mixed
+        yield mixed + ["rx"]
+        yield ["rx", "rx"] + mixed + ["rz", "rz"]
+
+
+def test_identity_free_evolution_matches_reference_exactly():
+    rng = np.random.default_rng(14)
+    for kinds in _kind_sequences(rng):
+        n = int(rng.integers(1, 7))
+        q_max = int(rng.integers(0, 2 * n + 2))
+        circ = Circuit(n, [Gate(k, float(rng.uniform(-2, 2))) for k in kinds])
+        for backend in ("jtower",) if circ.has_rx() else ("charge", "jtower"):
+            bu = dyn.apply_circuit(circ, q_max, backend=backend)
+            want = _blocks_with_identity(circ, q_max, backend)
+            assert bu.blocks.keys() == want.keys()
+            for key, block in want.items():
+                assert np.array_equal(bu.blocks[key], block), (kinds, backend, key)
+            if backend == "jtower" or q_max >= n:
+                vs = dyn.vacuum_sandwich(bu)
+                ref = dyn.vacuum_sandwich(dyn.BlockUnitary(
+                    backend, n, q_max, want, bu.k_max))
+                assert np.array_equal(vs.matrix, ref.matrix)
+                assert vs.residual == ref.residual
+        psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+        psi[rng.random(2 ** n) < 0.3] = 0
+        q_state = int(rng.integers(n, 2 * n + 2))
+        assert np.array_equal(dyn.evolve_vacuum_state(circ, psi, q_state),
+                              _vacuum_state_with_identity(circ, psi, q_state))
