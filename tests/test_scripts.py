@@ -1,6 +1,7 @@
 """Smoke runs of the command-line scripts under scripts/, and of the
 benchmark's hook into tcforge."""
 
+import json
 import os
 import subprocess
 import sys
@@ -28,6 +29,20 @@ def test_bench_layers_install():
     proc = _run(["-c", "import layers, tracer; layers.install(tracer.Tracer())"],
                 "src", "bench")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_compare_prints_every_verdict():
+    # every perf claim is read off bench/run.py --compare: one verdict row per
+    # workload and end-to-end metric of BENCHMARK.json
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    base = "bench/baseline/BENCH_d6676e4"
+    proc = _run(["bench/run.py", "--compare", f"{base}.json", f"{base}_rerun.json"])
+    assert proc.returncode == 0, proc.stderr
+    verdicts = ("improved", "unchanged", "worse", "unresolved")
+    rows = [line.split() for line in proc.stdout.splitlines()
+            if any(f"  {v} (n=" in line for v in verdicts)]
+    assert sorted((r[0], r[1]) for r in rows) == sorted(
+        (w["name"], m["name"]) for w in spec["workloads"] for m in spec["end_to_end"])
 
 
 def _run(argv, *paths):
