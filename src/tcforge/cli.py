@@ -39,6 +39,7 @@ def _dump(obj, out) -> None:
 
 
 def _matrix_json(m: np.ndarray):
+    """[re, im] pairs; + 0.0 turns -0.0, an accident of the arithmetic, into 0.0."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in m + 0.0]
 
 
@@ -96,12 +97,11 @@ def cmd_simulate(args) -> int:
         print(f"error reading circuit: {exc}", file=sys.stderr)
         return 1
     q_max = args.qmax if args.qmax is not None else max(circ.n, 2)
-    # + 0.0 prints an exact zero as 0.0; its sign is an accident of the arithmetic
     result = {"n": circ.n, "q_max": q_max,
               "interaction_time": interaction_time(circ)}
     if args.state:
         psi = _parse_state(args.state, circ.n)
-        joint = evolve_vacuum_state(circ, psi, q_max) + 0.0
+        joint = evolve_vacuum_state(circ, psi, q_max) + 0.0  # as in _matrix_json
         amps = []
         for i in range(joint.shape[0]):
             for k in range(joint.shape[1]):

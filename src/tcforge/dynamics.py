@@ -172,7 +172,7 @@ def _run(gates, jj: int, k_max: int, size: int) -> np.ndarray:
             run = next(rz)[:, None] * run
         else:
             a = v * next(tc)[:, None, :]
-            run = a @ vt if i == 0 else a @ (vt @ run)  # not vt @ identity
+            run = a @ vt if i == 0 else a @ (vt @ run)  # a first tc skips vt @ I
     return run if run.ndim == 3 else np.tile(run, (len(w), 1, 1))
 
 
