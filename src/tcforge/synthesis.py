@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -196,29 +196,10 @@ def _best_over_branches(
             np.take_along_axis(t2, combo, -1)[..., 0])
 
 
-def _zoom_min(objective: Callable, center, step: float, rounds: int, points: int):
-    """Grid-zoom minimisation of a vectorized objective, one search per row.
-
-    ``center`` holds one start per row, (R,) or (R, d).  Each round calls
-    ``objective`` once, on ``points`` evenly spaced values per coordinate
-    spanning each row's center ± step, as (R, G) or (R, G, d); it returns
-    a tuple of arrays, the first the (R, G) cost.  Each row recentres on its
-    cheapest point and step shrinks to one grid spacing, so incumbents stay
-    on the grid.  Returns the final points and the objective's entries there.
-    """
-    center = np.asarray(center, dtype=float)
-    ticks = np.linspace(-1.0, 1.0, points)
-    offsets = ticks if center.ndim == 1 else np.stack(
-        np.meshgrid(*[ticks] * center.shape[1], indexing="ij"),
-        axis=-1).reshape(-1, center.shape[1])
-    rows = np.arange(len(center))
-    for _ in range(rounds):
-        xs = center[:, None] + step * offsets
-        out = objective(xs)
-        i = np.argmin(out[0], axis=1)
-        center, step = xs[rows, i], step * 2 / (points - 1)
-    return center, tuple(o[rows, i] for o in out)
-
+# third-factor axis of the fastest 3-step product for -I: its gadget has
+# θ2 = 0, and no axis of a 40,000-point sphere scan, each costed exactly by
+# _family_min, is cheaper (±ŷ lie in a flat optimum along the μ_x = 0 circle)
+_MINUS_I_AXIS = np.array([0.0, 1.0, 0])
 
 # gadget axis padding a two-factor chain to three: its Euler branch 0 is
 # θ1 = θ2 = 0, which adds exactly 0 to the chain cost
@@ -383,10 +364,9 @@ def _candidates(u: np.ndarray) -> tuple[list[tuple], list[Decomposition]]:
     chains = [(k, _axis_or_z(aa), aa.angle, None) for k in (1, 2)
               if _two_step_ok(aa.angle, k * DELTA)]
     # 3-step: peel one fixed-angle rotation about the target axis (either
-    # sign), then 2-step the remainder.  For targets at angle π the axis is
-    # free and searched first.
+    # sign), then 2-step the remainder.  At angle π (-I) the axis is free.
     if aa.axis is None and aa.angle > np.pi - 1e-9:
-        plans = [(_degenerate_axis(u), 1.0)]
+        plans = [(_MINUS_I_AXIS, 1.0)]
     else:
         plans = [] if aa.axis is None else [(aa.axis, 1.0), (aa.axis, -1.0)]
     for mu, sign in plans:
@@ -402,41 +382,6 @@ def _candidates(u: np.ndarray) -> tuple[list[tuple], list[Decomposition]]:
     _verify_steps(steps, u)
     return chains, [Decomposition("1-step", steps, ((t1, t2),),
                                   (CORE_R + 2 * abs(t2)) / (2 * np.pi))]
-
-
-def _degenerate_axis(u: np.ndarray) -> np.ndarray:
-    """Third-factor axis μ̂ of the fastest 3-step product for an angle-π
-    target u = -I.  Every remainder exp(-iδ μ̂·σ)·u then has the same angle,
-    about ±μ̂, so one TwoStepFamily spans all candidate axes: each μ̂ costs
-    its cheapest point on a coarse θ grid (16 points: it only ranks axes,
-    and keeps the 192-axis scan to one small batch; the chain search then
-    refines θ).
-    A Fibonacci-sphere scan picks the start, then zoom rounds over
-    tangent-plane offsets refine it."""
-    probe = np.array([0.0, 0, 1.0])
-    rest = su2_axis_angle(aa_matrix(-DELTA, probe) @ u)
-    side = float(rest.axis @ probe)  # remainder axis is side·μ̂
-    thetas = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
-
-    def cost(mus):
-        fam = TwoStepFamily(side * mus, rest.angle, DELTA)
-        return _chain_cost(fam, -mus[:, None], thetas)[0].min(axis=1)
-
-    i = np.arange(192)  # Fibonacci-sphere start points
-    phi, z = np.pi * (3 - np.sqrt(5)) * i, 1 - 2 * (i + 0.5) / 192
-    r = np.sqrt(1 - z * z)
-    sphere = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
-    mu0 = sphere[int(np.argmin(cost(sphere)))]
-    e1 = _perp(mu0)
-    e2 = np.cross(mu0, e1)
-
-    def tangent(ab):  # one row of (G, 2) offsets
-        mus = mu0 + ab[0, :, :1] * e1 + ab[0, :, 1:] * e2
-        mus /= np.linalg.norm(mus, axis=1, keepdims=True)
-        return cost(mus)[None], mus[None]
-
-    _, (_, mu) = _zoom_min(tangent, np.zeros((1, 2)), 0.2, rounds=8, points=5)
-    return mu[0]
 
 
 def a_gate(u: np.ndarray) -> Circuit:
@@ -582,15 +527,12 @@ def _published_sqrt_iswap() -> SynthesisResult:
     mu = su2_axis_angle(u_a)
     rest = aa_matrix(DELTA, mu.axis) @ u_a  # third factor is exp(-iδ μ̂·σ)
     fam = solve_two_step(su2_axis_angle(rest), DELTA)
-    refs = [_axis_from_angles(*_SQRT_ISWAP_SEED[k]) for k in ("n1", "n2")]
-
-    def miss(th):  # distance of the family point from the seed axes
-        n1s, n2s = fam.axes(th)
-        return (np.linalg.norm(n1s - refs[0], axis=-1)
-                + np.linalg.norm(n2s - refs[1], axis=-1), n1s, n2s)
-
-    _, (_, n1, n2) = _zoom_min(miss, np.full(1, np.pi), np.pi, rounds=6, points=65)
-    steps = ((1, n1[0]), (1, n2[0]), (1, -mu.axis))
+    refs = np.stack([_axis_from_angles(*_SQRT_ISWAP_SEED[k]) for k in ("n1", "n2")])
+    # family axes are unit vectors, so Σ‖n̂ᵢ(θ) - refᵢ‖² = const - 2Σ refᵢ·n̂ᵢ(θ),
+    # least where Σ refᵢ·(Bᵢ cos θ + Cᵢ sin θ) peaks
+    th = np.arctan2(np.sum(refs * fam.C), np.sum(refs * fam.B))
+    n1, n2 = fam.A + fam.B * np.cos(th) + fam.C * np.sin(th)
+    steps = ((1, n1), (1, n2), (1, -mu.axis))
     _verify_steps(steps, u_a)
     seed_t2 = [_SQRT_ISWAP_SEED[k][1] for k in ("n1", "n2", "n")]
     eulers = [min(euler_embed(-ax), key=lambda e: abs(e[1] - t2_ref))

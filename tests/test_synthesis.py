@@ -239,7 +239,7 @@ def sign_changes(coeffs):
 @given(st.integers(0, 10**6), st.integers(0, 3))
 def test_root_angles_cover_every_sign_change(seed, drop):
     # degree-2 and degree-3 polynomials whose top `drop` harmonics vanish,
-    # as they do for the compiler's axes about μ̂ = z, and degree-1 ones
+    # as y₁z₂ - y₂z₁'s top one does on every compiler row, and degree-1 ones
     rng = np.random.default_rng(seed)
     polys = []
     for d in (1, 2, 3):
@@ -272,9 +272,10 @@ BOUNDARY = (1.4884739462014362, 2.4012876269253036, -2.439352522382718)
 def test_family_min_is_grid_safe_on_degenerate_rows(monkeypatch):
     # the padding axis +x (2-step rows) and identity rows (a 1-step target's
     # 3-step remainder, and an exact α = 0 row) give identically zero
-    # polynomials; SWAP's plans have μ̂ = z, where y₁z₂ - y₂z₁ drops to
-    # degree 1.  No row may fail or warn, and none may end above the best of
-    # a 4097-point θ grid
+    # polynomials, and y₁z₂ - y₂z₁, the x part of n̂1 × n̂2, which turns
+    # with g, is of degree 1 on every row (SWAP's -I rows have μ̂ = -ŷ, its
+    # 2-step row (0.19, -0.98, 0)).  No row may fail or warn, and none may
+    # end above the best of a 4097-point θ grid
     family_min, seen = syn._family_min, []
 
     def spy(fam, ends):
@@ -610,10 +611,16 @@ def test_compile_finds_narrow_wells(phis, tau):
 
 def zoom_family_min(fam, ends):
     """The grid search _family_min replaced: a 65-point full-period θ grid,
-    then five 65-point zoom rounds, per row."""
-    _, out = syn._zoom_min(lambda thetas: syn._chain_cost(fam, ends, thetas),
-                           np.full(len(ends), np.pi), np.pi, rounds=6, points=65)
-    return out
+    then five 65-point zoom rounds, per row.  Each round recentres on the
+    row's cheapest point and shrinks the span to one grid spacing."""
+    rows, ticks = np.arange(len(ends)), np.linspace(-1.0, 1.0, 65)
+    center, step = np.full(len(ends), np.pi), np.pi
+    for _ in range(6):
+        thetas = center[:, None] + step * ticks
+        out = syn._chain_cost(fam, ends, thetas)
+        i = np.argmin(out[0], axis=1)
+        center, step = thetas[rows, i], step * 2 / 64
+    return tuple(o[rows, i] for o in out)
 
 
 @settings(max_examples=15, deadline=None)
@@ -712,6 +719,58 @@ def test_named_gates_match_tables():
         # reported global phase reconstructs the exact matrix
         assert np.abs(np.exp(1j * res.global_phase) * vs.matrix
                       - targets[name]).max() < 1e-8
+
+
+def test_named_swap_pin():
+    # -I's third axis ŷ, not a zoomed sphere scan: no zoom-artifact pulses
+    # (tc(-1.0e-4), tc(-6.7e-12)) and τ below the zoom's 1.272592942616872
+    res = syn.named_gate("swap")
+    assert res.tau <= 1.2725929400380318 + 1e-12
+    assert len(res.circuit.gates) == 11
+    assert min(abs(g.param) for g in res.circuit.gates if g.kind == "tc") >= 1e-9
+    assert res.residual < 1e-13
+
+
+def fibonacci_sphere(count):
+    i = np.arange(count)
+    phi, z = np.pi * (3 - np.sqrt(5)) * i, 1 - 2 * (i + 0.5) / count
+    r = np.sqrt(1 - z * z)
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
+
+
+def test_minus_identity_axis_beats_a_sphere_scan():
+    # -I's 3-step chain peels exp(iδ μ̂·σ) about a free axis μ̂ and 2-steps
+    # the remainder; each axis is costed by its exact family minimum
+    mus = np.vstack([[0.0, 1.0, 0.0], fibonacci_sphere(2000)])
+    rest = [syn.su2_axis_angle(syn.aa_matrix(-DELTA, mu) @ -np.eye(2)) for mu in mus]
+    fam = syn.TwoStepFamily(np.stack([r.axis for r in rest]),
+                            np.array([r.angle for r in rest]), DELTA)
+    cost = syn._family_min(fam, -mus[:, None])[0]
+    assert np.isfinite(cost).all()
+    assert cost[0] <= cost.min() + 1e-12
+    dec = syn.decompose_fixed_angle(-np.eye(2))
+    assert dec.kind == "3-step" and np.array_equal(dec.steps[-1][1], mus[0])
+    assert abs(dec.tau * 2 * np.pi - 3 * syn.CORE_R - cost[0]) < 1e-12
+
+
+def test_sqrt_iswap_family_point_is_nearest_the_reference(monkeypatch):
+    # the closed-form θ leaves no point of a 4097-point grid closer to the
+    # reference axes in summed squared distance
+    verify, seen = syn._verify_steps, []
+    monkeypatch.setattr(syn, "_verify_steps",
+                        lambda steps, target: seen.append((steps, target))
+                        or verify(steps, target))
+    res = syn.named_gate("sqrt_iswap")
+    assert abs(res.tau - 2.686872256045596) < 1e-12
+    assert res.residual < 1e-13
+    ((_, n1), (_, n2), _), u_a = seen[-1]
+    mu = syn.su2_axis_angle(u_a).axis
+    fam = syn.solve_two_step(syn.su2_axis_angle(syn.aa_matrix(DELTA, mu) @ u_a), DELTA)
+    refs = [syn._axis_from_angles(*syn._SQRT_ISWAP_SEED[k]) for k in ("n1", "n2")]
+    n1s, n2s = fam.axes(np.linspace(0, 2 * np.pi, 4097))
+    grid = ((n1s - refs[0]) ** 2).sum(-1) + ((n2s - refs[1]) ** 2).sum(-1)
+    got = ((n1 - refs[0]) ** 2).sum() + ((n2 - refs[1]) ** 2).sum()
+    assert got <= grid.min() + 1e-12
 
 
 def test_named_uzz_and_psi_plus():
