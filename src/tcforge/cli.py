@@ -102,13 +102,9 @@ def cmd_simulate(args) -> int:
     if args.state:
         psi = _parse_state(args.state, circ.n)
         joint = evolve_vacuum_state(circ, psi, q_max) + 0.0  # as in _matrix_json
-        amps = []
-        for i in range(joint.shape[0]):
-            for k in range(joint.shape[1]):
-                z = joint[i, k]
-                if abs(z) > 1e-12:
-                    amps.append({"bits": format(i, f"0{circ.n}b"), "k": k,
-                                 "re": float(z.real), "im": float(z.imag)})
+        amps = [{"bits": format(i, f"0{circ.n}b"), "k": int(k),
+                 "re": float(joint[i, k].real), "im": float(joint[i, k].imag)}
+                for i, k in np.argwhere(np.abs(joint) > 1e-12)]  # row-major
         vac = float(np.sum(np.abs(joint[:, 1:]) ** 2))
         result["amplitudes"] = amps
         result["oscillator_excited_weight"] = vac

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import operators as ops
 from .qubits import assemble_pi, jm_basis
-from .sectors import SectorIndex, enumerate_sectors, j_min2, multiplicity
+from .sectors import SectorIndex, enumerate_sectors, j_min2, multiplicity, require_int
 
 GATE_KINDS = ("tc", "rz", "rx")
 
@@ -67,8 +67,7 @@ class Circuit:
 
     def __post_init__(self):
         n, gates = self.n, tuple(self.gates)
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"circuit n must be an integer ≥ 1, got {n!r}")
+        require_int(n, "circuit n", 1)
         for g in gates:
             if not isinstance(g, Gate):
                 raise ValueError(f"circuit gates must be Gate objects, got {g!r}")
@@ -258,8 +257,7 @@ def tower_k_max(circ: Circuit, q_max: int, jj: int) -> int:
 
 def apply_circuit(circ: Circuit, q_max: int, backend: str = "auto") -> BlockUnitary:
     """Evolve the whole circuit; every sector block is unitary to ~1e-14."""
-    if q_max < 0:
-        raise ValueError(f"q_max must be non-negative, got {q_max}")
+    require_int(q_max, "q_max", 0)
     if backend == "auto":
         backend = "jtower" if circ.has_rx() else "charge"
     if backend == "charge":
@@ -292,9 +290,9 @@ def vacuum_sandwich(bu: BlockUnitary) -> VacuumSandwich:
     much the circuit entangles the qubits with the oscillator.
     """
     n = bu.n
+    if bu.q_max < n:  # the states |j,m⟩⊗|0⟩ reach charge q = n
+        raise ValueError(f"vacuum sandwich needs q_max ≥ n = {n}")
     if bu.backend == "charge":
-        if bu.q_max < n:
-            raise ValueError(f"vacuum sandwich needs q_max ≥ n = {n}")
         # |j,m⟩⊗|0⟩ is the first basis label of its sector q = m + n/2
         u_by_j = {}
         for jj in _spins(n):
@@ -327,6 +325,7 @@ def evolve_vacuum_state(circ: Circuit, psi_qubits: np.ndarray,
     of zeros in b, so q_max ≥ n suffices for any qubit state on vacuum.
     """
     n = circ.n
+    require_int(q_max, "q_max", 0)
     psi_qubits = np.asarray(psi_qubits, dtype=complex)
     if psi_qubits.shape != (2 ** n,):
         raise ValueError(f"state must have length {2 ** n}")

@@ -28,7 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .operators import charge_vector
-from .sectors import SectorIndex, accidental_pairs, enumerate_sectors, j_min2, wrap_pi
+from .sectors import (SectorIndex, accidental_pairs, enumerate_sectors, j_min2,
+                      require_int, wrap_pi)
 
 # identifiers used in violation reports
 AFFINE_LOWEST_WEIGHT = "lowest-weight-phase-affine"
@@ -39,14 +40,6 @@ DETERMINANT_PHASE = "determinant-phase"
 def _require_finite(phases, what: str) -> None:
     if not np.isfinite(np.asarray(phases, dtype=float)).all():
         raise ValueError(f"{what} must be finite")
-
-
-def _require_int(value, name: str, lo: Optional[int] = None) -> None:
-    """Raise ValueError naming the argument unless value is an int (≥ lo)."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or (lo is not None and value < lo)):
-        bound = "" if lo is None else f" ≥ {lo}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 @lru_cache(maxsize=None)
@@ -70,6 +63,13 @@ def _sector_table(n: int, q_max: int):
     return sectors, c, d, groups, pairs
 
 
+@lru_cache(maxsize=None)
+def _levels(n: int) -> frozenset[tuple[int, int]]:
+    """Every (2j, 2m) level of n qubits."""
+    return frozenset((jj, mm) for jj in range(j_min2(n), n + 1, 2)
+                     for mm in range(-jj, jj + 1, 2))
+
+
 @dataclass(frozen=True)
 class PiU1Target:
     """Qubit-level target: one phase per (2j, 2m) level."""
@@ -78,10 +78,8 @@ class PiU1Target:
     phases: dict[tuple[int, int], float]
 
     def __post_init__(self):
-        _require_int(self.n, "n", 1)
-        want = {(jj, mm) for jj in range(j_min2(self.n), self.n + 1, 2)
-                for mm in range(-jj, jj + 1, 2)}
-        if set(self.phases) != want:
+        require_int(self.n, "n", 1)
+        if self.phases.keys() != _levels(self.n):
             raise ValueError("phase map must cover every (2j, 2m) level")
         _require_finite(list(self.phases.values()), "level phases")
 
@@ -97,8 +95,8 @@ class BlockTarget:
     _stacks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _require_int(self.n, "n")
-        _require_int(self.q_max, "q_max")
+        require_int(self.n, "n")
+        require_int(self.q_max, "q_max")
         sectors, _, d, groups, _ = _sector_table(self.n, self.q_max)
         blocks = []
         for idx, dim in zip(sectors, d.tolist()):
@@ -220,7 +218,7 @@ def check_pi_u1(target: PiU1Target, tol: float = 1e-8) -> RealizabilityVerdict:
 def check_diagonal(n: int, phases: dict[int, float],
                    tol: float = 1e-8) -> RealizabilityVerdict:
     """Diagonal targets keyed by 2m: φ_m ≡ α + mβ required for m ≤ 0 only."""
-    _require_int(n, "n", 1)
+    require_int(n, "n", 1)
     mms = list(range(-n, n + 1, 2))
     if set(phases) != set(mms):
         raise ValueError("need one phase per 2m in {-n..n}")
@@ -303,8 +301,8 @@ def check_symmetric_phase_constraint(n: int, q_max: int, theta_q: list[float],
                                      tol: float = 1e-8) -> RealizabilityVerdict:
     """Determinant phases restricted to the symmetric subspace:
     θ_q ≡ (q+1)[(q-n)θ_z/2 + α] for q ≤ n and θ_q ≡ (n+1)α for q > n."""
-    _require_int(n, "n", 1)
-    _require_int(q_max, "q_max", 0)
+    require_int(n, "n", 1)
+    require_int(q_max, "q_max", 0)
     if len(theta_q) != q_max + 1:
         raise ValueError(f"need θ_q for q = 0..{q_max}")
     _require_finite(theta_q, "θ_q")
@@ -345,16 +343,14 @@ def state_convertible(n: int, psi: dict[tuple[int, int], complex],
 
 def cz_controlled_target(n: int) -> PiU1Target:
     """CZ on n qubits controlled by n-1 of them: a π phase on |1...1⟩."""
-    phases = {(jj, mm): 0.0 for jj in range(j_min2(n), n + 1, 2)
-              for mm in range(-jj, jj + 1, 2)}
+    phases = dict.fromkeys(sorted(_levels(n)), 0.0)
     phases[(n, -n)] = np.pi
     return PiU1Target(n, phases)
 
 
 def anti_cz_target(n: int) -> PiU1Target:
     """The conjugated variant: a π phase on |0...0⟩ instead."""
-    phases = {(jj, mm): 0.0 for jj in range(j_min2(n), n + 1, 2)
-              for mm in range(-jj, jj + 1, 2)}
+    phases = dict.fromkeys(sorted(_levels(n)), 0.0)
     phases[(n, n)] = np.pi
     return PiU1Target(n, phases)
 

@@ -26,6 +26,14 @@ def wrap_pi(x):
     return (np.asarray(x) + np.pi) % (2 * np.pi) - np.pi
 
 
+def require_int(value, name: str, lo: Optional[int] = None) -> None:
+    """Raise ValueError naming the argument unless value is an int (≥ lo)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (lo is not None and value < lo)):
+        bound = "" if lo is None else f" ≥ {lo}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+
+
 def j_min2(n: int) -> int:
     """Doubled minimal total spin: 0 for even n, 1 (= 2*1/2) for odd n."""
     return n & 1

@@ -223,6 +223,36 @@ def test_evolve_vacuum_state_rejects_uncovered_or_non_finite_states():
             dyn.evolve_vacuum_state(circ, np.array([bad, 0, 0, 0]), 2)
 
 
+@pytest.mark.parametrize("backend", ["charge", "jtower"])
+def test_vacuum_sandwich_needs_q_max_at_least_n_on_both_backends(backend):
+    # below q_max = n the towers miss states |j,m⟩⊗|0⟩; on jtower that once
+    # read a wrong matrix (max deviation 1.47 at n = 3, q_max = 0) with a
+    # unitary-looking residual
+    circ = Circuit(3, [Gate("tc", 0.9), Gate("rz", 0.4), Gate("tc", -1.3)])
+    for q_max in (0, 2):
+        with pytest.raises(ValueError, match="q_max ≥ n = 3"):
+            dyn.vacuum_sandwich(dyn.apply_circuit(circ, q_max, backend=backend))
+    at_n, wider = (dyn.vacuum_sandwich(dyn.apply_circuit(circ, q_max, backend=backend))
+                   for q_max in (3, 5))
+    assert np.abs(at_n.matrix - wider.matrix).max() < 1e-12
+
+
+@pytest.mark.parametrize("q_max", [np.nan, 2.5, "3", None, True],
+                         ids=["nan", "float", "str", "none", "bool"])
+def test_q_max_must_be_an_integer(q_max):
+    # nan once evolved silently at k_max = max(0, nan) = 0
+    circ = Circuit(2, [Gate("tc", 1.0), Gate("rx", 0.3)])
+    psi = np.array([0, 0, 0, 1.0])
+    for backend in ("charge", "jtower"):
+        with pytest.raises(ValueError, match="^q_max must be an integer ≥ 0, got"):
+            dyn.apply_circuit(Circuit(2, [Gate("tc", 1.0)]), q_max, backend=backend)
+    with pytest.raises(ValueError, match="^q_max must be an integer ≥ 0, got"):
+        dyn.evolve_vacuum_state(circ, psi, q_max)
+    assert dyn.apply_circuit(circ, np.int64(2)).q_max == 2
+    assert np.array_equal(dyn.evolve_vacuum_state(circ, psi, np.int64(2)),
+                          dyn.evolve_vacuum_state(circ, psi, 2))
+
+
 def test_from_json_rejects_bad_qubit_count():
     for n in (2.7, 2.0, 0, -1, True, "2"):
         with pytest.raises(ValueError):
@@ -545,7 +575,7 @@ def test_identity_free_evolution_matches_reference_exactly():
             assert bu.blocks.keys() == want.keys()
             for key, block in want.items():
                 assert np.array_equal(bu.blocks[key], block), (kinds, backend, key)
-            if backend == "jtower" or q_max >= n:
+            if q_max >= n:
                 vs = dyn.vacuum_sandwich(bu)
                 ref = dyn.vacuum_sandwich(dyn.BlockUnitary(
                     backend, n, q_max, want, bu.k_max))
