@@ -196,9 +196,10 @@ def _best_over_branches(
             np.take_along_axis(t2, combo, -1)[..., 0])
 
 
-# third-factor axis of the fastest 3-step product for -I: its gadget has
-# θ2 = 0, and no axis of a 40,000-point sphere scan, each costed exactly by
-# _family_min, is cheaper (±ŷ lie in a flat optimum along the μ_x = 0 circle)
+# third-factor axis of the fastest 3-step product for -I, whose gadget has
+# θ2 = 0: no axis of a 40,000-point sphere scan, each costed exactly by
+# _family_min, is cheaper, and ŷ lies inside a flat optimum that covers
+# 27 % of the μ_x = 0 great circle
 _MINUS_I_AXIS = np.array([0.0, 1.0, 0])
 
 # gadget axis padding a two-factor chain to three: its Euler branch 0 is
@@ -531,7 +532,7 @@ def _published_sqrt_iswap() -> SynthesisResult:
     # family axes are unit vectors, so Σ‖n̂ᵢ(θ) - refᵢ‖² = const - 2Σ refᵢ·n̂ᵢ(θ),
     # least where Σ refᵢ·(Bᵢ cos θ + Cᵢ sin θ) peaks
     th = np.arctan2(np.sum(refs * fam.C), np.sum(refs * fam.B))
-    n1, n2 = fam.A + fam.B * np.cos(th) + fam.C * np.sin(th)
+    n1, n2 = (n[0] for n in fam.axes([th]))
     steps = ((1, n1), (1, n2), (1, -mu.axis))
     _verify_steps(steps, u_a)
     seed_t2 = [_SQRT_ISWAP_SEED[k][1] for k in ("n1", "n2", "n")]
