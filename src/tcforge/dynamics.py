@@ -175,22 +175,28 @@ def _run(gates, jj: int, k_max: int, size: int) -> np.ndarray:
     return run if run.ndim == 3 else np.tile(run, (len(w), 1, 1))
 
 
-def _evolve(gates, jj: int, k_max: int, x: np.ndarray | None = None) -> np.ndarray:
+def _evolve(gates, jj: int, k_max: int, x: np.ndarray | None = None,
+            k0: int = 0) -> np.ndarray:
     """Apply gates to x, an array [s, r, cols] on the jj tower truncated at
     k_max, with s the charge diagonal (see _skew) and r = j - m; return the
-    tower [k, r, cols].  x=None is the identity, every tower column on its own
-    diagonal, so the first run is scattered into the columns, not multiplied."""
-    slots, d, start = _skew(jj, k_max), (jj + 1) * (k_max + 1), 0
+    tower [k, r, cols].  x=None is the identity on the tower columns of the
+    diagonals s ≤ k0, in tower order, so the first run covers only those
+    diagonals and is scattered into the columns, not multiplied."""
+    slots, start = _skew(jj, k_max), 0
     for stop in [i for i, g in enumerate(gates) if g.kind == "rx"] + [len(gates)]:
-        run = _run(gates[start:stop], jj, k_max, jj + k_max + 1)
         if x is None:  # each [s, r, r] entry goes to its place in the tower
-            col = np.full(run.shape[:2], -1)
-            col[slots] = np.arange(d).reshape(slots[0].shape)  # column = tower_index
-            a, b = col[:, :, None], col[:, None, :]
-            tower = np.zeros(d * d + 1, dtype=complex)  # the last entry: outside
-            tower[np.where((a >= 0) & (b >= 0), a * d + b, -1)] = run
-            tower = tower[:-1].reshape(k_max + 1, jj + 1, d)
+            s, r = slots
+            keep = s <= k0
+            row, col = np.full((2, k0 + 1, jj + 1), -1)
+            row[s[keep], r[keep]] = np.flatnonzero(keep)  # tower_index
+            col[s[keep], r[keep]] = np.arange(c := np.count_nonzero(keep))
+            a, b = row[:, :, None], col[:, None, :]
+            tower = np.zeros(s.size * c + 1, dtype=complex)  # the last entry: outside
+            tower[np.where((a >= 0) & (b >= 0), a * c + b, -1)] = _run(
+                gates[start:stop], jj, k_max, k0 + 1)
+            tower = tower[:-1].reshape(k_max + 1, jj + 1, c)
         else:
+            run = _run(gates[start:stop], jj, k_max, jj + k_max + 1)
             tower = (run @ x)[slots] if stop > start else x[slots]
         if stop < len(gates):
             wx, vx = _rx_eig(jj)
@@ -233,10 +239,11 @@ class BlockUnitary:
     q_max: int
     blocks: dict
     k_max: dict = field(default_factory=dict)
+    columns: dict = field(default_factory=dict)
 
     def unitarity_defect(self) -> float:
         """Largest ‖B†B - I‖_F over the blocks; NaN if any block has one."""
-        return float(np.max([np.linalg.norm(b.conj().T @ b - np.eye(b.shape[0]))
+        return float(np.max([np.linalg.norm(b.conj().T @ b - np.eye(b.shape[1]))
                              for b in self.blocks.values()], initial=0.0))
 
 
@@ -265,12 +272,17 @@ def apply_circuit(circ: Circuit, q_max: int, backend: str = "auto") -> BlockUnit
                             _charge_blocks(circ.gates, circ.n, q_max))
     if backend != "jtower":
         raise ValueError(f"unknown backend {backend!r}")
-    blocks, kmaxes = {}, {}
+    blocks, kmaxes, columns = {}, {}, {}
     for jj in _spins(circ.n):
+        k0 = q_max + (jj - circ.n) // 2  # columns on diagonals s ≤ k0 have q ≤ q_max
+        if k0 < 0:  # as in _charge_blocks, no sector of this spin is kept
+            continue
         k_max = kmaxes[jj] = tower_k_max(circ, q_max, jj)
-        tower = _evolve(circ.gates, jj, k_max)  # column = tower_index
-        blocks[jj] = tower.reshape(tower.shape[-1], -1)
-    return BlockUnitary("jtower", circ.n, q_max, blocks, kmaxes)
+        tower = _evolve(circ.gates, jj, k_max, k0=k0)
+        blocks[jj] = tower.reshape(-1, tower.shape[-1])  # row = tower_index
+        # (k, 2m) of each column, from its tower slot (k, r = j - m)
+        columns[jj] = np.argwhere(_skew(jj, k_max)[0] <= k0) * [1, -2] + [0, jj]
+    return BlockUnitary("jtower", circ.n, q_max, blocks, kmaxes, columns)
 
 
 @dataclass

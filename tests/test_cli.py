@@ -98,8 +98,8 @@ def test_simulate_rx_circuit_reports_towers(tmp_path):
     for t in res["towers"]:
         assert t["k_max"] == tower_k_max(circ, res["q_max"], t["jj"])
         m = np.array(t["matrix"]) @ [1, 1j]
-        assert m.shape == ((t["jj"] + 1) * (t["k_max"] + 1),) * 2
-        assert np.abs(m.conj().T @ m - np.eye(len(m))).max() < 1e-12
+        assert m.shape[0] == (t["jj"] + 1) * (t["k_max"] + 1)
+        assert np.abs(m.conj().T @ m - np.eye(m.shape[1])).max() < 1e-12
     # column |j=1, m=1⟩⊗|0⟩ = |00⟩⊗|0⟩ goes to (|00⟩ + |11⟩)/√2 ⊗ |0⟩, whose
     # rows are m = ±1 at k = 0
     column = (np.array(res["towers"][1]["matrix"]) @ [1, 1j])[:, 0]

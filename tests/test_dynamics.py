@@ -17,6 +17,21 @@ def su2_block(t):
     return np.array([[c, -1j * s], [-1j * s, c]])
 
 
+def _tower_block(bu, jj, labels):
+    """Rows and columns of bu's jj tower at the (jj, 2m, k) labels."""
+    cols = {(k, mm): c for c, (k, mm) in enumerate(bu.columns[jj].tolist())}
+    return bu.blocks[jj][np.ix_([tower_index(*lab) for lab in labels],
+                                [cols[k, mm] for _, mm, k in labels])]
+
+
+def _tower_identity(bu, jj):
+    """The jj tower's kept columns of the identity."""
+    cols = bu.columns[jj]
+    want = np.zeros(bu.blocks[jj].shape)
+    want[[tower_index(jj, mm, k) for k, mm in cols.tolist()], np.arange(len(cols))] = 1
+    return want
+
+
 def _gate_block(gate, idx):
     """Unitary of one gate on one charge sector."""
     return dyn.apply_circuit(Circuit(idx.n, [gate]), idx.q,
@@ -86,8 +101,8 @@ def test_reversed_circuit_inverts(gate_spec):
                    + [Gate(k, -p) for k, p in reversed(gate_spec)])
     bu = dyn.apply_circuit(circ, 3)
     for key, b in bu.blocks.items():
-        d = b.shape[0]
-        assert np.abs(b - np.eye(d)).max() < 1e-9
+        want = _tower_identity(bu, key) if bu.backend == "jtower" else np.eye(len(b))
+        assert np.abs(b - want).max() < 1e-9
 
 
 def test_unitarity_defect_propagates_nan():
@@ -98,6 +113,16 @@ def test_unitarity_defect_propagates_nan():
                    {SectorIndex(2, 0, 2): ok, SectorIndex(2, 1, 2): bad}):
         defect = dyn.BlockUnitary("charge", 2, 1, blocks).unitarity_defect()
         assert not (defect <= 1e-9)
+
+
+def test_unitarity_defect_of_an_isometry():
+    # jtower blocks are d × c isometries, so B†B is c × c
+    iso = np.array([[1, 0], [0, np.sqrt(0.5)], [0, 1j * np.sqrt(0.5)]])
+    wide = np.array([[1, 0], [0, 1], [0, 1.0]])
+    defect = lambda b: dyn.BlockUnitary("jtower", 2, 2, {2: b}).unitarity_defect()
+    assert defect(iso) < 1e-12
+    assert defect(wide) == 1.0
+    assert not (defect(np.full((3, 2), np.nan)) <= 1e-9)
 
 
 def test_unitarity_long_circuit():
@@ -117,8 +142,7 @@ def test_charge_vs_tower_backends():
         ch = dyn.apply_circuit(circ, 6, backend="charge")
         tw = dyn.apply_circuit(circ, 6, backend="jtower")
         for idx, blk in ch.blocks.items():
-            rows = [tower_index(*lab) for lab in basis_labels(idx)]
-            sub = tw.blocks[idx.jj][np.ix_(rows, rows)]
+            sub = _tower_block(tw, idx.jj, basis_labels(idx))
             assert np.abs(sub - blk).max() < 1e-9
 
 
@@ -356,6 +380,50 @@ def test_rx_circuit_exact_on_tower(n, start):
     assert np.abs(ref[:, kk:]).max() < 1e-9
 
 
+def test_jtower_keeps_exactly_the_columns_its_cutoff_makes_exact():
+    # tower_k_max is exact for the columns of charge q ≤ q_max: those equal a
+    # much wider truncation's, and the other columns of the same tower do not
+    from tcforge.sectors import enumerate_sectors
+    n, q_max = 4, 4
+    circ = Circuit(n, [Gate("tc", 0.9), Gate("rx", 0.7), Gate("tc", -1.3),
+                       Gate("rz", 0.4), Gate("rx", -0.6), Gate("tc", 1.1)])
+    bu = dyn.apply_circuit(circ, q_max, backend="jtower")
+    wide = dyn.apply_circuit(circ, q_max + 20, backend="jtower")
+    dropped_gap = 0.0
+    for jj, block in bu.blocks.items():
+        kept = [(jj, mm, k) for k, mm in bu.columns[jj].tolist()]
+        sectors = [idx for idx in enumerate_sectors(n, q_max) if idx.jj == jj]
+        assert block.shape[1] == sum(idx.dim for idx in sectors)
+        assert sorted(kept) == sorted(lab for idx in sectors for lab in basis_labels(idx))
+        # every tower column at the same k_max, as the square tower had them
+        k_max, d = bu.k_max[jj], len(block)
+        s, r = dyn._skew(jj, k_max)
+        x = np.zeros((jj + k_max + 1, jj + 1, d), dtype=complex)
+        x[s, r, np.arange(d).reshape(s.shape)] = 1.0
+        square = dyn._evolve(circ.gates, jj, k_max, x).reshape(d, d)
+        wide_col = {(k, mm): c for c, (k, mm) in enumerate(wide.columns[jj].tolist())}
+        for k in range(k_max + 1):
+            for mm in range(jj, -jj - 2, -2):
+                ref = wide.blocks[jj][:, wide_col[k, mm]]
+                gap = np.abs(square[:, tower_index(jj, mm, k)] - ref[:d]).max()
+                if (jj, mm, k) in kept:
+                    assert gap <= 1e-13 and np.abs(ref[d:]).max() <= 1e-13
+                    column = block[:, kept.index((jj, mm, k))]
+                    assert np.abs(column - ref[:d]).max() <= 1e-13
+                else:
+                    dropped_gap = max(dropped_gap, gap)
+    assert dropped_gap > 1e-3
+
+
+def test_jtower_skips_spins_without_an_exact_column():
+    # n = 3, q_max = 0: only |3/2, -3/2⟩⊗|0⟩ has charge 0, and the lowest
+    # charge of the j = 1/2 tower is 1, so that spin has no block
+    circ = Circuit(3, [Gate("rx", 0.5), Gate("tc", 0.8)])
+    bu = dyn.apply_circuit(circ, 0, backend="jtower")
+    assert list(bu.blocks) == [3] and bu.columns[3].tolist() == [[0, -3]]
+    assert bu.unitarity_defect() < 1e-12
+
+
 def _brute_force(circ, k_cut):
     """Dense product of the gates on (C^2)^⊗n ⊗ Fock(k ≤ k_cut)."""
     from tcforge.qubits import htc_full, spin_ops
@@ -397,9 +465,8 @@ def test_structured_evolution_matches_brute_force(n, gate_spec, start):
     tw = dyn.apply_circuit(circ, q_max, backend="jtower")
     for idx in enumerate_sectors(n, q_max):
         want = project_full(u, idx, q_max)
-        rows = [tower_index(*lab) for lab in basis_labels(idx)]
         assert np.abs(ch.blocks[idx] - want).max() < 1e-9
-        assert np.abs(tw.blocks[idx.jj][np.ix_(rows, rows)] - want).max() < 1e-9
+        assert np.abs(_tower_block(tw, idx.jj, basis_labels(idx)) - want).max() < 1e-9
 
 
 # ------------------------------------------- references for the block paths
@@ -526,12 +593,16 @@ def _blocks_with_identity(circ, q_max, backend):
             blocks[idx] = _evolve_with_identity(circ.gates, idx.jj, k_max, x)[s, r0:, r0:]
         return blocks
     for jj in dyn._spins(n):
+        k0 = q_max + (jj - n) // 2  # the exact columns lie on diagonals s ≤ k0
+        if k0 < 0:
+            continue
         k_max = dyn.tower_k_max(circ, q_max, jj)
         s, r = dyn._skew(jj, k_max)
-        x = np.zeros((jj + k_max + 1, jj + 1, s.size), dtype=complex)
-        x[s, r, np.arange(s.size).reshape(s.shape)] = 1.0
+        keep = s <= k0
+        x = np.zeros((jj + k_max + 1, jj + 1, np.count_nonzero(keep)), dtype=complex)
+        x[s[keep], r[keep], np.arange(x.shape[2])] = 1.0
         out = _evolve_with_identity(circ.gates, jj, k_max, x)[s, r]
-        blocks[jj] = out.reshape(s.size, s.size)
+        blocks[jj] = out.reshape(-1, x.shape[2])
     return blocks
 
 
