@@ -117,6 +117,7 @@ def cmd_simulate(args) -> int:
             result["blocks"] = blocks
         else:
             result["towers"] = [{"jj": jj, "k_max": bu.k_max[jj],
+                                 "columns": bu.columns[jj].tolist(),
                                  "matrix": _matrix_json(m)}
                                 for jj, m in sorted(bu.blocks.items())]
         if not circ.has_rx() and q_max >= circ.n:

@@ -13,8 +13,9 @@ each kind.  rx conserves k and acts on r of the unskewed [k, r, cols] tower.
 The callers differ only in the columns they evolve: the "charge" backend is
 the rx-free case, whose run stack holds each diagonal's own columns (the
 identity) and so is its sector blocks; the "jtower" backend scatters the
-first run into every tower column, truncated at a k_max that keeps circuits
-with rx exact; evolve_vacuum_state evolves only its input state's columns.
+first run into the tower columns of charge q ≤ q_max, the only ones that the
+k_max it widens for rx keeps exact, and returns just those; evolve_vacuum_state
+evolves only its input state's columns.
 
 All interaction times are reported in units of 2π/g.
 """
@@ -230,8 +231,11 @@ def _charge_blocks(gates, n: int, q_max: int) -> dict:
 class BlockUnitary:
     """Product unitary of a circuit, stored block by block.
 
-    ``blocks`` maps SectorIndex -> matrix on the charge backend, and the
-    doubled spin jj -> tower matrix on the jtower backend.
+    ``blocks`` maps SectorIndex -> matrix on the charge backend.  On the
+    jtower backend it maps the doubled spin jj -> the d × c isometry from the
+    tower states of charge q ≤ q_max, the only ones k_max keeps exact, into
+    all d tower states (both in tower_index order); ``columns[jj]`` holds the
+    (k, 2m) labels of those c states.  A spin with none of them has no entry.
     """
 
     backend: str

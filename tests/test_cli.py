@@ -98,11 +98,17 @@ def test_simulate_rx_circuit_reports_towers(tmp_path):
     for t in res["towers"]:
         assert t["k_max"] == tower_k_max(circ, res["q_max"], t["jj"])
         m = np.array(t["matrix"]) @ [1, 1j]
-        assert m.shape[0] == (t["jj"] + 1) * (t["k_max"] + 1)
-        assert np.abs(m.conj().T @ m - np.eye(m.shape[1])).max() < 1e-12
+        # the columns of charge q = k + m + n/2 ≤ q_max, in tower order
+        want = [[k, mm] for k in range(t["k_max"] + 1)
+                for mm in range(t["jj"], -t["jj"] - 2, -2)
+                if k + (mm + circ.n) // 2 <= res["q_max"]]
+        assert t["columns"] == want
+        assert m.shape == ((t["jj"] + 1) * (t["k_max"] + 1), len(want))
+        assert np.abs(m.conj().T @ m - np.eye(len(want))).max() < 1e-12
     # column |j=1, m=1⟩⊗|0⟩ = |00⟩⊗|0⟩ goes to (|00⟩ + |11⟩)/√2 ⊗ |0⟩, whose
     # rows are m = ±1 at k = 0
-    column = (np.array(res["towers"][1]["matrix"]) @ [1, 1j])[:, 0]
+    tower = res["towers"][1]
+    column = (np.array(tower["matrix"]) @ [1, 1j])[:, tower["columns"].index([0, 2])]
     ghz = np.zeros(len(column))
     ghz[[0, 2]] = np.sqrt(0.5)
     assert np.abs(np.abs(column) - ghz).max() < 1e-9
