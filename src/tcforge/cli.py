@@ -43,7 +43,15 @@ def _matrix_json(m: np.ndarray):
     return [[[float(z.real), float(z.imag)] for z in row] for row in m + 0.0]
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a tolerance outside (0, ∞), nan too, as a usage error (exit 1):
+    exit 2 would read as a failed check, and inf would pass every check."""
+    if not (0 < tol < np.inf):  # False for nan
+        raise ValueError(f"--tol must be finite and > 0, got {tol}")
+
+
 def cmd_synthesize(args) -> int:
+    _check_tol(args.tol)
     if args.gate:
         res = synthesis.named_gate(args.gate, phi=args.phi)
         target_name = args.gate
@@ -219,6 +227,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"need at least one qubit, got n={args.n}")
     if args.qmax < 0:
         raise ValueError(f"q_max must be non-negative, got {args.qmax}")
+    _check_tol(args.tol)
     guard = _scale_guard(args)
     if guard:
         print(f"error: {guard}", file=sys.stderr)
@@ -255,6 +264,7 @@ REPORT_GATES = ("cz", "swap", "iswap", "sqrt_iswap", "upsiplus")
 
 
 def cmd_report(args) -> int:
+    _check_tol(args.tol)
     rows = []
     worst = 0.0
     for name in REPORT_GATES:

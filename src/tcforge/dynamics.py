@@ -23,16 +23,15 @@ All interaction times are reported in units of 2π/g.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from numbers import Real
 
 import numpy as np
 
 from . import operators as ops
 from .qubits import assemble_pi, jm_basis
-from .sectors import SectorIndex, enumerate_sectors, j_min2, multiplicity, require_int
+from .sectors import (SectorIndex, enumerate_sectors, j_min2, multiplicity,
+                      require_int, require_real)
 
 GATE_KINDS = ("tc", "rz", "rx")
 
@@ -51,14 +50,8 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        try:
-            finite = math.isfinite(self.param)
-        except (TypeError, OverflowError):  # not a number / an int beyond float range
-            finite = False
-        if isinstance(self.param, bool) or not isinstance(self.param, Real) or not finite:
-            raise ValueError(f"{self.kind} parameter must be a finite real "
-                             f"number, got {self.param!r}")
-        object.__setattr__(self, "param", float(self.param))
+        object.__setattr__(self, "param",
+                           require_real(self.param, f"{self.kind} parameter"))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, isfinite
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -32,6 +33,18 @@ def require_int(value, name: str, lo: Optional[int] = None) -> None:
             or (lo is not None and value < lo)):
         bound = "" if lo is None else f" ≥ {lo}"
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def require_real(value, name: str) -> float:
+    """value as a float; raise ValueError naming the argument unless it is a
+    finite real number (not a bool)."""
+    try:
+        finite = isfinite(value)
+    except (TypeError, OverflowError):  # not a number / an int beyond float range
+        finite = False
+    if isinstance(value, bool) or not isinstance(value, Real) or not finite:
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def j_min2(n: int) -> int:

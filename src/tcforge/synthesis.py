@@ -24,7 +24,7 @@ import numpy as np
 from .dynamics import Circuit, Gate, apply_circuit, interaction_time, \
     simplify, vacuum_sandwich
 from .qubits import CZ, ISWAP, SIGMA_X, SIGMA_Y, SIGMA_Z, SQRT_ISWAP, SWAP, u_psi_plus, uzz
-from .sectors import SectorIndex, wrap_pi
+from .sectors import SectorIndex, require_real, wrap_pi
 
 DELTA = 2 * np.pi / np.sqrt(3)      # fixed Bloch rotation angle per pulse
 CORE_R = 2 * np.pi / np.sqrt(6)     # tc parameter realizing one such pulse
@@ -453,9 +453,8 @@ def compile_two_qubit(phi00: float, phi_psi_plus: float,
     within TAU_TIE of the fastest wins.  F†'s charge-1 block is σz·F's·σz,
     so fd+fd and fd+f, σz mirrors of f+f and f+fd, are no faster.
     """
-    if not np.all(np.isfinite([phi00, phi_psi_plus, phi11])):
-        raise ValueError("phases must be finite, got "
-                         f"{(phi00, phi_psi_plus, phi11)!r}")
+    phi00, phi_psi_plus, phi11 = (require_real(p, "phase")
+                                  for p in (phi00, phi_psi_plus, phi11))
     theta = wrap_pi((phi00 + phi11) / 2)
     theta_p = wrap_pi((phi11 - phi00) / 2)
     rz11 = lambda th: np.diag([1.0, np.exp(1j * th)])  # charge-1 rz block

@@ -276,3 +276,15 @@ def test_bad_counts_fail_with_one_error_line(capsys):
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "0"])
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
+    # a bad tolerance is a usage error (1), not a failed check (2); nan and
+    # -1 once exited 2 and inf exited 0
+    for argv in (["synthesize", "--gate", "cz", "--out", str(tmp_path)],
+                 ["verify", "phases"], ["report"]):
+        assert run(argv + [f"--tol={tol}"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: --tol must be finite and > 0")
+    assert not list(tmp_path.iterdir())  # synthesize wrote nothing

@@ -654,6 +654,18 @@ def test_compile_rejects_non_finite_phases():
             syn.compile_two_qubit(*phases)
 
 
+@pytest.mark.parametrize("bad", ["0.5", 0.5 + 0j, True, None],
+                         ids=["str", "complex", "bool", "none"])
+def test_compile_rejects_phases_that_are_not_real(bad):
+    # as Gate does; a str or complex phase once gave a bare TypeError
+    for at in range(3):
+        phases = [0.3, -0.2, 0.1]
+        phases[at] = bad
+        with pytest.raises(ValueError, match="phase must be a finite real number"):
+            syn.compile_two_qubit(*phases)
+    assert syn.compile_two_qubit(1, np.float64(0.5), np.int64(-1)).residual < 1e-8
+
+
 def test_compile_zero_phases_trivial():
     res = syn.compile_two_qubit(0.0, 0.0, 0.0)
     assert res.tau == 0.0
