@@ -260,7 +260,8 @@ def tower_k_max(circ: Circuit, q_max: int, jj: int) -> int:
 
 
 def apply_circuit(circ: Circuit, q_max: int, backend: str = "auto") -> BlockUnitary:
-    """Evolve the whole circuit; every sector block is unitary to ~1e-14."""
+    """Evolve the whole circuit; every block is unitary, on jtower an isometry,
+    to ~1e-14."""
     require_int(q_max, "q_max", 0)
     if backend == "auto":
         backend = "jtower" if circ.has_rx() else "charge"
