@@ -61,6 +61,24 @@ def test_gate_block_rz_and_rx_rejection():
         Gate("ry", 0.1)
 
 
+def test_apply_circuit_rejects_rx_on_charge_and_unknown_backends():
+    circ = Circuit(2, [Gate("tc", 0.4), Gate("rx", 0.3)])
+    with pytest.raises(ValueError, match="use the jtower backend"):
+        dyn.apply_circuit(circ, 3, backend="charge")
+    for backend in ("tower", "Charge", None):
+        with pytest.raises(ValueError, match="unknown backend"):
+            dyn.apply_circuit(Circuit(2, [Gate("tc", 0.4)]), 3, backend=backend)
+
+
+def test_charge_blocks_keep_the_sector_order():
+    from tcforge.sectors import enumerate_sectors
+    gates = [Gate("tc", 0.7), Gate("rz", -0.3), Gate("tc", 1.2)]
+    for n in range(1, 6):
+        for q_max in range(2 * n + 2):
+            bu = dyn.apply_circuit(Circuit(n, gates), q_max, backend="charge")
+            assert list(bu.blocks) == list(enumerate_sectors(n, q_max))
+
+
 def test_empty_circuit_identity():
     bu = dyn.apply_circuit(Circuit(3), 4)
     for idx, b in bu.blocks.items():
