@@ -10,12 +10,12 @@ cached real eigensystems of the (2j+1)-square diagonal blocks, and rz is a
 phase on r; each run of them between rx gates is multiplied out on that
 [s, r, r] stack from its first gate on, with one exp for all its phases of
 each kind.  rx conserves k and acts on r of the unskewed [k, r, cols] tower.
-The callers differ only in the columns they evolve: the "charge" backend is
-the rx-free case, whose run stack holds each diagonal's own columns (the
-identity) and so is its sector blocks; the "jtower" backend scatters the
-first run into the tower columns of charge q ≤ q_max, the only ones that the
-k_max it widens for rx keeps exact, and returns just those; evolve_vacuum_state
-evolves only its input state's columns.
+One loop, _towers, yields each spin's cutoffs: its tower columns of charge
+q ≤ q_max lie on the diagonals s ≤ k0, and k_max keeps just those exact.
+The "jtower" backend evolves those identity columns, the first run's stack
+gathered as it is; the "charge" backend is the rx-free case, whose sector
+blocks are views of that stack; evolve_vacuum_state evolves only its input
+state's columns.
 
 All interaction times are reported in units of 2π/g.
 """
@@ -174,24 +174,19 @@ def _evolve(gates, jj: int, k_max: int, x: np.ndarray | None = None,
     """Apply gates to x, an array [s, r, cols] on the jj tower truncated at
     k_max, with s the charge diagonal (see _skew) and r = j - m; return the
     tower [k, r, cols].  x=None is the identity on the tower columns of the
-    diagonals s ≤ k0, in tower order, so the first run covers only those
-    diagonals and is scattered into the columns, not multiplied."""
+    diagonals s ≤ k0, in tower order: the first run covers only those
+    diagonals, and x takes column r of its diagonal s for the column in slot
+    (s, r), not multiplied."""
     slots, start = _skew(jj, k_max), 0
     for stop in [i for i, g in enumerate(gates) if g.kind == "rx"] + [len(gates)]:
-        if x is None:  # each [s, r, r] entry goes to its place in the tower
-            s, r = slots
-            keep = s <= k0
-            row, col = np.full((2, k0 + 1, jj + 1), -1)
-            row[s[keep], r[keep]] = np.flatnonzero(keep)  # tower_index
-            col[s[keep], r[keep]] = np.arange(c := np.count_nonzero(keep))
-            a, b = row[:, :, None], col[:, None, :]
-            tower = np.zeros(s.size * c + 1, dtype=complex)  # the last entry: outside
-            tower[np.where((a >= 0) & (b >= 0), a * c + b, -1)] = _run(
-                gates[start:stop], jj, k_max, k0 + 1)
-            tower = tower[:-1].reshape(k_max + 1, jj + 1, c)
-        else:
-            run = _run(gates[start:stop], jj, k_max, jj + k_max + 1)
-            tower = (run @ x)[slots] if stop > start else x[slots]
+        if x is None:
+            run = _run(gates[start:stop], jj, k_max, k0 + 1)
+            s, r = (a[slots[0] <= k0] for a in slots)
+            x = np.zeros((jj + k_max + 1, jj + 1, len(s)), dtype=complex)
+            x[s, :, np.arange(len(s))] = run[s, :, r]
+        elif stop > start:
+            x = _run(gates[start:stop], jj, k_max, jj + k_max + 1) @ x
+        tower = x[slots]
         if stop < len(gates):
             wx, vx = _rx_eig(jj)
             tower = (vx * np.exp(-1j * gates[stop].param * wx)) @ vx.T @ tower
@@ -199,25 +194,6 @@ def _evolve(gates, jj: int, k_max: int, x: np.ndarray | None = None,
             x[slots] = tower
         start = stop + 1
     return tower
-
-
-def _charge_blocks(gates, n: int, q_max: int) -> dict:
-    """Sector blocks with q ≤ q_max: the rx-free case of _evolve, one run
-    whose stack holds each charge diagonal's own columns, on the tower
-    truncated at the largest k they reach."""
-    if any(g.kind == "rx" for g in gates):
-        raise ValueError("rx gates break charge conservation; use the jtower backend")
-    diagonals = {}
-    for jj in _spins(n):
-        k_max = q_max + (jj - n) // 2  # tower_k_max without rx
-        if k_max >= 0:  # sector blocks only come from the diagonals s ≤ k_max
-            diagonals[jj] = _run(gates, jj, k_max, k_max + 1)
-    blocks = {}
-    for idx in enumerate_sectors(n, q_max):
-        s = idx.q - (n - idx.jj) // 2
-        r0 = max(0, idx.jj - s)  # slots r < r0 would need k < 0
-        blocks[idx] = diagonals[idx.jj][s, r0:, r0:]
-    return blocks
 
 
 @dataclass
@@ -259,28 +235,43 @@ def tower_k_max(circ: Circuit, q_max: int, jj: int) -> int:
     return max(0, q_max + runs * jj + (jj - circ.n) // 2)
 
 
+def _towers(circ: Circuit, q_max: int):
+    """(2j, k0, k_max) of each spin with a state of charge q ≤ q_max.  Those
+    states are the tower columns on the diagonals s ≤ k0 = q_max + (2j - n)/2,
+    and the tower truncated at k_max = tower_k_max keeps them exact."""
+    for jj in _spins(circ.n):
+        k0 = q_max + (jj - circ.n) // 2
+        if k0 >= 0:
+            yield jj, k0, tower_k_max(circ, q_max, jj)
+
+
 def apply_circuit(circ: Circuit, q_max: int, backend: str = "auto") -> BlockUnitary:
     """Evolve the whole circuit; every block is unitary, on jtower an isometry,
     to ~1e-14."""
     require_int(q_max, "q_max", 0)
     if backend == "auto":
         backend = "jtower" if circ.has_rx() else "charge"
-    if backend == "charge":
-        return BlockUnitary("charge", circ.n, q_max,
-                            _charge_blocks(circ.gates, circ.n, q_max))
-    if backend != "jtower":
+    if backend not in ("charge", "jtower"):
         raise ValueError(f"unknown backend {backend!r}")
+    if backend == "charge" and circ.has_rx():
+        raise ValueError("rx gates break charge conservation; use the jtower backend")
     blocks, kmaxes, columns = {}, {}, {}
-    for jj in _spins(circ.n):
-        k0 = q_max + (jj - circ.n) // 2  # columns on diagonals s ≤ k0 have q ≤ q_max
-        if k0 < 0:  # as in _charge_blocks, no sector of this spin is kept
+    for jj, k0, k_max in _towers(circ, q_max):
+        if backend == "charge":  # rx-free, so k_max = k0: _evolve's first run
+            blocks[jj] = _run(circ.gates, jj, k_max, k0 + 1)
             continue
-        k_max = kmaxes[jj] = tower_k_max(circ, q_max, jj)
+        kmaxes[jj] = k_max
         tower = _evolve(circ.gates, jj, k_max, k0=k0)
         blocks[jj] = tower.reshape(-1, tower.shape[-1])  # row = tower_index
         # (k, 2m) of each column, from its tower slot (k, r = j - m)
         columns[jj] = np.argwhere(_skew(jj, k_max)[0] <= k0) * [1, -2] + [0, jj]
-    return BlockUnitary("jtower", circ.n, q_max, blocks, kmaxes, columns)
+    if backend == "jtower":
+        return BlockUnitary("jtower", circ.n, q_max, blocks, kmaxes, columns)
+    sectors = {}  # views of the run stacks: the last dim slots r have k ≥ 0
+    for idx in enumerate_sectors(circ.n, q_max):
+        d, s = idx.dim, idx.q - (circ.n - idx.jj) // 2
+        sectors[idx] = blocks[idx.jj][s, -d:, -d:]
+    return BlockUnitary("charge", circ.n, q_max, sectors)
 
 
 @dataclass
@@ -347,9 +338,8 @@ def evolve_vacuum_state(circ: Circuit, psi_qubits: np.ndarray,
         raise ValueError(f"state has support at charge q = {q_top} "
                          f"above q_max = {q_max}")
     basis = jm_basis(n)
-    k_maxes = {jj: tower_k_max(circ, q_max, jj) for jj in _spins(n)}
-    joint = np.zeros((2 ** n, max(k_maxes.values()) + 1), dtype=complex)
-    for jj, k_max in k_maxes.items():
+    joint = np.zeros((2 ** n, tower_k_max(circ, q_max, n) + 1), dtype=complex)
+    for jj, _, k_max in _towers(circ, q_max):  # 2j = n has the widest tower
         frames = basis[jj]  # frames[r]: the copies of |j, m = j - r⟩
         r = np.arange(jj + 1)
         x = np.zeros((jj + k_max + 1, jj + 1, frames.shape[2]), dtype=complex)
