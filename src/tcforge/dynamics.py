@@ -15,7 +15,8 @@ q ≤ q_max lie on the diagonals s ≤ k0, and k_max keeps just those exact.
 The "jtower" backend evolves those identity columns, the first run's stack
 gathered as it is; the "charge" backend is the rx-free case, whose sector
 blocks are views of that stack; evolve_vacuum_state evolves only its input
-state's columns.
+state's columns.  vacuum_sandwich keeps the spin blocks of ⟨0|V|0⟩ and
+assembles its 2^n-square matrix only when read.
 
 All interaction times are reported in units of 2π/g.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -280,8 +281,12 @@ class VacuumSandwich:
 
     n: int
     u_by_j: dict[int, np.ndarray]
-    matrix: np.ndarray
     residual: float
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Assembled on first read: from n ≈ 8 on it costs more than the circuit."""
+        return assemble_pi(self.n, self.u_by_j)
 
 
 def vacuum_sandwich(bu: BlockUnitary) -> VacuumSandwich:
@@ -305,7 +310,7 @@ def vacuum_sandwich(bu: BlockUnitary) -> VacuumSandwich:
     # ‖M†M - I‖_F² = Σ_j mult_j ‖u_j†u_j - I‖_F², as M = ⊕_j I_mult ⊗ u_j
     residual = np.sqrt(sum(multiplicity(n, jj) * np.linalg.norm(
         u.conj().T @ u - np.eye(jj + 1)) ** 2 for jj, u in u_by_j.items()))
-    return VacuumSandwich(n, u_by_j, assemble_pi(n, u_by_j), float(residual))
+    return VacuumSandwich(n, u_by_j, float(residual))
 
 
 def distance_up_to_phase(u: np.ndarray, v: np.ndarray) -> float:

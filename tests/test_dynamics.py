@@ -563,6 +563,25 @@ def test_vacuum_sandwich_backends_agree_bit_for_bit():
         assert np.array_equal(tw.matrix, ch.matrix)
 
 
+def test_vacuum_sandwich_assembles_its_matrix_on_first_read(monkeypatch):
+    calls = []
+
+    def counting(n, u_by_j):
+        calls.append(n)
+        return assemble_pi(n, u_by_j)
+
+    assemble_pi = dyn.assemble_pi
+    monkeypatch.setattr(dyn, "assemble_pi", counting)
+    circ = Circuit(3, [Gate("tc", 0.8), Gate("rz", 0.3), Gate("tc", -0.5)])
+    for backend in ("charge", "jtower"):
+        calls.clear()
+        vs = dyn.vacuum_sandwich(dyn.apply_circuit(circ, 3, backend=backend))
+        assert vs.residual > 0 and calls == []
+        first = vs.matrix
+        assert vs.matrix is first and calls == [3]
+        assert np.array_equal(first, assemble_pi(3, vs.u_by_j))
+
+
 def test_ghz_vacuum_sandwich_matches_brute_force():
     from tcforge.synthesis import ghz_circuit
     circ, k_cut = ghz_circuit(), 8
