@@ -183,6 +183,16 @@ def test_verify_schwinger_names_its_fixed_sizes(tmp_path):
     assert [c["scope"] for c in checks] == ["schwinger 2j<=8 k<=10"]
 
 
+def test_verify_schwinger_ignores_the_scale_guard(tmp_path):
+    # --n and --qmax do not reach the suite, so they cannot exceed desk scale
+    out = tmp_path / "schwinger.json"
+    assert run(["verify", "schwinger", "--n", "7", "--qmax", "20",
+                "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["scope"] for c in checks] == ["schwinger 2j<=8 k<=10"]
+    assert checks[0]["pass"]
+
+
 def test_verify_lie_checks_large_sectors(tmp_path):
     out = tmp_path / "lie.json"
     assert run(["verify", "lie", "--n", "7", "--qmax", "8",
