@@ -234,7 +234,7 @@ def cmd_verify(args) -> int:
         return 1
     checks = _SUITES[args.suite](args.n, args.qmax, args.tol)
     ok = all(c["pass"] for c in checks)
-    _dump({"suite": args.suite, "n": args.n, "q_max": args.qmax,
+    _dump({"suite": args.suite, "n": args.n, "q_max": args.qmax, "tol": args.tol,
            "checks": checks, "pass": ok}, args.out)
     return 0 if ok else 2
 

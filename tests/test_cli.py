@@ -206,6 +206,14 @@ def test_verify_lie_checks_large_sectors(tmp_path):
     assert all(c["pass"] for c in big)
 
 
+def test_verify_records_its_tolerance(capsys):
+    for argv, tol in (([], "1e-08"), (["--tol", "1e-6"], "1e-06")):
+        assert run(["verify", "phases", "--n", "2", "--qmax", "2"] + argv) == 0
+        out = capsys.readouterr().out
+        assert f'"tol": {tol}\n' in out
+        assert json.loads(out)["tol"] == float(tol)
+
+
 def test_verify_scale_guard():
     assert run(["verify", "lie", "--n", "7", "--qmax", "4"]) == 1
     assert run(["verify", "phases", "--n", "7", "--qmax", "4",
