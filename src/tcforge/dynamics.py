@@ -176,8 +176,8 @@ def _evolve(gates, jj: int, k_max: int, x: np.ndarray | None = None,
     k_max, with s the charge diagonal (see _skew) and r = j - m; return the
     tower [k, r, cols].  x=None is the identity on the tower columns of the
     diagonals s ≤ k0, in tower order: the first run covers only those
-    diagonals, and x takes column r of its diagonal s for the column in slot
-    (s, r), not multiplied."""
+    diagonals, x takes column r of its diagonal s as the column in slot
+    (s, r), not multiplied, and every run gathers the tower from x."""
     slots, start = _skew(jj, k_max), 0
     for stop in [i for i, g in enumerate(gates) if g.kind == "rx"] + [len(gates)]:
         if x is None:
