@@ -136,7 +136,7 @@ def cmd_simulate(args) -> int:
 
 
 def _scale_guard(args) -> str | None:
-    if args.override_scale or args.suite == "schwinger":  # fixed sizes, see below
+    if args.override_scale or args.suite == "schwinger":  # its sizes are fixed
         return None
     if args.n > DESK_N or args.qmax > DESK_QMAX:
         return (f"n = {args.n}, q_max = {args.qmax} exceeds desk scale "
