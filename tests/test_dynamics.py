@@ -564,13 +564,12 @@ def test_vacuum_sandwich_backends_agree_bit_for_bit():
 
 
 def test_vacuum_sandwich_assembles_its_matrix_on_first_read(monkeypatch):
-    calls = []
+    calls, assemble_pi = [], dyn.assemble_pi
 
     def counting(n, u_by_j):
         calls.append(n)
         return assemble_pi(n, u_by_j)
 
-    assemble_pi = dyn.assemble_pi
     monkeypatch.setattr(dyn, "assemble_pi", counting)
     circ = Circuit(3, [Gate("tc", 0.8), Gate("rz", 0.3), Gate("tc", -0.5)])
     for backend in ("charge", "jtower"):
