@@ -5,11 +5,13 @@ dimensionless r = g·t, and rz/rx(θ) are exp(-iθ J_z) / exp(-iθ J_x).
 
 Every circuit evolves on per-j towers span{|j,m⟩⊗|k⟩ : k ≤ k_max}, each held
 as an array [s, r, cols] over the charge diagonals s = k - r + 2j, r = j - m.
-A coupling pulse conserves s, so it is one stacked matmul built from the
-cached real eigensystems of the (2j+1)-square diagonal blocks, and rz is a
-phase on r; each run of them between rx gates is multiplied out on that
-[s, r, r] stack from its first gate on, with one exp for all its phases of
-each kind.  rx conserves k and acts on r of the unskewed [k, r, cols] tower.
+A coupling pulse conserves s, and its (2j+1)-square diagonal blocks are real
+symmetric, so their cached eigensystems are real: a pulse v diag(e^{-irw}) vᵀ
+is two real stacked products on float views of the complex run, only its
+phases complex.  rz is a phase on r.  Each run of tc and rz gates between
+rx gates is multiplied out on that [s, r, r] stack from its first gate on,
+with one exp for all its phases of each kind.  rx conserves k and acts on r
+of the unskewed [k, r, cols] tower.
 One loop, _towers, yields each spin's cutoffs: its tower columns of charge
 q ≤ q_max lie on the diagonals s ≤ k0, and k_max keeps just those exact.
 The "jtower" backend evolves those identity columns, the first run's stack
@@ -131,14 +133,15 @@ def _skew(jj: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=None)
 def _tc_eig(jj: int, k_max: int):
     """Real eigensystems of the coupling on each charge diagonal of the jj
-    tower, stacked [s, r, r]; slots outside 0 ≤ k ≤ k_max stay uncoupled."""
+    tower, stacked [s, r, r]; slots outside 0 ≤ k ≤ k_max stay uncoupled.
+    v and vt = vᵀ are float64, the factors of every pulse's real products."""
     blocks = np.zeros((jj + k_max + 1, jj + 1, jj + 1))
     for s, block in enumerate(blocks):
         lo, hi = max(0, jj - s), min(jj, jj + k_max - s) + 1  # k = s + r - jj
         block[lo:hi, lo:hi] = ops.coupling(
             [(jj, jj - 2 * r, s + r - jj) for r in range(lo, hi)])
     w, v = np.linalg.eigh(blocks)
-    vt = v.transpose(0, 2, 1).astype(complex)  # complex @ complex skips a cast
+    vt = v.transpose(0, 2, 1).copy()  # C order, so vt * p keeps a float view
     for arr in (w, v, vt):
         arr.setflags(write=False)
     return w, v, vt
@@ -155,7 +158,9 @@ def _rx_eig(jj: int):
 def _run(gates, jj: int, k_max: int, size: int) -> np.ndarray:
     """Product of rx-free gates on the first `size` charge diagonals of the jj
     tower truncated at k_max, an [s, r, r] stack.  One exp gives the phases of
-    all tc gates, [G, s, r], one those of all rz gates, [G, r]."""
+    all tc gates, [G, s, r], one those of all rz gates, [G, r].  A tc is vt,
+    then its phases, then v, each real factor a GEMM on the float view of the
+    complex stack, whose last axis holds (re, im) pairs."""
     w, v, vt = (a[:size] for a in _tc_eig(jj, k_max))
     run = np.eye(jj + 1, dtype=complex)  # leading rz gates keep it [r, r]
     tc, rz = (iter(np.exp(-1j * np.multiply.outer(
@@ -164,9 +169,9 @@ def _run(gates, jj: int, k_max: int, size: int) -> np.ndarray:
     for i, g in enumerate(gates):
         if g.kind == "rz":
             run = next(rz)[:, None] * run
-        else:
-            a = v * next(tc)[:, None, :]
-            run = a @ vt if i == 0 else a @ (vt @ run)  # a first tc skips vt @ I
+        else:  # a first tc skips vt @ I
+            y = vt if i == 0 else (vt @ run.view(float)).view(complex)
+            run = (v @ (y * next(tc)[:, :, None]).view(float)).view(complex)
     return run if run.ndim == 3 else np.tile(run, (len(w), 1, 1))
 
 

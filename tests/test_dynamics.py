@@ -603,8 +603,9 @@ def _evolve_with_identity(gates, jj, k_max, x):
     ident = np.tile(np.eye(jj + 1, dtype=complex), (len(w), 1, 1))
     run = ident
     for g in gates:
-        if g.kind == "tc":
-            run = (v * np.exp(-1j * g.param * w)[:, None, :]) @ (vt @ run)
+        if g.kind == "tc":  # v diag(p) vt as real products on float views
+            y = (vt @ run.view(float)).view(complex) * np.exp(-1j * g.param * w)[:, :, None]
+            run = (v @ y.view(float)).view(complex)
         elif g.kind == "rz":
             run = np.exp(-1j * g.param * m)[:, None] * run
         else:
