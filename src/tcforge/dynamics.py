@@ -6,19 +6,19 @@ dimensionless r = g·t, and rz/rx(θ) are exp(-iθ J_z) / exp(-iθ J_x).
 Every circuit evolves on per-j towers span{|j,m⟩⊗|k⟩ : k ≤ k_max}, each held
 as an array [s, r, cols] over the charge diagonals s = k - r + 2j, r = j - m.
 A coupling pulse conserves s, and its (2j+1)-square diagonal blocks are real
-symmetric, so their cached eigensystems are real: a pulse v diag(e^{-irw}) vᵀ
-is two real stacked products on float views of the complex run, only its
-phases complex.  rz is a phase on r.  Each run of tc and rz gates between
-rx gates is multiplied out on that [s, r, r] stack from its first gate on,
-with one exp for all its phases of each kind.  rx conserves k and acts on r
-of the unskewed [k, r, cols] tower.
+symmetric: a pulse v diag(e^{-irw}) vᵀ is two real stacked products of their
+cached eigenvectors on float views of the complex run.  rz is a phase on r.
+Each run of tc and rz gates between rx gates is multiplied out on that
+[s, r, r] stack from its first gate on, with one exp for all its phases of
+each kind.  rx conserves k and acts on r of the unskewed [k, r, cols] tower.
 One loop, _towers, yields each spin's cutoffs: its tower columns of charge
 q ≤ q_max lie on the diagonals s ≤ k0, and k_max keeps just those exact.
 The "jtower" backend evolves those identity columns, the first run's stack
 gathered as it is; the "charge" backend is the rx-free case, whose sector
 blocks are views of that stack; evolve_vacuum_state evolves only its input
-state's columns.  vacuum_sandwich keeps the spin blocks of ⟨0|V|0⟩ and
-assembles its 2^n-square matrix only when read.
+state's columns.  Runs and rx touch only the diagonals those columns can
+reach.  vacuum_sandwich keeps the spin blocks of ⟨0|V|0⟩ and assembles its
+2^n-square matrix only when read.
 
 All interaction times are reported in units of 2π/g.
 """
@@ -159,8 +159,7 @@ def _run(gates, jj: int, k_max: int, size: int) -> np.ndarray:
     """Product of rx-free gates on the first `size` charge diagonals of the jj
     tower truncated at k_max, an [s, r, r] stack.  One exp gives the phases of
     all tc gates, [G, s, r], one those of all rz gates, [G, r].  A tc is vt,
-    then its phases, then v, each real factor a GEMM on the float view of the
-    complex stack, whose last axis holds (re, im) pairs."""
+    its phases, then v, each real factor a GEMM on the stack's float view."""
     w, v, vt = (a[:size] for a in _tc_eig(jj, k_max))
     run = np.eye(jj + 1, dtype=complex)  # leading rz gates keep it [r, r]
     tc, rz = (iter(np.exp(-1j * np.multiply.outer(
@@ -176,27 +175,34 @@ def _run(gates, jj: int, k_max: int, size: int) -> np.ndarray:
 
 
 def _evolve(gates, jj: int, k_max: int, x: np.ndarray | None = None,
-            k0: int = 0) -> np.ndarray:
+            top: int | None = None) -> np.ndarray:
     """Apply gates to x, an array [s, r, cols] on the jj tower truncated at
     k_max, with s the charge diagonal (see _skew) and r = j - m; return the
     tower [k, r, cols].  x=None is the identity on the tower columns of the
-    diagonals s ≤ k0, in tower order: the first run covers only those
+    diagonals s ≤ top, in tower order: the first run covers only those
     diagonals, x takes column r of its diagonal s as the column in slot
-    (s, r), not multiplied, and every run gathers the tower from x."""
-    slots, start = _skew(jj, k_max), 0
+    (s, r), not multiplied, and every run gathers the tower from x.  x is zero
+    above its diagonal top (default: the last), so runs touch only s ≤ top
+    and each rx only the tower rows k ≤ s ≤ top, raising top by 2j."""
+    slots, start, last = _skew(jj, k_max), 0, jj + k_max
+    top = last if top is None else top
     for stop in [i for i, g in enumerate(gates) if g.kind == "rx"] + [len(gates)]:
         if x is None:
-            run = _run(gates[start:stop], jj, k_max, k0 + 1)
-            s, r = (a[slots[0] <= k0] for a in slots)
-            x = np.zeros((jj + k_max + 1, jj + 1, len(s)), dtype=complex)
+            run = _run(gates[start:stop], jj, k_max, top + 1)
+            s, r = (a[slots[0] <= top] for a in slots)
+            x = np.zeros((last + 1, jj + 1, len(s)), dtype=complex)
             x[s, :, np.arange(len(s))] = run[s, :, r]
         elif stop > start:
-            x = _run(gates[start:stop], jj, k_max, jj + k_max + 1) @ x
+            x, y = np.zeros(x.shape, dtype=complex), x
+            np.matmul(_run(gates[start:stop], jj, k_max, top + 1), y[:top + 1],
+                      out=x[:top + 1])
         tower = x[slots]
         if stop < len(gates):
             wx, vx = _rx_eig(jj)
-            tower = (vx * np.exp(-1j * gates[stop].param * wx)) @ vx.T @ tower
-            x = np.zeros((jj + k_max + 1,) + tower.shape[1:], dtype=complex)
+            tower[:top + 1] = ((vx * np.exp(-1j * gates[stop].param * wx)) @ vx.T
+                               @ tower[:top + 1])
+            top = min(top + jj, last)
+            x = np.zeros((last + 1,) + tower.shape[1:], dtype=complex)
             x[slots] = tower
         start = stop + 1
     return tower
@@ -267,7 +273,7 @@ def apply_circuit(circ: Circuit, q_max: int, backend: str = "auto") -> BlockUnit
             blocks[jj] = _run(circ.gates, jj, k_max, k0 + 1)
             continue
         kmaxes[jj] = k_max
-        tower = _evolve(circ.gates, jj, k_max, k0=k0)
+        tower = _evolve(circ.gates, jj, k_max, top=k0)
         blocks[jj] = tower.reshape(-1, tower.shape[-1])  # row = tower_index
         # (k, 2m) of each column, from its tower slot (k, r = j - m)
         columns[jj] = np.argwhere(_skew(jj, k_max)[0] <= k0) * [1, -2] + [0, jj]
@@ -354,6 +360,6 @@ def evolve_vacuum_state(circ: Circuit, psi_qubits: np.ndarray,
         r = np.arange(jj + 1)
         x = np.zeros((jj + k_max + 1, jj + 1, frames.shape[2]), dtype=complex)
         x[jj - r, r] = frames.conj().transpose(0, 2, 1) @ psi_qubits  # k = 0
-        tower = _evolve(circ.gates, jj, k_max, x)
+        tower = _evolve(circ.gates, jj, k_max, x, top=jj)
         joint[:, :k_max + 1] += np.einsum("rpa,kra->pk", frames, tower)
     return joint
