@@ -135,15 +135,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _scale_guard(args) -> str | None:
-    if args.override_scale or args.suite == "schwinger":  # its sizes are fixed
-        return None
-    if args.n > DESK_N or args.qmax > DESK_QMAX:
-        return (f"n = {args.n}, q_max = {args.qmax} exceeds desk scale "
-                f"(n ≤ {DESK_N}, q_max ≤ {DESK_QMAX}); pass --override-scale")
-    return None
-
-
 def _suite_accidental(n: int, q_max: int, tol: float):
     checks = []
     for idx, partner in accidental_pairs(n, q_max):
@@ -223,15 +214,16 @@ _SUITES = {"accidental": _suite_accidental, "lie": _suite_lie,
 
 
 def cmd_verify(args) -> int:
-    if args.n < 1:
+    if args.suite == "schwinger":  # its sizes are fixed: --n and --qmax do not apply
+        args.n = args.qmax = None
+    elif args.n < 1:
         raise ValueError(f"need at least one qubit, got n={args.n}")
-    if args.qmax < 0:
+    elif args.qmax < 0:
         raise ValueError(f"q_max must be non-negative, got {args.qmax}")
+    elif not args.override_scale and (args.n > DESK_N or args.qmax > DESK_QMAX):
+        raise ValueError(f"n = {args.n}, q_max = {args.qmax} exceeds desk scale "
+                         f"(n ≤ {DESK_N}, q_max ≤ {DESK_QMAX}); pass --override-scale")
     _check_tol(args.tol)
-    guard = _scale_guard(args)
-    if guard:
-        print(f"error: {guard}", file=sys.stderr)
-        return 1
     checks = _SUITES[args.suite](args.n, args.qmax, args.tol)
     ok = all(c["pass"] for c in checks)
     _dump({"suite": args.suite, "n": args.n, "q_max": args.qmax, "tol": args.tol,

@@ -193,6 +193,15 @@ def test_verify_schwinger_ignores_the_scale_guard(tmp_path):
     assert checks[0]["pass"]
 
 
+def test_verify_schwinger_neither_checks_nor_echoes_n_and_qmax(tmp_path):
+    # its sizes are fixed, so --n and --qmax are not read, not even validated
+    out = tmp_path / "schwinger.json"
+    assert run(["verify", "schwinger", "--n", "0", "--qmax", "-1",
+                "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["n"] is None and report["q_max"] is None and report["pass"]
+
+
 def test_verify_lie_checks_large_sectors(tmp_path):
     out = tmp_path / "lie.json"
     assert run(["verify", "lie", "--n", "7", "--qmax", "8",
@@ -286,8 +295,6 @@ def test_bad_counts_fail_with_one_error_line(capsys):
     for argv in (["verify", "phases", "--n", "0"],
                  ["verify", "phases", "--n", "-2"],
                  ["verify", "realizability", "--qmax", "-1"],
-                 ["verify", "schwinger", "--n", "0"],
-                 ["verify", "schwinger", "--qmax", "-1"],
                  ["verify", "phases", "--qmax", "-1"],
                  ["sectors", "--n", "0"]):
         assert run(argv) == 1
