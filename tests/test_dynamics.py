@@ -510,6 +510,32 @@ def test_tc_eig_matches_tower_scatter():
             assert np.array_equal(vt, v_ref.transpose(0, 2, 1))
 
 
+def test_tc_eig_caches_real_read_only_factors():
+    for jj, k_max in [(0, 0), (0, 3), (1, 2), (4, 7), (12, 20)]:
+        w, v, vt = dyn._tc_eig(jj, k_max)
+        for a in (w, v, vt):
+            assert a.dtype == np.float64 and not a.flags.writeable
+        assert np.array_equal(vt, v.transpose(0, 2, 1))
+
+
+def test_float_view_pulse_matches_the_complex_product():
+    # one tc after a seeded run, against (v diag p)(vt run) in complex: after
+    # no gate (a first tc), after rz only (a 2-D run) and after a 3-D stack
+    rng = np.random.default_rng(21)
+    for jj, k_max in [(0, 0), (0, 4), (1, 3), (2, 2), (3, 5), (6, 9)]:
+        size = jj + k_max + 1
+        w, v, vt = dyn._tc_eig(jj, k_max)
+        for lead in ([], ["rz", "rz"], ["tc", "rz", "tc"], ["rz", "tc", "rz"]):
+            gates = [Gate(k, float(rng.uniform(-2, 2))) for k in lead]
+            r = float(rng.uniform(-2, 2))
+            before = dyn._run(gates, jj, k_max, size)
+            want = ((v * np.exp(-1j * r * w)[:, None, :])
+                    @ (vt.astype(complex) @ before))
+            got = dyn._run(gates + [Gate("tc", r)], jj, k_max, size)
+            assert got.shape == (size, jj + 1, jj + 1)
+            assert np.abs(got - want).max() <= 1e-14, (jj, k_max, lead)
+
+
 def test_apply_circuit_never_builds_the_dense_tower(monkeypatch):
     from tcforge import operators as ops
 
@@ -694,3 +720,30 @@ def test_identity_free_evolution_matches_reference_exactly():
         q_state = int(rng.integers(n, 2 * n + 2))
         assert np.array_equal(dyn.evolve_vacuum_state(circ, psi, q_state),
                               _vacuum_state_with_identity(circ, psi, q_state))
+
+
+def test_bounded_evolution_equals_the_unbounded_one():
+    # top bounds the diagonals runs and rx touch; the values must not move,
+    # and the caller's x is left as it was
+    rng = np.random.default_rng(15)
+    for kinds in _kind_sequences(rng):
+        if "rx" not in kinds:
+            continue
+        n = int(rng.integers(1, 7))
+        q_max = int(rng.integers(0, 2 * n + 2))
+        circ = Circuit(n, [Gate(k, float(rng.uniform(-2, 2))) for k in kinds])
+        for jj, k0, k_max in dyn._towers(circ, q_max):
+            s, r = dyn._skew(jj, k_max)
+            keep = s <= k0
+            x = np.zeros((jj + k_max + 1, jj + 1, np.count_nonzero(keep)), dtype=complex)
+            x[s[keep], r[keep], np.arange(x.shape[2])] = 1.0
+            full = dyn._evolve(circ.gates, jj, k_max, x)
+            assert np.array_equal(dyn._evolve(circ.gates, jj, k_max, top=k0), full)
+            # a state on vacuum: random columns on the diagonals s ≤ 2j
+            y = np.zeros((jj + k_max + 1, jj + 1, 3), dtype=complex)
+            y[:jj + 1] = rng.normal(size=(jj + 1, jj + 1, 3))
+            y[:jj + 1][np.add.outer(np.arange(jj + 1), np.arange(jj + 1)) < jj] = 0  # k < 0
+            kept = y.copy()
+            bounded = dyn._evolve(circ.gates, jj, k_max, y, top=jj)
+            assert np.array_equal(y, kept)
+            assert np.array_equal(bounded, dyn._evolve(circ.gates, jj, k_max, y))
