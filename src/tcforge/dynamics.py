@@ -192,10 +192,11 @@ def _evolve(gates, jj: int, k_max: int, x: np.ndarray | None = None,
             s, r = (a[slots[0] <= top] for a in slots)
             x = np.zeros((last + 1, jj + 1, len(s)), dtype=complex)
             x[s, :, np.arange(len(s))] = run[s, :, r]
-        elif stop > start:
-            x, y = np.zeros(x.shape, dtype=complex), x
-            np.matmul(_run(gates[start:stop], jj, k_max, top + 1), y[:top + 1],
-                      out=x[:top + 1])
+        elif stop > start:  # into zeros, as y may be the caller's; del y frees it
+            run = _run(gates[start:stop], jj, k_max, top + 1)
+            y, x = x, np.zeros(x.shape, dtype=complex)
+            np.matmul(run, y[:top + 1], out=x[:top + 1])
+            del y
         tower = x[slots]
         if stop < len(gates):
             wx, vx = _rx_eig(jj)
