@@ -192,7 +192,7 @@ def _evolve(gates, jj: int, k_max: int, x: np.ndarray | None = None,
             s, r = (a[slots[0] <= top] for a in slots)
             x = np.zeros((last + 1, jj + 1, len(s)), dtype=complex)
             x[s, :, np.arange(len(s))] = run[s, :, r]
-        elif stop > start:  # into zeros, as y may be the caller's; del y frees it
+        elif stop > start:  # into zeros, not into the caller's x; del frees the old x
             run = _run(gates[start:stop], jj, k_max, top + 1)
             y, x = x, np.zeros(x.shape, dtype=complex)
             np.matmul(run, y[:top + 1], out=x[:top + 1])
