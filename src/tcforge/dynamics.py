@@ -4,21 +4,19 @@ Gates are e^{-iHt}: a coupling pulse tc(r) is exp(-i r (J+a + J-a†)) with
 dimensionless r = g·t, and rz/rx(θ) are exp(-iθ J_z) / exp(-iθ J_x).
 
 Every circuit evolves on per-j towers span{|j,m⟩⊗|k⟩ : k ≤ k_max}, each held
-as an array [s, r, cols] over the charge diagonals s = k - r + 2j, r = j - m.
+r-major as [r, s, cols], r = j - m, over the charge diagonals s = k - r + 2j.
 A coupling pulse conserves s, and its (2j+1)-square diagonal blocks are real
 symmetric: a pulse v diag(e^{-irw}) vᵀ is two real stacked products of their
 cached eigenvectors on float views of the complex run.  rz is a phase on r.
 Each run of tc and rz gates between rx gates is multiplied out on that
 [s, r, r] stack from its first gate on, with one exp for all its phases of
-each kind.  rx conserves k and acts on r of the unskewed [k, r, cols] tower.
-One loop, _towers, yields each spin's cutoffs: its tower columns of charge
-q ≤ q_max lie on the diagonals s ≤ k0, and k_max keeps just those exact.
-The "jtower" backend evolves those identity columns, the first run's stack
-gathered as it is; the "charge" backend is the rx-free case, whose sector
-blocks are views of that stack; evolve_vacuum_state evolves only its input
-state's columns.  Runs and rx touch only the diagonals those columns can
-reach.  vacuum_sandwich keeps the spin blocks of ⟨0|V|0⟩ and assembles its
-2^n-square matrix only when read.
+each kind.  rx conserves k and acts on r of the tower [k, r, cols], a view
+of the state, so no product moves data.  One loop, _towers, yields each
+spin's cutoffs and gates (none on the singlet, where each is 1): its
+columns of charge q ≤ q_max lie on the diagonals s ≤ k0, and k_max keeps
+just those exact.  The "jtower" backend evolves those identity columns; the
+"charge" backend is the rx-free case, whose sector blocks are views of the
+first run's stack; evolve_vacuum_state evolves its input state's columns.
 
 All interaction times are reported in units of 2π/g.
 """
@@ -174,39 +172,47 @@ def _run(gates, jj: int, k_max: int, size: int) -> np.ndarray:
     return run if run.ndim == 3 else np.tile(run, (len(w), 1, 1))
 
 
+def _tower(x: np.ndarray, jj: int, rows: int) -> np.ndarray:
+    """Tower rows k < rows (at most k ≤ k_max), [k, r, cols], as a view of
+    x[r, s, cols]: slot (k, r) is x[r, k - r + 2j], each stride positive."""
+    (dr, ds, dc), rows = x.strides, min(rows, x.shape[1] - jj)
+    return np.ndarray((rows, jj + 1, x.shape[2]), complex, x, jj * ds,
+                      (ds, dr - ds, dc))  # bounds-checked against x
+
+
 def _evolve(gates, jj: int, k_max: int, x: np.ndarray | None = None,
             top: int | None = None) -> np.ndarray:
-    """Apply gates to x, an array [s, r, cols] on the jj tower truncated at
-    k_max, with s the charge diagonal (see _skew) and r = j - m; return the
-    tower [k, r, cols].  x=None is the identity on the tower columns of the
-    diagonals s ≤ top, in tower order: the first run covers only those
-    diagonals, x takes column r of its diagonal s as the column in slot
-    (s, r), not multiplied, and every run gathers the tower from x.  x is zero
-    above its diagonal top (default: the last), so runs touch only s ≤ top
-    and each rx only the tower rows k ≤ s ≤ top, raising top by 2j."""
+    """Apply gates to x, an array [r, s, cols] on the jj tower truncated at
+    k_max (r = j - m, s the charge diagonal; see _skew); return the tower
+    [k, r, cols] as a view (see _tower).  x=None is the identity on the
+    tower columns of the diagonals s ≤ top, in tower order, taken unmultiplied
+    from the first run.  x is zero above its diagonal top (default: the
+    last), so runs touch only s ≤ top and each rx only the tower rows k ≤ top,
+    raising top by 2j.  Each product writes a spare buffer, not the caller's
+    x, and the two swap; top only grows, so no slot keeps a stale value."""
     slots, start, last = _skew(jj, k_max), 0, jj + k_max
     top = last if top is None else top
+    if x is not None:
+        x, spare = np.array(x, complex, order="C"), np.zeros(x.shape, complex)
     for stop in [i for i, g in enumerate(gates) if g.kind == "rx"] + [len(gates)]:
         if x is None:
             run = _run(gates[start:stop], jj, k_max, top + 1)
             s, r = (a[slots[0] <= top] for a in slots)
-            x = np.zeros((last + 1, jj + 1, len(s)), dtype=complex)
-            x[s, :, np.arange(len(s))] = run[s, :, r]
-        elif stop > start:  # into zeros, not into the caller's x; del frees the old x
+            x = np.zeros((jj + 1, last + 1, len(s)), dtype=complex)
+            x[:, s, np.arange(len(s))] = run[s, :, r].T
+            spare = np.zeros(x.shape, complex)  # apart: freed if not returned
+        elif stop > start:
             run = _run(gates[start:stop], jj, k_max, top + 1)
-            y, x = x, np.zeros(x.shape, dtype=complex)
-            np.matmul(run, y[:top + 1], out=x[:top + 1])
-            del y
-        tower = x[slots]
+            np.matmul(run, x.transpose(1, 0, 2)[:top + 1],
+                      out=spare.transpose(1, 0, 2)[:top + 1])
+            x, spare = spare, x
         if stop < len(gates):
             wx, vx = _rx_eig(jj)
-            tower[:top + 1] = ((vx * np.exp(-1j * gates[stop].param * wx)) @ vx.T
-                               @ tower[:top + 1])
-            top = min(top + jj, last)
-            x = np.zeros((last + 1,) + tower.shape[1:], dtype=complex)
-            x[slots] = tower
+            np.matmul((vx * np.exp(-1j * gates[stop].param * wx)) @ vx.T,
+                      _tower(x, jj, top + 1), out=_tower(spare, jj, top + 1))
+            x, spare, top = spare, x, min(top + jj, last)
         start = stop + 1
-    return tower
+    return _tower(x, jj, k_max + 1)
 
 
 @dataclass
@@ -249,13 +255,13 @@ def tower_k_max(circ: Circuit, q_max: int, jj: int) -> int:
 
 
 def _towers(circ: Circuit, q_max: int):
-    """(2j, k0, k_max) of each spin with a state of charge q ≤ q_max.  Those
-    states are the tower columns on the diagonals s ≤ k0 = q_max + (2j - n)/2,
-    and the tower truncated at k_max = tower_k_max keeps them exact."""
+    """(2j, k0, k_max, gates) of each spin with a state of charge q ≤ q_max:
+    those lie on the diagonals s ≤ k0 = q_max + (2j - n)/2, k_max keeps them
+    exact, and the singlet, where every gate is exactly 1, gets no gates."""
     for jj in _spins(circ.n):
         k0 = q_max + (jj - circ.n) // 2
         if k0 >= 0:
-            yield jj, k0, tower_k_max(circ, q_max, jj)
+            yield jj, k0, tower_k_max(circ, q_max, jj), circ.gates if jj else ()
 
 
 def apply_circuit(circ: Circuit, q_max: int, backend: str = "auto") -> BlockUnitary:
@@ -269,15 +275,14 @@ def apply_circuit(circ: Circuit, q_max: int, backend: str = "auto") -> BlockUnit
     if backend == "charge" and circ.has_rx():
         raise ValueError("rx gates break charge conservation; use the jtower backend")
     blocks, kmaxes, columns = {}, {}, {}
-    for jj, k0, k_max in _towers(circ, q_max):
+    for jj, k0, k_max, gates in _towers(circ, q_max):
         if backend == "charge":  # rx-free, so k_max = k0: _evolve's first run
-            blocks[jj] = _run(circ.gates, jj, k_max, k0 + 1)
+            blocks[jj] = _run(gates, jj, k_max, k0 + 1)
             continue
         kmaxes[jj] = k_max
-        tower = _evolve(circ.gates, jj, k_max, top=k0)
-        blocks[jj] = tower.reshape(-1, tower.shape[-1])  # row = tower_index
-        # (k, 2m) of each column, from its tower slot (k, r = j - m)
+        # rows in tower_index order; column (k, 2m) from its slot (k, r = j - m)
         columns[jj] = np.argwhere(_skew(jj, k_max)[0] <= k0) * [1, -2] + [0, jj]
+        blocks[jj] = _evolve(gates, jj, k_max, top=k0).reshape(-1, len(columns[jj]))
     if backend == "jtower":
         return BlockUnitary("jtower", circ.n, q_max, blocks, kmaxes, columns)
     sectors = {}  # views of the run stacks: the last dim slots r have k ≥ 0
@@ -356,11 +361,11 @@ def evolve_vacuum_state(circ: Circuit, psi_qubits: np.ndarray,
                          f"above q_max = {q_max}")
     basis = jm_basis(n)
     joint = np.zeros((2 ** n, tower_k_max(circ, q_max, n) + 1), dtype=complex)
-    for jj, _, k_max in _towers(circ, q_max):  # 2j = n has the widest tower
+    for jj, _, k_max, gates in _towers(circ, q_max):  # 2j = n: the widest tower
         frames = basis[jj]  # frames[r]: the copies of |j, m = j - r⟩
         r = np.arange(jj + 1)
-        x = np.zeros((jj + k_max + 1, jj + 1, frames.shape[2]), dtype=complex)
-        x[jj - r, r] = frames.conj().transpose(0, 2, 1) @ psi_qubits  # k = 0
-        tower = _evolve(circ.gates, jj, k_max, x, top=jj)
+        x = np.zeros((jj + 1, jj + k_max + 1, frames.shape[2]), dtype=complex)
+        x[r, jj - r] = frames.conj().transpose(0, 2, 1) @ psi_qubits  # k = 0
+        tower = _evolve(gates, jj, k_max, x, top=jj)
         joint[:, :k_max + 1] += np.einsum("rpa,kra->pk", frames, tower)
     return joint

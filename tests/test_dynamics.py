@@ -416,8 +416,8 @@ def test_jtower_keeps_exactly_the_columns_its_cutoff_makes_exact():
         # every tower column at the same k_max, as the square tower had them
         k_max, d = bu.k_max[jj], len(block)
         s, r = dyn._skew(jj, k_max)
-        x = np.zeros((jj + k_max + 1, jj + 1, d), dtype=complex)
-        x[s, r, np.arange(d).reshape(s.shape)] = 1.0
+        x = np.zeros((jj + 1, jj + k_max + 1, d), dtype=complex)
+        x[r, s, np.arange(d).reshape(s.shape)] = 1.0
         square = dyn._evolve(circ.gates, jj, k_max, x).reshape(d, d)
         wide_col = {(k, mm): c for c, (k, mm) in enumerate(wide.columns[jj].tolist())}
         for k in range(k_max + 1):
@@ -732,18 +732,68 @@ def test_bounded_evolution_equals_the_unbounded_one():
         n = int(rng.integers(1, 7))
         q_max = int(rng.integers(0, 2 * n + 2))
         circ = Circuit(n, [Gate(k, float(rng.uniform(-2, 2))) for k in kinds])
-        for jj, k0, k_max in dyn._towers(circ, q_max):
+        for jj, k0, k_max, _ in dyn._towers(circ, q_max):
             s, r = dyn._skew(jj, k_max)
             keep = s <= k0
-            x = np.zeros((jj + k_max + 1, jj + 1, np.count_nonzero(keep)), dtype=complex)
-            x[s[keep], r[keep], np.arange(x.shape[2])] = 1.0
+            x = np.zeros((jj + 1, jj + k_max + 1, np.count_nonzero(keep)), dtype=complex)
+            x[r[keep], s[keep], np.arange(x.shape[2])] = 1.0
             full = dyn._evolve(circ.gates, jj, k_max, x)
             assert np.array_equal(dyn._evolve(circ.gates, jj, k_max, top=k0), full)
             # a state on vacuum: random columns on the diagonals s ≤ 2j
-            y = np.zeros((jj + k_max + 1, jj + 1, 3), dtype=complex)
-            y[:jj + 1] = rng.normal(size=(jj + 1, jj + 1, 3))
-            y[:jj + 1][np.add.outer(np.arange(jj + 1), np.arange(jj + 1)) < jj] = 0  # k < 0
+            y = np.zeros((jj + 1, jj + k_max + 1, 3), dtype=complex)
+            y[:, :jj + 1] = rng.normal(size=(jj + 1, jj + 1, 3)).transpose(1, 0, 2)
+            y[:, :jj + 1][np.add.outer(np.arange(jj + 1), np.arange(jj + 1)) < jj] = 0  # k < 0
             kept = y.copy()
             bounded = dyn._evolve(circ.gates, jj, k_max, y, top=jj)
             assert np.array_equal(y, kept)
             assert np.array_equal(bounded, dyn._evolve(circ.gates, jj, k_max, y))
+
+
+def test_tower_is_a_writable_view_of_the_r_major_state():
+    # slot (k, r) of the tower is x[r, s = k - r + 2j], with no copy
+    rng = np.random.default_rng(19)
+    for jj in range(7):
+        for k_max in (0, 1, 2, 5):
+            slots = dyn._skew(jj, k_max)
+            for rows in range(1, k_max + 2):
+                x = rng.normal(size=(jj + 1, jj + k_max + 1, 3)) + 0j
+                before = x.copy()
+                tower = dyn._tower(x, jj, rows)
+                assert np.array_equal(tower, x.transpose(1, 0, 2)[slots][:rows])
+                assert np.shares_memory(tower, x)
+                tower *= -1
+                want = before.transpose(1, 0, 2).copy()
+                want[tuple(a[:rows] for a in slots)] *= -1
+                assert np.array_equal(x, want.transpose(1, 0, 2))
+
+
+def test_singlet_is_dark_on_every_backend():
+    # every native gate is exactly 1 on 2j = 0: its jtower block is the
+    # identity columns and its charge sectors are [[1]], bit for bit
+    rng = np.random.default_rng(20)
+    for kinds in _kind_sequences(rng):
+        n = 2 * int(rng.integers(1, 4))
+        q_max = int(rng.integers(n // 2, 2 * n + 2))
+        circ = Circuit(n, [Gate(k, float(rng.uniform(-2, 2))) for k in kinds])
+        bu = dyn.apply_circuit(circ, q_max, backend="jtower")
+        assert np.array_equal(bu.blocks[0], _tower_identity(bu, 0)), kinds
+        rx_free = Circuit(n, [g for g in circ.gates if g.kind != "rx"])
+        ch = dyn.apply_circuit(rx_free, q_max, backend="charge")
+        singlets = [idx for idx in ch.blocks if idx.jj == 0]
+        assert singlets
+        for idx in singlets:
+            assert np.array_equal(ch.blocks[idx], [[1]]), (kinds, idx)
+
+
+def test_singlet_state_matches_brute_force():
+    # (|01> - |10>)/√2 on vacuum, against the dense 2^n ⊗ Fock evolution
+    psi = np.array([0, 1, -1, 0]) / np.sqrt(2)
+    rng = np.random.default_rng(21)
+    for kinds in _kind_sequences(rng):
+        circ = Circuit(2, [Gate(k, float(rng.uniform(-2, 2))) for k in kinds])
+        joint = dyn.evolve_vacuum_state(circ, psi, q_max=2)
+        k_cut = dyn.tower_k_max(circ, 2, 2) + 1
+        ref = _brute_force(circ, k_cut) @ np.kron(psi, np.eye(k_cut + 1)[0])
+        ref = ref.reshape(4, k_cut + 1)
+        assert np.abs(joint - ref[:, :joint.shape[1]]).max() <= 1e-13, kinds
+        assert np.abs(ref[:, joint.shape[1]:]).max(initial=0.0) <= 1e-13
