@@ -240,13 +240,13 @@ def _det_equations(target: BlockTarget):
 
 def _phase_verdict(c, d, theta, sectors, tol: float,
                    theta_z_candidates=None) -> RealizabilityVerdict:
-    """Verdict on the determinant-phase system: its solution, or the worst
-    sector at θ_z = α = 0 when none exists."""
+    """Verdict on the determinant-phase system: its solution, or, if none
+    exists, the first sector within tol of the worst at θ_z = α = 0."""
     tz, al, worst = _solve_phase_system(c, d, theta, tol, theta_z_candidates)
     if tz is None:
         resid = _residuals(c, d, theta, np.zeros(1), np.zeros(1))[0]
         worst = float(resid.max())
-        idx = sectors[int(np.argmax(resid))]
+        idx = sectors[int(np.argmax(resid >= worst - tol))]
         return RealizabilityVerdict(
             False, violation={"constraint": DETERMINANT_PHASE,
                               "sectors": None if worst == 0
@@ -285,8 +285,9 @@ def check_block_target(target: BlockTarget,
                         for g, a, b, jgap in pairs], axis=1)
         worst = dev.max(axis=1)
         if not (worst <= tol).any():
-            best = int(np.argmin(worst))  # first best candidate, first worst pair
-            a, b = accidental_pairs(target.n, target.q_max)[int(np.argmax(dev[best]))]
+            best = int(np.argmax(worst <= worst.min() + tol))  # first within tol
+            a, b = accidental_pairs(target.n, target.q_max)[
+                int(np.argmax(dev[best] >= worst[best] - tol))]
             resid = float(worst[best])
             return RealizabilityVerdict(
                 False, violation={"constraint": PARTNER_EQUALITY,

@@ -199,6 +199,16 @@ def test_symmetric_phase_constraint():
     assert not rz.check_symmetric_phase_constraint(2, 4, bad).realizable
 
 
+def test_tied_residuals_report_the_first_sector():
+    # q = 1 and q = 2 tie within tol at θ_z = α = 0; whichever holds the
+    # larger last bits, the report names the first of them, q = 1
+    for theta_q in ([0.0, 2.5, 2.5 + 1e-12, 0.0], [0.0, 2.5 + 1e-12, 2.5, 0.0]):
+        v = rz.check_symmetric_phase_constraint(3, 3, theta_q)
+        assert not v.realizable
+        assert v.violation["sectors"] == [1, 3]
+        assert v.violation["residual"] == v.max_residual == 2.5 + 1e-12
+
+
 def test_accepted_two_qubit_targets_compile():
     # every realizable verdict at n = 2 is constructively confirmed
     from tcforge.synthesis import compile_two_qubit, wrap_pi
@@ -288,10 +298,13 @@ def _ref_solve(eqs, tol, theta_z_candidates=None):
 def _ref_phase_verdict(eqs, tol, theta_z_candidates=None):
     sol = _ref_solve(eqs, tol, theta_z_candidates)
     if sol is None:
-        worst, idx = _ref_verify(eqs, 0.0, 0.0)
+        worst, _ = _ref_verify(eqs, 0.0, 0.0)
+        # a tie goes to the first sector within tol of the worst
+        idx = next(i for c, d, th, i in eqs
+                   if abs(float(rz.wrap_pi(c * 0.0 + d * 0.0 - th))) >= worst - tol)
         return rz.RealizabilityVerdict(
             False, violation={"constraint": rz.DETERMINANT_PHASE,
-                              "sectors": None if idx is None else [idx.q, idx.jj],
+                              "sectors": None if worst == 0 else [idx.q, idx.jj],
                               "residual": worst},
             max_residual=worst)
     tz, al = sol
@@ -307,25 +320,26 @@ def _ref_check_block_target(target, tol=1e-8):
         idx, p = pairs[0]
         tz_candidates = rz._pair_phase_candidates(
             target.blocks[idx], target.blocks[p], (idx.jj - p.jj) // 2)
-        surviving, best_fail = [], (np.inf, pairs[0])
+        surviving, fails = [], []
         for tz in tz_candidates:
-            worst, worst_at = 0.0, pairs[0]
-            for a, b in pairs:
-                dev = float(np.abs(target.blocks[a] - np.exp(
-                    -1j * ((a.jj - b.jj) // 2) * tz) * target.blocks[b]).max())
-                if dev > worst:
-                    worst, worst_at = dev, (a, b)
-            if worst <= tol:
+            devs = [float(np.abs(target.blocks[a] - np.exp(
+                -1j * ((a.jj - b.jj) // 2) * tz) * target.blocks[b]).max())
+                for a, b in pairs]
+            if max(devs) <= tol:
                 surviving.append(tz)
-            elif worst < best_fail[0]:
-                best_fail = (worst, worst_at)
+            else:
+                fails.append((max(devs), devs))
         if not surviving:
-            a, b = best_fail[1]
+            # ties go to the first candidate within tol of the best, and to
+            # its first pair within tol of its worst
+            best = min(worst for worst, _ in fails)
+            worst, devs = next(f for f in fails if f[0] <= best + tol)
+            a, b = next(p for p, dev in zip(pairs, devs) if dev >= worst - tol)
             return rz.RealizabilityVerdict(
                 False, violation={"constraint": rz.PARTNER_EQUALITY,
                                   "sectors": [a.q, a.jj, b.q, b.jj],
-                                  "residual": best_fail[0]},
-                max_residual=best_fail[0])
+                                  "residual": worst},
+                max_residual=worst)
         tz_candidates = surviving
     return _ref_phase_verdict(_ref_det_equations(target), tol, tz_candidates)
 
