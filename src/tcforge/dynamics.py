@@ -14,9 +14,9 @@ each kind.  rx conserves k and acts on r of the tower [k, r, cols], a view
 of the state, so no product moves data.  One loop, _towers, yields each
 spin's cutoffs and gates (none on the singlet, where each is 1): its
 columns of charge q ≤ q_max lie on the diagonals s ≤ k0, and k_max keeps
-just those exact.  The "jtower" backend evolves those identity columns; the
-"charge" backend is the rx-free case, whose sector blocks are views of the
-first run's stack; evolve_vacuum_state evolves its input state's columns.
+just those exact.  Only identity columns evolve: "jtower" those on s ≤ k0,
+evolve_vacuum_state the 2j+1 at k = 0, then weighted by the state; the
+"charge" backend is the rx-free case, its blocks views of the first run.
 
 All interaction times are reported in units of 2π/g.
 """
@@ -180,32 +180,28 @@ def _tower(x: np.ndarray, jj: int, rows: int) -> np.ndarray:
                       (ds, dr - ds, dc))  # bounds-checked against x
 
 
-def _evolve(gates, jj: int, k_max: int, x: np.ndarray | None = None,
-            top: int | None = None) -> np.ndarray:
-    """Apply gates to x, an array [r, s, cols] on the jj tower truncated at
-    k_max (r = j - m, s the charge diagonal; see _skew); return the tower
-    [k, r, cols] as a view (see _tower).  x=None is the identity on the
-    tower columns of the diagonals s ≤ top, in tower order, taken unmultiplied
-    from the first run.  x is zero above its diagonal top (default: the
-    last), so runs touch only s ≤ top and each rx only the tower rows k ≤ top,
-    raising top by 2j.  Each product writes a spare buffer, not the caller's
-    x, and the two swap; top only grows, so no slot keeps a stale value."""
-    slots, start, last = _skew(jj, k_max), 0, jj + k_max
-    top = last if top is None else top
-    if x is not None:
-        x, spare = np.array(x, complex, order="C"), np.zeros(x.shape, complex)
+def _evolve(gates, jj: int, k_max: int, cols: np.ndarray) -> np.ndarray:
+    """Evolve the identity columns at the slots of the [k, r] mask cols (r =
+    j - m) of the jj tower truncated at k_max, in tower order, and return the
+    tower [k, r, cols]: a view (see _tower) of the state, held [r, s, cols] on
+    the charge diagonals s (see _skew).  The first run gives the columns
+    unmultiplied, on s ≤ top, so runs touch only s ≤ top and each rx only the
+    rows k ≤ top, raising top by 2j.  Products write the spare buffer and the
+    two swap; top only grows, so no slot keeps a stale value."""
+    s, r = (a[cols] for a in _skew(jj, k_max))
+    start, last, top, c = 0, jj + k_max, int(s.max()), np.arange(len(s))
+    x = np.zeros((jj + 1, last + 1, len(s)), dtype=complex)
+    x[r, s, c] = 1.0  # the identity columns
+    spare = np.zeros(x.shape, complex)  # apart: freed if not returned
     for stop in [i for i, g in enumerate(gates) if g.kind == "rx"] + [len(gates)]:
-        if x is None:
+        if stop > start:
             run = _run(gates[start:stop], jj, k_max, top + 1)
-            s, r = (a[slots[0] <= top] for a in slots)
-            x = np.zeros((jj + 1, last + 1, len(s)), dtype=complex)
-            x[:, s, np.arange(len(s))] = run[s, :, r].T
-            spare = np.zeros(x.shape, complex)  # apart: freed if not returned
-        elif stop > start:
-            run = _run(gates[start:stop], jj, k_max, top + 1)
-            np.matmul(run, x.transpose(1, 0, 2)[:top + 1],
-                      out=spare.transpose(1, 0, 2)[:top + 1])
-            x, spare = spare, x
+            if start == 0:  # the first run's columns replace them unmultiplied
+                x[:, s, c] = run[s, :, r].T
+            else:
+                np.matmul(run, x.transpose(1, 0, 2)[:top + 1],
+                          out=spare.transpose(1, 0, 2)[:top + 1])
+                x, spare = spare, x
         if stop < len(gates):
             wx, vx = _rx_eig(jj)
             np.matmul((vx * np.exp(-1j * gates[stop].param * wx)) @ vx.T,
@@ -279,10 +275,10 @@ def apply_circuit(circ: Circuit, q_max: int, backend: str = "auto") -> BlockUnit
         if backend == "charge":  # rx-free, so k_max = k0: _evolve's first run
             blocks[jj] = _run(gates, jj, k_max, k0 + 1)
             continue
-        kmaxes[jj] = k_max
-        # rows in tower_index order; column (k, 2m) from its slot (k, r = j - m)
-        columns[jj] = np.argwhere(_skew(jj, k_max)[0] <= k0) * [1, -2] + [0, jj]
-        blocks[jj] = _evolve(gates, jj, k_max, top=k0).reshape(-1, len(columns[jj]))
+        kmaxes[jj], cols = k_max, _skew(jj, k_max)[0] <= k0
+        # tower order; column (k, 2m) from its slot (k, r = j - m)
+        columns[jj] = np.argwhere(cols) * [1, -2] + [0, jj]
+        blocks[jj] = _evolve(gates, jj, k_max, cols).reshape(-1, len(columns[jj]))
     if backend == "jtower":
         return BlockUnitary("jtower", circ.n, q_max, blocks, kmaxes, columns)
     sectors = {}  # views of the run stacks: the last dim slots r have k ≥ 0
@@ -363,9 +359,8 @@ def evolve_vacuum_state(circ: Circuit, psi_qubits: np.ndarray,
     joint = np.zeros((2 ** n, tower_k_max(circ, q_max, n) + 1), dtype=complex)
     for jj, _, k_max, gates in _towers(circ, q_max):  # 2j = n: the widest tower
         frames = basis[jj]  # frames[r]: the copies of |j, m = j - r⟩
-        r = np.arange(jj + 1)
-        x = np.zeros((jj + 1, jj + k_max + 1, frames.shape[2]), dtype=complex)
-        x[r, jj - r] = frames.conj().transpose(0, 2, 1) @ psi_qubits  # k = 0
-        tower = _evolve(gates, jj, k_max, x, top=jj)
-        joint[:, :k_max + 1] += np.einsum("rpa,kra->pk", frames, tower)
+        vacuum = np.arange(k_max + 1)[:, None] == np.zeros(jj + 1, int)  # k = 0
+        state = _evolve(gates, jj, k_max, vacuum) @ (
+            frames.conj().transpose(0, 2, 1) @ psi_qubits)
+        joint[:, :k_max + 1] += np.einsum("rpa,kra->pk", frames, state)
     return joint

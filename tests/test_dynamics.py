@@ -415,10 +415,8 @@ def test_jtower_keeps_exactly_the_columns_its_cutoff_makes_exact():
         assert sorted(kept) == sorted(lab for idx in sectors for lab in basis_labels(idx))
         # every tower column at the same k_max, as the square tower had them
         k_max, d = bu.k_max[jj], len(block)
-        s, r = dyn._skew(jj, k_max)
-        x = np.zeros((jj + 1, jj + k_max + 1, d), dtype=complex)
-        x[r, s, np.arange(d).reshape(s.shape)] = 1.0
-        square = dyn._evolve(circ.gates, jj, k_max, x).reshape(d, d)
+        every = np.ones((k_max + 1, jj + 1), bool)
+        square = dyn._evolve(circ.gates, jj, k_max, every).reshape(d, d)
         wide_col = {(k, mm): c for c, (k, mm) in enumerate(wide.columns[jj].tolist())}
         for k in range(k_max + 1):
             for mm in range(jj, -jj - 2, -2):
@@ -669,16 +667,31 @@ def _blocks_with_identity(circ, q_max, backend):
     return blocks
 
 
+def _columns_with_identity(gates, jj, k_max, cols):
+    """The tower [k, r, c] of the identity columns at the [k, r] mask cols."""
+    s, r = dyn._skew(jj, k_max)
+    x = np.zeros((jj + k_max + 1, jj + 1, np.count_nonzero(cols)), dtype=complex)
+    x[s[cols], r[cols], np.arange(x.shape[2])] = 1.0
+    return _evolve_with_identity(gates, jj, k_max, x)[s, r]
+
+
+def _vacuum_mask(jj, k_max):
+    """The [k, r] mask of the vacuum slots k = 0."""
+    cols = np.zeros((k_max + 1, jj + 1), bool)
+    cols[0] = True
+    return cols
+
+
 def _vacuum_state_with_identity(circ, psi, q_max):
+    # the 2j+1 vacuum columns of each spin, then the state's coefficients
     from tcforge.qubits import jm_basis
     k_maxes = {jj: dyn.tower_k_max(circ, q_max, jj) for jj in dyn._spins(circ.n)}
     joint = np.zeros((2 ** circ.n, max(k_maxes.values()) + 1), dtype=complex)
     for jj, k_max in k_maxes.items():
-        frames, r = jm_basis(circ.n)[jj], np.arange(jj + 1)
-        x = np.zeros((jj + k_max + 1, jj + 1, frames.shape[2]), dtype=complex)
-        x[jj - r, r] = frames.conj().transpose(0, 2, 1) @ psi
-        tower = _evolve_with_identity(circ.gates, jj, k_max, x)[dyn._skew(jj, k_max)]
-        joint[:, :k_max + 1] += np.einsum("rpa,kra->pk", frames, tower)
+        frames = jm_basis(circ.n)[jj]
+        tower = _columns_with_identity(circ.gates, jj, k_max, _vacuum_mask(jj, k_max))
+        state = tower @ (frames.conj().transpose(0, 2, 1) @ psi)
+        joint[:, :k_max + 1] += np.einsum("rpa,kra->pk", frames, state)
     return joint
 
 
@@ -723,8 +736,7 @@ def test_identity_free_evolution_matches_reference_exactly():
 
 
 def test_bounded_evolution_equals_the_unbounded_one():
-    # top bounds the diagonals runs and rx touch; the values must not move,
-    # and the caller's x is left as it was
+    # top bounds the diagonals runs and rx touch; the values must not move
     rng = np.random.default_rng(15)
     for kinds in _kind_sequences(rng):
         if "rx" not in kinds:
@@ -733,20 +745,10 @@ def test_bounded_evolution_equals_the_unbounded_one():
         q_max = int(rng.integers(0, 2 * n + 2))
         circ = Circuit(n, [Gate(k, float(rng.uniform(-2, 2))) for k in kinds])
         for jj, k0, k_max, _ in dyn._towers(circ, q_max):
-            s, r = dyn._skew(jj, k_max)
-            keep = s <= k0
-            x = np.zeros((jj + 1, jj + k_max + 1, np.count_nonzero(keep)), dtype=complex)
-            x[r[keep], s[keep], np.arange(x.shape[2])] = 1.0
-            full = dyn._evolve(circ.gates, jj, k_max, x)
-            assert np.array_equal(dyn._evolve(circ.gates, jj, k_max, top=k0), full)
-            # a state on vacuum: random columns on the diagonals s ≤ 2j
-            y = np.zeros((jj + 1, jj + k_max + 1, 3), dtype=complex)
-            y[:, :jj + 1] = rng.normal(size=(jj + 1, jj + 1, 3)).transpose(1, 0, 2)
-            y[:, :jj + 1][np.add.outer(np.arange(jj + 1), np.arange(jj + 1)) < jj] = 0  # k < 0
-            kept = y.copy()
-            bounded = dyn._evolve(circ.gates, jj, k_max, y, top=jj)
-            assert np.array_equal(y, kept)
-            assert np.array_equal(bounded, dyn._evolve(circ.gates, jj, k_max, y))
+            # the jtower columns, on the diagonals s ≤ k0, and the vacuum ones
+            for cols in (dyn._skew(jj, k_max)[0] <= k0, _vacuum_mask(jj, k_max)):
+                assert np.array_equal(dyn._evolve(circ.gates, jj, k_max, cols),
+                                      _columns_with_identity(circ.gates, jj, k_max, cols))
 
 
 def test_tower_is_a_writable_view_of_the_r_major_state():
@@ -797,3 +799,28 @@ def test_singlet_state_matches_brute_force():
         ref = ref.reshape(4, k_cut + 1)
         assert np.abs(joint - ref[:, :joint.shape[1]]).max() <= 1e-13, kinds
         assert np.abs(ref[:, joint.shape[1]:]).max(initial=0.0) <= 1e-13
+
+
+def test_vacuum_state_below_charge_n_matches_brute_force():
+    # with q_max < n the vacuum columns of charge above q_max evolve on a
+    # tower too short for them; they are exact only through their zero weight
+    rng = np.random.default_rng(22)
+    for _ in range(12):
+        n = int(rng.integers(2, 6))
+        kinds = [str(k) for k in rng.permutation(
+            ["rx", "tc"] + list(rng.choice(["tc", "rz", "rx"], 4)))]
+        circ = Circuit(n, [Gate(k, float(rng.uniform(-2, 2))) for k in kinds])
+        q_max = int(rng.integers(0, n))
+        zeros = np.array([n - b.bit_count() for b in range(2 ** n)])
+        psi = (rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)) * (zeros <= q_max)
+        joint = dyn.evolve_vacuum_state(circ, psi, q_max)
+        k_cut = joint.shape[1]
+        ref = (_brute_force(circ, k_cut) @ np.kron(psi, np.eye(k_cut + 1)[0]))
+        ref = ref.reshape(2 ** n, k_cut + 1)
+        assert np.abs(joint - ref[:, :k_cut]).max() <= 1e-13, (kinds, q_max)
+        assert np.abs(ref[:, k_cut:]).max() <= 1e-13
+        # on vacuum out, the same state as the jtower backend's sandwich
+        for q in (n, n + 2):
+            vs = dyn.vacuum_sandwich(dyn.apply_circuit(circ, q, "jtower"))
+            gap = np.abs(dyn.evolve_vacuum_state(circ, psi, q)[:, 0] - vs.matrix @ psi)
+            assert gap.max() <= 1e-13, (kinds, q)
