@@ -218,8 +218,8 @@ class BlockUnitary:
     ``blocks`` maps SectorIndex -> matrix on the charge backend.  On the
     jtower backend it maps the doubled spin jj -> the d × c isometry from the
     tower states of charge q ≤ q_max, the only ones k_max keeps exact, into
-    all d tower states (both in tower_index order); ``columns[jj]`` holds the
-    (k, 2m) labels of those c states.  A spin with none of them has no entry.
+    all d tower states, both ordered by k(2j+1) + j - m; ``columns[jj]``
+    holds the (k, 2m) labels of the c states.  A spin with none has no entry.
     """
 
     backend: str

@@ -26,10 +26,6 @@ from .sectors import SectorIndex, basis_labels
 DEFAULT_ATOL = 1e-10
 
 
-def tower_index(jj: int, mm: int, k: int) -> int:
-    return k * (jj + 1) + (jj - mm) // 2
-
-
 def _ladder(jj: int, mm: int) -> int:
     """(j+m)(j-m+1), the squared J- matrix element out of |j,m⟩, as an exact
     integer from doubled units; mm may be an integer array."""
@@ -74,7 +70,7 @@ def jx_operator(jj: int) -> np.ndarray:
 
 def htc_tower(jj: int, k_max: int) -> np.ndarray:
     """Coupling Hamiltonian on the fixed-j tower span{|j,m⟩⊗|k⟩ : k ≤ k_max},
-    ordered by (k ascending, m descending) as ``tower_index`` gives."""
+    ordered by (k ascending, m descending): row k(2j+1) + j - m."""
     labels = [(jj, mm, k) for k in range(k_max + 1)
               for mm in range(jj, -jj - 2, -2)]
     return coupling(labels)

@@ -123,8 +123,8 @@ def enumerate_sectors(n: int, q_max: int) -> tuple[SectorIndex, ...]:
 
 def basis_labels(idx: SectorIndex) -> list[tuple[int, int, int]]:
     """Sector basis |j,m⟩⊗|k⟩ as (2j, 2m, k) triples, the label format that
-    ``operators.coupling``, ``operators.tower_index`` and ``schwinger_image``
-    take, ordered by increasing oscillator level k (decreasing m).
+    ``operators.coupling`` and ``schwinger_image`` take, ordered by
+    increasing oscillator level k (decreasing m).
 
     Labels satisfy m + k + n/2 = q; k runs from max(0, q-j-n/2) up to
     q+j-n/2, giving sector_dim(idx) entries.

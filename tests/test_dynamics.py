@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from tcforge import dynamics as dyn
 from tcforge.dynamics import Circuit, Gate
-from tcforge.operators import tower_index
 from tcforge.qubits import CZ
 from tcforge.sectors import SectorIndex, basis_labels
 from tcforge.synthesis import f_gate, named_gate
@@ -20,7 +19,7 @@ def su2_block(t):
 def _tower_block(bu, jj, labels):
     """Rows and columns of bu's jj tower at the (jj, 2m, k) labels."""
     cols = {(k, mm): c for c, (k, mm) in enumerate(bu.columns[jj].tolist())}
-    return bu.blocks[jj][np.ix_([tower_index(*lab) for lab in labels],
+    return bu.blocks[jj][np.ix_([k * (jj + 1) + (jj - mm) // 2 for _, mm, k in labels],
                                 [cols[k, mm] for _, mm, k in labels])]
 
 
@@ -28,7 +27,7 @@ def _tower_identity(bu, jj):
     """The jj tower's kept columns of the identity."""
     cols = bu.columns[jj]
     want = np.zeros(bu.blocks[jj].shape)
-    want[[tower_index(jj, mm, k) for k, mm in cols.tolist()], np.arange(len(cols))] = 1
+    want[[k * (jj + 1) + (jj - mm) // 2 for k, mm in cols.tolist()], np.arange(len(cols))] = 1
     return want
 
 
@@ -421,7 +420,7 @@ def test_jtower_keeps_exactly_the_columns_its_cutoff_makes_exact():
         for k in range(k_max + 1):
             for mm in range(jj, -jj - 2, -2):
                 ref = wide.blocks[jj][:, wide_col[k, mm]]
-                gap = np.abs(square[:, tower_index(jj, mm, k)] - ref[:d]).max()
+                gap = np.abs(square[:, k * (jj + 1) + (jj - mm) // 2] - ref[:d]).max()
                 if (jj, mm, k) in kept:
                     assert gap <= 1e-13 and np.abs(ref[d:]).max() <= 1e-13
                     column = block[:, kept.index((jj, mm, k))]

@@ -56,7 +56,7 @@ def test_tower_matches_blocks():
         for idx in enumerate_sectors(n, 4):
             if idx.jj != jj:
                 continue
-            rows = [ops.tower_index(*lab) for lab in basis_labels(idx)]
+            rows = [k * (jj + 1) + (jj - mm) // 2 for _, mm, k in basis_labels(idx)]
             sub = ht[np.ix_(rows, rows)]
             assert np.allclose(sub, ops.htc_block(idx), atol=1e-12)
 
