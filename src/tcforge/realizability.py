@@ -319,11 +319,14 @@ def state_convertible(n: int, psi: dict[tuple[int, int], complex],
                       tol: float = 1e-8) -> bool:
     """Symmetric-subspace states are interconvertible iff their per-charge
     weights agree.  States map (2m, k) -> amplitude."""
+    require_int(n, "n", 1)
     def weights(state):
         total = 0.0
         per_q: dict[int, float] = {}
         for (mm, k), amp in state.items():
-            if not -n <= mm <= n or (mm ^ n) & 1 or k < 0:
+            require_int(mm, "2m")
+            require_int(k, "k", 0)
+            if not -n <= mm <= n or (mm ^ n) & 1:
                 raise ValueError(f"bad symmetric-state label (2m={mm}, k={k})")
             if not np.isfinite(amp):
                 raise ValueError(f"non-finite amplitude {amp!r} at (2m={mm}, k={k})")

@@ -61,10 +61,9 @@ class SectorIndex:
     jj: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need at least one qubit, got n={self.n}")
-        if self.q < 0:
-            raise ValueError(f"charge must be non-negative, got q={self.q}")
+        require_int(self.n, "n", 1)
+        require_int(self.q, "q", 0)
+        require_int(self.jj, "jj")
         if (self.jj ^ self.n) & 1:
             raise ValueError(f"2j={self.jj} and n={self.n} must have equal parity")
         if not j_min2(self.n) <= self.jj <= self.n:
@@ -98,6 +97,8 @@ def is_filled(idx: SectorIndex) -> bool:
 
 def multiplicity(n: int, jj: int) -> int:
     """Number of spin-j copies in (C^2)^⊗n: C(n, n/2-j)·(2j+1)/(n/2+j+1)."""
+    require_int(n, "n", 1)
+    require_int(jj, "jj")
     if (jj ^ n) & 1:
         raise ValueError(f"2j={jj} and n={n} must have equal parity")
     if not 0 <= jj <= n:
@@ -113,10 +114,8 @@ def enumerate_sectors(n: int, q_max: int) -> tuple[SectorIndex, ...]:
     """All nonempty sectors with q ≤ q_max, ordered by (q, descending j).
     Computed once per (n, q_max); the sectors are frozen, so callers share
     the cached tuple."""
-    if q_max < 0:
-        raise ValueError(f"q_max must be non-negative, got {q_max}")
-    if n < 1:
-        raise ValueError(f"need at least one qubit, got n={n}")
+    require_int(n, "n", 1)
+    require_int(q_max, "q_max", 0)
     return tuple(SectorIndex(n, q, jj) for q in range(q_max + 1)
                  for jj in range(n, max(j_min2(n), n - 2 * q) - 1, -2))
 

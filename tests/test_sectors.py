@@ -5,6 +5,7 @@ from tcforge.sectors import (SectorIndex, accidental_pairs,
                              accidental_partner, basis_labels,
                              enumerate_sectors, is_filled, j_min2,
                              multiplicity, sector_dim)
+from tcforge.realizability import state_convertible
 
 
 def test_sector_dim_examples():
@@ -21,6 +22,30 @@ def test_invalid_indices_rejected():
         SectorIndex(4, 0, 2)  # empty: j < n/2 - q
     with pytest.raises(ValueError):
         SectorIndex(2, -1, 2)
+
+
+@pytest.mark.parametrize("call, args, name", [
+    (SectorIndex, (2, 1.5, 2), "q"),
+    (SectorIndex, (2, float("nan"), 2), "q"),
+    (SectorIndex, (2, True, 2), "q"),
+    (SectorIndex, (2, -1, 2), "q"),
+    (SectorIndex, (2.0, 1, 2), "n"),
+    (SectorIndex, (0, 1, 0), "n"),
+    (SectorIndex, (2, 1, 2.0), "jj"),
+    (enumerate_sectors, (2, 2.5), "q_max"),
+    (enumerate_sectors, (2, -1), "q_max"),
+    (enumerate_sectors, (2.0, 2), "n"),
+    (enumerate_sectors, (0, 2), "n"),
+    (multiplicity, (4.0, 2), "n"),
+    (multiplicity, (4, 2.0), "jj"),
+    (state_convertible, (2.0, {(2, 0): 1.0}, {(2, 0): 1.0}), "n"),
+    (state_convertible, (2, {(1.5, 0): 1.0}, {(2, 0): 1.0}), "2m"),
+    (state_convertible, (2, {(2, 0): 1.0}, {(2, 0.5): 1.0}), "k"),
+    (state_convertible, (2, {(2, -1): 1.0}, {(2, 0): 1.0}), "k"),
+])
+def test_non_integer_arguments_raise_value_error_naming_them(call, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(*args)
 
 
 def test_multiplicity_examples():
