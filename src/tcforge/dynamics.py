@@ -362,5 +362,5 @@ def evolve_vacuum_state(circ: Circuit, psi_qubits: np.ndarray,
         vacuum = np.arange(k_max + 1)[:, None] == np.zeros(jj + 1, int)  # k = 0
         state = _evolve(gates, jj, k_max, vacuum) @ (
             frames.conj().transpose(0, 2, 1) @ psi_qubits)
-        joint[:, :k_max + 1] += np.einsum("rpa,kra->pk", frames, state)
+        joint[:, :k_max + 1] += (frames @ state.transpose(1, 2, 0)).sum(0)
     return joint

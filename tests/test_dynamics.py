@@ -690,7 +690,7 @@ def _vacuum_state_with_identity(circ, psi, q_max):
         frames = jm_basis(circ.n)[jj]
         tower = _columns_with_identity(circ.gates, jj, k_max, _vacuum_mask(jj, k_max))
         state = tower @ (frames.conj().transpose(0, 2, 1) @ psi)
-        joint[:, :k_max + 1] += np.einsum("rpa,kra->pk", frames, state)
+        joint[:, :k_max + 1] += (frames @ state.transpose(1, 2, 0)).sum(0)
     return joint
 
 
