@@ -194,14 +194,13 @@ def _evolve(gates, jj: int, k_max: int, cols: np.ndarray) -> np.ndarray:
     x[r, s, c] = 1.0  # the identity columns
     spare = np.zeros(x.shape, complex)  # apart: freed if not returned
     for stop in [i for i, g in enumerate(gates) if g.kind == "rx"] + [len(gates)]:
-        if stop > start:
+        if start == 0 and stop > 0:  # the first run's columns replace them
+            x[:, s, c] = _run(gates[:stop], jj, k_max, top + 1)[s, :, r].T
+        elif stop > start:
             run = _run(gates[start:stop], jj, k_max, top + 1)
-            if start == 0:  # the first run's columns replace them unmultiplied
-                x[:, s, c] = run[s, :, r].T
-            else:
-                np.matmul(run, x.transpose(1, 0, 2)[:top + 1],
-                          out=spare.transpose(1, 0, 2)[:top + 1])
-                x, spare = spare, x
+            np.matmul(run, x.transpose(1, 0, 2)[:top + 1],
+                      out=spare.transpose(1, 0, 2)[:top + 1])
+            x, spare = spare, x
         if stop < len(gates):
             wx, vx = _rx_eig(jj)
             np.matmul((vx * np.exp(-1j * gates[stop].param * wx)) @ vx.T,

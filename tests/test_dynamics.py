@@ -814,7 +814,7 @@ def test_vacuum_state_below_charge_n_matches_brute_force():
         psi = (rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)) * (zeros <= q_max)
         joint = dyn.evolve_vacuum_state(circ, psi, q_max)
         k_cut = joint.shape[1]
-        ref = (_brute_force(circ, k_cut) @ np.kron(psi, np.eye(k_cut + 1)[0]))
+        ref = _brute_force(circ, k_cut) @ np.kron(psi, np.eye(k_cut + 1)[0])
         ref = ref.reshape(2 ** n, k_cut + 1)
         assert np.abs(joint - ref[:, :k_cut]).max() <= 1e-13, (kinds, q_max)
         assert np.abs(ref[:, k_cut:]).max() <= 1e-13
