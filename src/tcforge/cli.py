@@ -19,8 +19,8 @@ from . import liealg, realizability as rz, synthesis
 from .dynamics import (Circuit, apply_circuit, evolve_vacuum_state,
                        interaction_time, vacuum_sandwich)
 from .operators import htc_block, jz_block
-from .sectors import (accidental_pairs, accidental_partner,
-                      enumerate_sectors, is_filled, multiplicity, sector_dim)
+from .sectors import (accidental_pairs, accidental_partner, enumerate_sectors,
+                      is_filled, multiplicity, require_tol, sector_dim)
 
 DESK_N = 6
 DESK_QMAX = 12
@@ -43,15 +43,8 @@ def _matrix_json(m: np.ndarray):
     return [[[float(z.real), float(z.imag)] for z in row] for row in m + 0.0]
 
 
-def _check_tol(tol: float) -> None:
-    """Reject a tolerance outside (0, ∞), nan too, as a usage error (exit 1):
-    exit 2 would read as a failed check, and inf would pass every check."""
-    if not (0 < tol < np.inf):  # False for nan
-        raise ValueError(f"--tol must be finite and > 0, got {tol}")
-
-
 def cmd_synthesize(args) -> int:
-    _check_tol(args.tol)
+    require_tol(args.tol, "--tol")
     if args.gate:
         res = synthesis.named_gate(args.gate, phi=args.phi)
         target_name = args.gate
@@ -223,7 +216,7 @@ def cmd_verify(args) -> int:
     elif not args.override_scale and (args.n > DESK_N or args.qmax > DESK_QMAX):
         raise ValueError(f"n = {args.n}, q_max = {args.qmax} exceeds desk scale "
                          f"(n ≤ {DESK_N}, q_max ≤ {DESK_QMAX}); pass --override-scale")
-    _check_tol(args.tol)
+    require_tol(args.tol, "--tol")
     checks = _SUITES[args.suite](args.n, args.qmax, args.tol)
     ok = all(c["pass"] for c in checks)
     _dump({"suite": args.suite, "n": args.n, "q_max": args.qmax, "tol": args.tol,
@@ -256,7 +249,7 @@ REPORT_GATES = ("cz", "swap", "iswap", "sqrt_iswap", "upsiplus")
 
 
 def cmd_report(args) -> int:
-    _check_tol(args.tol)
+    require_tol(args.tol, "--tol")
     rows = []
     worst = 0.0
     for name in REPORT_GATES:

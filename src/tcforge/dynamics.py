@@ -97,6 +97,8 @@ class Circuit:
 
 def simplify(circ: Circuit) -> Circuit:
     """Merge adjacent same-kind gates and drop zero-parameter gates."""
+    if not isinstance(circ, Circuit):
+        raise ValueError(f"circ must be a Circuit, got {type(circ).__name__}")
     out: list[Gate] = []
     for g in circ.gates:
         if out and out[-1].kind == g.kind:

@@ -17,8 +17,8 @@ import numpy as np
 from .operators import (_ladder, coupling, energy_variance_exact, htc_block,
                         jx_operator, jz_block)
 from .sectors import (SectorIndex, accidental_pairs, accidental_partner,
-                      basis_labels, enumerate_sectors, schwinger_image,
-                      sector_dim)
+                      basis_labels, enumerate_sectors, require_int,
+                      require_tol, schwinger_image, sector_dim)
 
 
 @dataclass
@@ -43,6 +43,7 @@ def lie_closure(generators, tol: float = 1e-8) -> OperatorBasis:
     Accepted candidates are orthogonalised twice; one pass lets rounding
     errors compound until noise passes the cutoff (seen from d = 12).
     """
+    require_tol(tol, "tol")
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if not gens:
         return OperatorBasis((), 0)
@@ -91,6 +92,7 @@ def lie_closure(generators, tol: float = 1e-8) -> OperatorBasis:
 def sector_rank_check(idx: SectorIndex, tol: float = 1e-8) -> bool:
     """True iff the coupling pulse and its z-conjugate generate the full
     special unitary algebra on the sector (rank d²-1); vacuous for d = 1."""
+    require_tol(tol, "tol")
     d = sector_dim(idx)
     if d < 2:
         return True
@@ -244,6 +246,8 @@ def schwinger_check(jj_max: int, k_max: int) -> SchwingerReport:
     tested when W maps it into bounds; amplitude of W(J+ ⊗ a)W that W sends
     out of bounds counts as deviation, since J+ ⊗ a stays in bounds.
     """
+    require_int(jj_max, "jj_max", 0)
+    require_int(k_max, "k_max", 0)
     labels = [(jj, mm, k) for jj in range(jj_max + 1)
               for mm in range(-jj, jj + 1, 2) for k in range(k_max + 1)]
     index = {lab: i for i, lab in enumerate(labels)}
@@ -266,6 +270,7 @@ def schwinger_check(jj_max: int, k_max: int) -> SchwingerReport:
 def verify_pi_universality(jj: int, tol: float = 1e-8) -> bool:
     """Level projectors plus the collective x generator close onto the full
     unitary algebra of the spin-j block: rank (2j+1)²."""
+    require_int(jj, "jj", 0)
     d = jj + 1
     gens = []
     for r in range(d):

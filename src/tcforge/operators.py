@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .sectors import SectorIndex, basis_labels
+from .sectors import SectorIndex, basis_labels, require_int
 
 DEFAULT_ATOL = 1e-10
 
@@ -64,6 +64,7 @@ def number_block(idx: SectorIndex) -> np.ndarray:
 
 def jx_operator(jj: int) -> np.ndarray:
     """Spin J_x, (2j+1)-square in the basis m = j .. -j."""
+    require_int(jj, "jj", 0)
     off = 0.5 * np.sqrt(_ladder(jj, np.arange(jj, -jj, -2)))  # ⟨j,m|J_x|j,m-1⟩
     return np.diag(off, 1) + np.diag(off, -1)
 

@@ -15,8 +15,10 @@ in the role of θ_z.  Phases are first reduced mod 2π, and the finitely many
 integer winding numbers compatible with the windows θ_z ∈ [-2π, 2π),
 α ∈ [-π, π) are enumerated exactly, as one array over every candidate and
 equation.  The joint-space check runs on a sector table cached per
-(n, q_max); the per-dimension block stacks that `BlockTarget` builds for its
-unitarity test are kept and reused for the determinants and the partner test.
+(n, q_max).  `BlockTarget` keeps every block in one (sectors, D, D) stack,
+padded with the identity to the largest block dim D: one B†B − I checks
+unitarity, one batched det gives the determinant phases, and the partner
+test slices the partners' blocks out of it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .operators import charge_vector
 from .sectors import (SectorIndex, accidental_pairs, enumerate_sectors, j_min2,
-                      require_int, wrap_pi)
+                      require_int, require_tol, wrap_pi)
 
 # identifiers used in violation reports
 AFFINE_LOWEST_WEIGHT = "lowest-weight-phase-affine"
@@ -44,23 +46,21 @@ def _require_finite(phases, what: str) -> None:
 
 @lru_cache(maxsize=None)
 def _sector_table(n: int, q_max: int):
-    """(sectors, c, d, groups, pairs) for q ≤ q_max: the sectors in
-    enumeration order, their J_z traces Tr π_{q,j}(J_z) as floats, their
-    dims, one (dim, positions) entry per block dimension, and one
-    (group, a, b, jgap) entry per accidental pair, where a and b are the
-    partners' places in that group's stack and jgap = j_a - j_b.  The arrays
+    """(sectors, c, d, pairs) for q ≤ q_max: the sectors in enumeration
+    order, their J_z traces Tr π_{q,j}(J_z) as floats, their dims, and one
+    (a, b, corner, jgap) entry per accidental pair, where a and b are the
+    partners' places in the enumeration, corner slices their shared block
+    out of a `BlockTarget` stack slice and jgap = j_a - j_b.  The arrays
     are read-only."""
     sectors = enumerate_sectors(n, q_max)
     c = np.array([float(charge_vector(idx, "jz")) for idx in sectors])
     d = np.array([idx.dim for idx in sectors])
-    groups = tuple((int(k), np.flatnonzero(d == k)) for k in np.unique(d))
-    for arr in (c, d, *(pos for _, pos in groups)):
-        arr.setflags(write=False)
-    slot = {sectors[i]: (g, k) for g, (_, pos) in enumerate(groups)
-            for k, i in enumerate(pos.tolist())}
-    pairs = tuple((*slot[a], slot[b][1], (a.jj - b.jj) // 2)
-                  for a, b in accidental_pairs(n, q_max))
-    return sectors, c, d, groups, pairs
+    c.setflags(write=False)
+    d.setflags(write=False)
+    place = {idx: i for i, idx in enumerate(sectors)}
+    pairs = tuple((place[a], place[b], slice(int(d.max()) - a.dim, None),
+                   (a.jj - b.jj) // 2) for a, b in accidental_pairs(n, q_max))
+    return sectors, c, d, pairs
 
 
 @lru_cache(maxsize=None)
@@ -91,15 +91,18 @@ class BlockTarget:
     n: int
     q_max: int
     blocks: dict[SectorIndex, np.ndarray]
-    # one (count, dim, dim) stack per block dimension, in _sector_table order
-    _stacks: tuple = field(init=False, repr=False, compare=False)
+    # one complex (sectors, D, D) stack in _sector_table order, D the largest
+    # block dim: each block fills the bottom-right corner of its slice and
+    # the identity the rest, so padding leaves unitarity and det unchanged
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_int(self.n, "n")
         require_int(self.q_max, "q_max")
-        sectors, _, d, groups, _ = _sector_table(self.n, self.q_max)
-        blocks = []
-        for idx, dim in zip(sectors, d.tolist()):
+        sectors, _, d, _ = _sector_table(self.n, self.q_max)
+        top = int(d.max())
+        stack = np.tile(np.eye(top, dtype=complex), (len(sectors), 1, 1))
+        for idx, dim, slot in zip(sectors, d.tolist(), stack):
             b = self.blocks.get(idx)
             if b is None:
                 raise ValueError(f"missing block for {idx}")
@@ -107,15 +110,12 @@ class BlockTarget:
                 raise ValueError(f"block for {idx} is not a numeric array")
             if b.shape != (dim, dim):
                 raise ValueError(f"block for {idx} has shape {b.shape}")
-            blocks.append(b)
-        stacks = tuple(np.stack([blocks[i] for i in pos]) for _, pos in groups)
-        bad = []
-        for (dim, pos), b in zip(groups, stacks):
-            defect = np.abs(b.conj().swapaxes(1, 2) @ b - np.eye(dim)).max(axis=(1, 2))
-            bad.extend(pos[~(defect <= 1e-10)])  # NaN fails
-        if bad:
-            raise ValueError(f"block for {sectors[min(bad)]} is not unitary")
-        object.__setattr__(self, "_stacks", stacks)
+            slot[top - dim:, top - dim:] = b
+        defect = np.abs(stack.conj().swapaxes(1, 2) @ stack - np.eye(top)).max(axis=(1, 2))
+        bad = np.flatnonzero(~(defect <= 1e-10))  # NaN fails
+        if len(bad):
+            raise ValueError(f"block for {sectors[bad[0]]} is not unitary")
+        object.__setattr__(self, "_stack", stack)
 
 
 @dataclass
@@ -209,6 +209,7 @@ def _affine_verdict(c, theta, levels, tol: float) -> RealizabilityVerdict:
 
 def check_pi_u1(target: PiU1Target, tol: float = 1e-8) -> RealizabilityVerdict:
     """Realizable iff the lowest-weight phases fit φ_{j,-j} ≡ α + jβ."""
+    require_tol(tol, "tol")
     jjs = range(j_min2(target.n), target.n + 1, 2)
     return _affine_verdict([jj / 2 for jj in jjs],
                            np.array([target.phases[(jj, -jj)] for jj in jjs]),
@@ -219,6 +220,7 @@ def check_diagonal(n: int, phases: dict[int, float],
                    tol: float = 1e-8) -> RealizabilityVerdict:
     """Diagonal targets keyed by 2m: φ_m ≡ α + mβ required for m ≤ 0 only."""
     require_int(n, "n", 1)
+    require_tol(tol, "tol")
     mms = list(range(-n, n + 1, 2))
     if set(phases) != set(mms):
         raise ValueError("need one phase per 2m in {-n..n}")
@@ -227,15 +229,6 @@ def check_diagonal(n: int, phases: dict[int, float],
     return _affine_verdict([mm / 2 for mm in neg],
                            np.array([phases[mm] for mm in neg], dtype=float),
                            [[mm] for mm in neg], tol)
-
-
-def _det_equations(target: BlockTarget):
-    """Arrays (c, d, θ) over the sectors for θ_det ≡ c·θ_z + d·α (mod 2π)."""
-    sectors, c, d, groups, _ = _sector_table(target.n, target.q_max)
-    theta = np.empty(len(sectors))
-    for (_, pos), stack in zip(groups, target._stacks):
-        theta[pos] = np.angle(np.linalg.det(stack))
-    return c, d, theta
 
 
 def _phase_verdict(c, d, theta, sectors, tol: float,
@@ -272,17 +265,18 @@ def _pair_phase_candidates(v_unfilled, v_filled, jgap: int):
 def check_block_target(target: BlockTarget,
                        tol: float = 1e-8) -> RealizabilityVerdict:
     """Full joint-space decision: partner equality plus determinant phases."""
-    sectors, _, _, _, pairs = _sector_table(target.n, target.q_max)
+    require_tol(tol, "tol")
+    sectors, c, d, pairs = _sector_table(target.n, target.q_max)
+    s = target._stack
     tz = None
     if pairs:
-        s = target._stacks
-        g, a, b, jgap = pairs[0]
-        tz = _pair_phase_candidates(s[g][a], s[g][b], jgap)
+        a, b, k, jgap = pairs[0]
+        tz = _pair_phase_candidates(s[a, k, k], s[b, k, k], jgap)
         # every candidate must satisfy every pair entrywise: worst entry
         # deviation as one (candidates, pairs) array
-        dev = np.stack([np.abs(s[g][a] - np.exp(-1j * jgap * tz)[:, None, None]
-                               * s[g][b]).max(axis=(1, 2))
-                        for g, a, b, jgap in pairs], axis=1)
+        dev = np.stack([np.abs(s[a, k, k] - np.exp(-1j * jgap * tz)[:, None, None]
+                               * s[b, k, k]).max(axis=(1, 2))
+                        for a, b, k, jgap in pairs], axis=1)
         worst = dev.max(axis=1)
         if not (worst <= tol).any():
             best = int(np.argmax(worst <= worst.min() + tol))  # first within tol
@@ -295,7 +289,7 @@ def check_block_target(target: BlockTarget,
                                   "residual": resid},
                 max_residual=resid)
         tz = tz[worst <= tol]
-    return _phase_verdict(*_det_equations(target), sectors, tol, tz)
+    return _phase_verdict(c, d, np.angle(np.linalg.det(s)), sectors, tol, tz)
 
 
 def check_symmetric_phase_constraint(n: int, q_max: int, theta_q: list[float],
@@ -304,6 +298,7 @@ def check_symmetric_phase_constraint(n: int, q_max: int, theta_q: list[float],
     θ_q ≡ (q+1)[(q-n)θ_z/2 + α] for q ≤ n and θ_q ≡ (n+1)α for q > n."""
     require_int(n, "n", 1)
     require_int(q_max, "q_max", 0)
+    require_tol(tol, "tol")
     if len(theta_q) != q_max + 1:
         raise ValueError(f"need θ_q for q = 0..{q_max}")
     _require_finite(theta_q, "θ_q")
@@ -320,6 +315,7 @@ def state_convertible(n: int, psi: dict[tuple[int, int], complex],
     """Symmetric-subspace states are interconvertible iff their per-charge
     weights agree.  States map (2m, k) -> amplitude."""
     require_int(n, "n", 1)
+    require_tol(tol, "tol")
     def weights(state):
         total = 0.0
         per_q: dict[int, float] = {}

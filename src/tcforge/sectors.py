@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isfinite
 from numbers import Real
+from sys import float_info
 from typing import Optional
 
 import numpy as np
@@ -45,6 +46,15 @@ def require_real(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, Real) or not finite:
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
     return float(value)
+
+
+def require_tol(value, name: str) -> None:
+    """Raise ValueError naming the argument unless value is a finite real
+    number > 0 (not a bool): under a NaN tolerance no comparison holds, and
+    under inf every one does."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not 0 < value <= float_info.max):  # False for NaN
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def j_min2(n: int) -> int:

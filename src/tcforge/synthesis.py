@@ -78,7 +78,10 @@ def euler_embed(axis: np.ndarray) -> list[tuple[float, float]]:
     """Four (θ1, θ2) pairs conjugating the x axis of the charge-1 block
     onto ``axis``: n_x = cos(2γ), n_y = -sin(2γ)cos(2β), n_z = sin(2γ)sin(2β),
     with θ1 = 2γ and θ2 = β/√2."""
-    theta1, theta2 = _euler_options(np.asarray(axis, dtype=float))
+    axis = np.asarray(axis, dtype=float)
+    if not np.isfinite(axis).all():
+        raise ValueError(f"axis must be finite, got {axis}")
+    theta1, theta2 = _euler_options(axis)
     return [(float(t1), float(t2)) for t1, t2 in zip(theta1, theta2)]
 
 
@@ -147,6 +150,8 @@ def _axis_or_z(aa: AxisAngle) -> np.ndarray:
 def solve_two_step(target: AxisAngle, step_angle: float) -> Optional[TwoStepFamily]:
     """Family of decompositions into two rotations of fixed ``step_angle``,
     or None when cos(target.angle) < cos(2·step_angle)."""
+    if target.axis is not None and not np.isfinite(target.axis).all():
+        raise ValueError(f"target axis must be finite, got {target.axis}")
     if abs(np.sin(step_angle)) < 1e-12:
         raise ValueError("step angle must not be a multiple of π")
     if not _two_step_ok(target.angle, step_angle):

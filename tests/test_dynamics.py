@@ -235,6 +235,12 @@ def test_gate_rejects_non_finite_or_non_real_params():
         assert Gate("rz", good).param == good
 
 
+def test_simplify_rejects_non_circuits():
+    for bad in ([1, 2], (Gate("tc", 1.0),), None):
+        with pytest.raises(ValueError, match="^circ must be a Circuit"):
+            dyn.simplify(bad)
+
+
 def test_circuit_rejects_bad_qubit_count_and_gates():
     for n in (True, 2.0, "2", 0, -1, None):
         with pytest.raises(ValueError, match="circuit n"):

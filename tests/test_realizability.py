@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tcforge import dynamics as dyn, realizability as rz
+from tcforge import dynamics as dyn, liealg as la, realizability as rz
 from tcforge.dynamics import Circuit, Gate
+from tcforge.operators import jx_operator
 from tcforge.sectors import SectorIndex, j_min2
 
 
@@ -432,6 +433,73 @@ def test_block_target_messages_name_first_bad_sector():
     del blocks[early]
     with pytest.raises(ValueError, match=rf"^missing block for {re.escape(repr(early))}$"):
         rz.BlockTarget(n, q_max, blocks)
+
+
+@pytest.mark.parametrize("top", range(1, 8))
+def test_padded_stack_determinants_match_per_block(top):
+    # (n, q_max) whose largest block dim is top, with every dim d ≤ top present
+    from tcforge.sectors import enumerate_sectors
+    n, q_max = max(top - 1, 1), top - 1
+    sectors = enumerate_sectors(n, q_max)
+    assert {idx.dim for idx in sectors} == set(range(1, top + 1))
+    rng = np.random.default_rng(top)
+    for _ in range(20):
+        blocks = {idx: haar(idx.dim, rng) for idx in sectors}
+        got = np.angle(np.linalg.det(rz.BlockTarget(n, q_max, blocks)._stack))
+        want = np.array([np.angle(np.linalg.det(blocks[idx])) for idx in sectors])
+        if top <= 6:
+            # with the identity first, the LU of a slice repeats the block's
+            # own: bit for bit at n ≤ 5, the sizes on which
+            # test_batched_block_check_matches_per_sector_reference compares
+            # whole verdicts
+            assert got.tobytes() == want.tobytes()
+        else:
+            # from d = 6 on, a BLAS kernel may round a block's products
+            # differently once an identity column precedes it (OpenBLAS does
+            # for d = top - 1)
+            assert np.abs(got - want).max() <= 4 * np.spacing(np.pi)
+
+
+@pytest.mark.parametrize("dtype", [float, int])
+def test_real_blocks_with_negative_determinant_match_reference(dtype):
+    # real blocks enter the complex stack, where det −1 must still read as
+    # phase π, as the per-block reference's real det does, never as −π
+    from tcforge.sectors import enumerate_sectors
+    verdicts = set()
+    for n, q_max in ((2, 2), (3, 5), (4, 6)):
+        eye = {idx: np.eye(idx.dim, dtype=dtype) for idx in enumerate_sectors(n, q_max)}
+        targets = [{idx: -b for idx, b in eye.items()}]  # realizable, α = π
+        for idx in eye:
+            flips = (np.diag([-1] + [1] * (idx.dim - 1)), np.eye(idx.dim)[::-1])
+            targets += [{**eye, idx: f.astype(dtype)} for f in flips]
+        for blocks in targets:
+            t = rz.BlockTarget(n, q_max, blocks)
+            assert np.array_equal(np.angle(np.linalg.det(t._stack)),
+                                  [np.angle(np.linalg.det(blocks[idx])) for idx in eye])
+            got = rz.check_block_target(t).to_json_dict()
+            assert got == _ref_check_block_target(t).to_json_dict()
+            verdicts.add((got["violation"] or {}).get("constraint"))
+    assert verdicts == {None, rz.PARTNER_EQUALITY, rz.DETERMINANT_PHASE}
+
+
+@pytest.mark.parametrize("check", [
+    lambda tol: rz.check_pi_u1(rz.cz_controlled_target(3), tol),
+    lambda tol: rz.check_diagonal(2, {-2: 0.0, 0: 0.0, 2: 0.0}, tol),
+    lambda tol: rz.check_block_target(
+        rz.BlockTarget(2, 2, _identity_blocks_with(np.eye(2))), tol),
+    lambda tol: rz.check_symmetric_phase_constraint(2, 2, [0.0] * 3, tol),
+    lambda tol: rz.state_convertible(2, {(2, 0): 1.0}, {(2, 0): 1.0}, tol),
+    lambda tol: la.lie_closure([1j * jx_operator(2), 1j * np.diag([1.0, 0, -1])], tol),
+    lambda tol: la.sector_rank_check(SectorIndex(2, 0, 2), tol),  # d = 1
+    lambda tol: la.verify_pi_universality(2, tol),
+], ids=["pi_u1", "diagonal", "block", "symmetric", "convertible",
+        "lie_closure", "sector_rank", "pi_universality"])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8, True, "1e-8", None])
+def test_tolerance_must_be_finite_and_positive(check, tol):
+    # a NaN tolerance once let lie_closure keep every candidate: spin-1
+    # iJx, iJz read rank 8 (all of su(3)) instead of 3
+    with pytest.raises(ValueError, match="^tol must be finite and > 0"):
+        check(tol)
 
 
 def test_non_finite_phases_rejected():

@@ -5,6 +5,8 @@ from tcforge.sectors import (SectorIndex, accidental_pairs,
                              accidental_partner, basis_labels,
                              enumerate_sectors, is_filled, j_min2,
                              multiplicity, sector_dim)
+from tcforge.liealg import schwinger_check, verify_pi_universality
+from tcforge.operators import jx_operator
 from tcforge.realizability import state_convertible
 
 
@@ -42,6 +44,13 @@ def test_invalid_indices_rejected():
     (state_convertible, (2, {(1.5, 0): 1.0}, {(2, 0): 1.0}), "2m"),
     (state_convertible, (2, {(2, 0): 1.0}, {(2, 0.5): 1.0}), "k"),
     (state_convertible, (2, {(2, -1): 1.0}, {(2, 0): 1.0}), "k"),
+    # jx_operator(1.5) was 3-square with a zero row, jx_operator(-1) [[0]],
+    # schwinger_check(-1, -5) ok over 0 labels
+    (jx_operator, (1.5,), "jj"),
+    (jx_operator, (-1,), "jj"),
+    (schwinger_check, (-1, 5), "jj_max"),
+    (schwinger_check, (2, -5), "k_max"),
+    (verify_pi_universality, (1.5,), "jj"),
 ])
 def test_non_integer_arguments_raise_value_error_naming_them(call, args, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):

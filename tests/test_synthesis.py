@@ -368,6 +368,16 @@ def test_a_gate_block_contract(seed):
     assert np.abs(bu.blocks[SectorIndex(2, 2, 0)] - 1).max() < 1e-12
 
 
+def test_axes_must_be_finite():
+    # both once returned NaN angles
+    for bad in (np.nan, np.inf):
+        axis = np.array([0.0, bad, 1.0])
+        with pytest.raises(ValueError, match="^axis must be finite"):
+            syn.euler_embed(axis)
+        with pytest.raises(ValueError, match="^target axis must be finite"):
+            syn.solve_two_step(syn.AxisAngle(axis, 1.0), DELTA)
+
+
 def test_a_gate_rejects_bad_targets():
     for build in (syn.a_gate, syn.decompose_fixed_angle):
         with pytest.raises(ValueError):
