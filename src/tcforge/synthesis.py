@@ -15,6 +15,7 @@ freedom and the four Euler branches per axis.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -33,6 +34,7 @@ TAU_TIE = 1e-12                     # placements this close in τ are equally fa
 NEAR_IDENTITY = 1e-12               # angle or phase below which a target is reached
 
 _PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
+_EYE2 = np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -85,10 +87,16 @@ def euler_embed(axis: np.ndarray) -> list[tuple[float, float]]:
     return [(float(t1), float(t2)) for t1, t2 in zip(theta1, theta2)]
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a × b over the last axis, the products np.cross takes, without its
+    per-call broadcasting set-up."""
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+
+
 def _perp(axis: np.ndarray) -> np.ndarray:
     """A unit vector perpendicular to each axis; axis (..., 3)."""
     probe = np.where(np.abs(axis[..., :1]) < 0.9, [1.0, 0, 0], [0, 1.0, 0])
-    v = np.cross(axis, probe)
+    v = _cross(axis, probe)
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
@@ -124,7 +132,7 @@ class TwoStepFamily:
         sign, norm = np.sign(np.sin(alpha) * s), np.sqrt(c * c + w * w * s * s)
         e_mu, e_g = sign * c / norm, -sign * s * w / norm  # ê = e_mu μ̂ + e_g g
         g0 = _perp(self.mu)
-        g1 = np.cross(self.mu, g0)
+        g1 = _cross(self.mu, g0)
         p, q = (u * e_g / r)[..., None], (w / r)[..., None] * [[1.0], [-1.0]]
         self.A = u * e_mu * self.mu / r
         self.B = p * g0[..., None, :] + q * g1[..., None, :]  # rows n̂1, n̂2
@@ -307,11 +315,14 @@ def _gadgets(steps, eulers) -> tuple[Gate, ...]:
     return tuple(gates)
 
 
-def _verify_steps(steps, target: np.ndarray) -> None:
-    acc = np.eye(2, dtype=complex)
-    for k, axis in steps:
-        acc = aa_matrix(k * DELTA, axis) @ acc
-    defect = np.abs(acc - target).max()
+def _verify_steps(ks, axes, targets) -> None:
+    """Raise unless each chain's product of factors exp(i·kδ·axis·σ), in
+    time order, is its target: ks (..., 3), axes (..., 3, 3), targets
+    (..., 2, 2).  A k = 0 factor is the identity; it pads shorter chains."""
+    angle = DELTA * np.asarray(ks, dtype=float)[..., None, None]
+    f = np.cos(angle) * _EYE2 + 1j * np.sin(angle) * np.einsum(
+        "...i,ijk->...jk", axes, _PAULI)
+    defect = np.abs(f[..., 2, :, :] @ f[..., 1, :, :] @ f[..., 0, :, :] - targets).max()
     if not defect <= RECOMPOSE_ATOL:
         raise AssertionError(f"recomposition defect {defect:.2e}")
 
@@ -335,22 +346,23 @@ def _decompose_all(us) -> list[Decomposition]:
     found, chains = [], []
     for t, u in enumerate(us):
         if u.shape != (2, 2) or not (
-                np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-9):
+                np.abs(u.conj().T @ u - _EYE2).max() <= 1e-9):
             raise ValueError("fixed-angle target must be a 2x2 unitary")
-        if not (abs(np.linalg.det(u) - 1) <= 1e-10):
+        if not (abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] - 1) <= 1e-10):
             raise ValueError("fixed-angle target must have determinant 1")
         own, direct = _candidates(u)
         chains += [(t,) + c for c in own]
         found.append(direct)
     if chains:
-        _, ks, mus, alphas, lasts = zip(*chains)
+        ts, ks, mus, alphas, lasts = zip(*chains)
         fam = TwoStepFamily(np.stack(mus), np.array(alphas), np.array(ks) * DELTA)
         ends = np.stack([_PAD_AXIS if a is None else -a for a in lasts])[:, None]
         chain, t1, t2, n1, n2 = _family_min(fam, ends)
+        _verify_steps([(k, k, last is not None) for k, last in zip(ks, lasts)],
+                      np.stack([n1, n2, -ends[:, 0]], axis=1), np.stack(us)[list(ts)])
     for r, (t, k, _, _, last) in enumerate(chains):
         steps = ((k, n1[r]), (k, n2[r])) + (() if last is None else ((1, last),))
         pulses = sum(kk for kk, _ in steps)
-        _verify_steps(steps, us[t])
         found[t].append(Decomposition(
             f"{pulses}-step", steps,
             tuple((float(a), float(b)) for a, b in zip(t1[r], t2[r]))[:len(steps)],
@@ -385,7 +397,7 @@ def _candidates(u: np.ndarray) -> tuple[list[tuple], list[Decomposition]]:
     n_hat = aa.axis * np.sign(np.sin(aa.angle) / np.sin(DELTA))
     steps = ((1, n_hat),)
     t1, t2 = min(euler_embed(-n_hat), key=lambda e: abs(e[1]))
-    _verify_steps(steps, u)
+    _verify_steps((1, 0, 0), np.stack([n_hat] * 3), u)
     return chains, [Decomposition("1-step", steps, ((t1, t2),),
                                   (CORE_R + 2 * abs(t2)) / (2 * np.pi))]
 
@@ -400,6 +412,7 @@ def a_gate(u: np.ndarray) -> Circuit:
 F_PHI1 = 0.5 * np.arccos(7 / 16)
 F_PHI0 = np.arctan(-np.sqrt(23) / 3) + np.pi
 F_CHARGE2 = np.array([[0, 0, 1], [0, -1, 0], [1, 0, 0]], dtype=complex)
+F_TAU = 3 * (np.pi / np.sqrt(6)) / (2 * np.pi)  # interaction time of F and of F†
 
 
 def f_gate() -> Circuit:
@@ -476,13 +489,27 @@ def compile_two_qubit(phi00: float, phi_psi_plus: float,
                       (Gate("rz", theta_p),), b2 @ rz11(theta) @ bf @ e1,
                       theta, theta_p))
     decs = _decompose_all([_su2_map_to_first(p[3], phi_psi_plus) for p in plans])
-    cands = [simplify(Circuit(2, before + _gadgets(dec.steps, dec.eulers) + after))
-             for (_, before, after, *_), dec in zip(plans, decs)]
-    taus = [interaction_time(c) for c in cands]
+
+    def build(i):
+        (_, before, after, *_), dec = plans[i], decs[i]
+        return simplify(Circuit(2, before + _gadgets(dec.steps, dec.eulers) + after))
+
+    # a plan takes dec.tau plus its F parts' time, unless a gadget's θ1 is
+    # exactly 0: its rz pair drops and simplify may merge its tc pulses
+    # with its neighbours' into less, so only such a plan is built to be timed
+    taus = [interaction_time(build(i)) if any(t1 == 0 for t1, _ in dec.eulers)
+            else dec.tau + (plans[i][0] != "no-f") * 2 * F_TAU
+            for i, dec in enumerate(decs)]
     best = next(i for i, t in enumerate(taus) if t <= min(taus) + TAU_TIE)
     label, _, _, _, th, thp = plans[best]
-    return _phase_result(cands[best], taus[best], label,
+    circuit = build(best)
+    return _phase_result(circuit, interaction_time(circuit), label,
                          (phi00, phi_psi_plus, phi11), th, thp)
+
+
+# projectors onto Ψ± within the charge-1 pair (|01⟩, |10⟩)
+_PSI_PLUS = 0.5 * np.array([[1, 1], [1, 1]])
+_PSI_MINUS = 0.5 * np.array([[1, -1], [-1, 1]])
 
 
 def _phase_result(circuit: Circuit, tau: float, kind: str, phases,
@@ -491,11 +518,9 @@ def _phase_result(circuit: Circuit, tau: float, kind: str, phases,
     residual of the circuit's vacuum sandwich against them."""
     phi00, phi_psi_plus, phi11 = phases
     t = np.zeros((4, 4), dtype=complex)
-    t[0, 0] = np.exp(1j * phi00)
-    t[3, 3] = np.exp(1j * phi11)
-    pp = 0.5 * np.array([[1, 1], [1, 1]])
-    pm = 0.5 * np.array([[1, -1], [-1, 1]])
-    t[1:3, 1:3] = np.exp(1j * phi_psi_plus) * pp + pm
+    t[0, 0] = cmath.exp(1j * phi00)
+    t[3, 3] = cmath.exp(1j * phi11)
+    t[1:3, 1:3] = cmath.exp(1j * phi_psi_plus) * _PSI_PLUS + _PSI_MINUS
     vs = vacuum_sandwich(apply_circuit(circuit, 2))
     return SynthesisResult(circuit, tau, kind, {"theta": theta, "theta_prime": theta_p,
                                                 "theta_plus": phi_psi_plus},
@@ -538,7 +563,7 @@ def _published_sqrt_iswap() -> SynthesisResult:
     th = np.arctan2(np.sum(refs * fam.C), np.sum(refs * fam.B))
     n1, n2 = (n[0] for n in fam.axes([th]))
     steps = ((1, n1), (1, n2), (1, -mu.axis))
-    _verify_steps(steps, u_a)
+    _verify_steps((1, 1, 1), np.stack([ax for _k, ax in steps]), u_a)
     seed_t2 = [_SQRT_ISWAP_SEED[k][1] for k in ("n1", "n2", "n")]
     eulers = [min(euler_embed(-ax), key=lambda e: abs(e[1] - t2_ref))
               for (_k, ax), t2_ref in zip(steps, seed_t2)]

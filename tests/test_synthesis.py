@@ -780,12 +780,12 @@ def test_sqrt_iswap_family_point_is_nearest_the_reference(monkeypatch):
     # reference axes in summed squared distance
     verify, seen = syn._verify_steps, []
     monkeypatch.setattr(syn, "_verify_steps",
-                        lambda steps, target: seen.append((steps, target))
-                        or verify(steps, target))
+                        lambda ks, axes, target: seen.append((axes, target))
+                        or verify(ks, axes, target))
     res = syn.named_gate("sqrt_iswap")
     assert abs(res.tau - 2.686872256045596) < 1e-12
     assert res.residual < 1e-13
-    ((_, n1), (_, n2), _), u_a = seen[-1]
+    (n1, n2, _), u_a = seen[-1]
     mu = syn.su2_axis_angle(u_a).axis
     fam = syn.solve_two_step(syn.su2_axis_angle(syn.aa_matrix(DELTA, mu) @ u_a), DELTA)
     refs = [syn._axis_from_angles(*syn._SQRT_ISWAP_SEED[k]) for k in ("n1", "n2")]
