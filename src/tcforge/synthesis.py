@@ -276,7 +276,9 @@ def _critical_thetas(fam: TwoStepFamily, ends: np.ndarray) -> np.ndarray:
     it kinks where a t vanishes (z = 0) or neighbours meet (y₁z₂ = y₂z₁,
     y₂z₃ = y₃z₂), and is stationary where β₁', β₂' or β₁' ± β₂' vanish, with
     β' ∝ N = yz' - zy' of degree 1 (N₁ρ₂ ± N₂ρ₁ = 0, ρ = y² + z²).  A wrap
-    of β moves only a branch with |t| ≈ π/√2, never in a cheapest chain."""
+    of β moves only a branch with |t| ≈ π/√2, never in a cheapest chain.
+    y₁z₂ - y₂z₁, the x part of n̂1 × n̂2, turns with g: it has degree 1 too,
+    and θ = 0, π stay candidates, where its constant part once sat alone."""
     # Laurent coefficients (z⁻¹, 1, z) of every axis component, (R, 2, 3, 3)
     circ = np.stack([(fam.B + 1j * fam.C) / 2,
                      np.broadcast_to(fam.A[:, None], fam.B.shape),
@@ -286,9 +288,10 @@ def _critical_thetas(fam: TwoStepFamily, ends: np.ndarray) -> np.ndarray:
     ik = np.array([-1j, 0, 1j])  # d/dθ; the z^±2 terms of yz' - zy' cancel
     (n1, rho1), (n2, rho2) = (((_mul(y, z * ik) - _mul(z, y * ik))[..., 1:-1],
                                _mul(y, y) + _mul(z, z)) for y, z in ((y1, z1), (y2, z2)))
+    kink = (_mul(y1, z2) - _mul(y2, z1))[..., 1:-1]
     return np.concatenate([
-        _linear_roots(np.stack([z1, z2, y2 * ez - ey * z2, n1, n2], axis=1)),
-        _companion_roots(_mul(y1, z2) - _mul(y2, z1)),
+        _linear_roots(np.stack([z1, z2, y2 * ez - ey * z2, kink, n1, n2], axis=1)),
+        np.broadcast_to([0.0, np.pi], (len(kink), 2)),
         _companion_roots(np.stack([_mul(n1, rho2) + sign * _mul(n2, rho1)
                                    for sign in (1, -1)], axis=1))], axis=1)
 
