@@ -1,5 +1,5 @@
 import warnings
-from itertools import product
+from itertools import cycle, product
 
 import numpy as np
 import pytest
@@ -312,6 +312,79 @@ def test_family_min_rejects_rows_without_finite_cost():
         syn._family_min(fam, syn._PAD_AXIS[None, None])
 
 
+def degenerate_and_random_targets(rng, count):
+    """The identity, -I, a 1-step target, targets with no 2-step (or no 2-
+    and no 4-step) family, then ``count`` Haar-random SU(2) targets."""
+    return [np.eye(2, dtype=complex), -np.eye(2, dtype=complex),
+            syn.aa_matrix(DELTA, rand_axis(rng)),
+            syn.aa_matrix(1.5, rand_axis(rng)),
+            syn.aa_matrix(2.9, rand_axis(rng))] + [rand_su2(rng) for _ in range(count)]
+
+
+def family_rows(monkeypatch, targets):
+    """Every (family, ends) that _decompose_all searches for the targets,
+    with a padded exact α = 0 row appended."""
+    family_min, seen = syn._family_min, []
+    monkeypatch.setattr(syn, "_family_min",
+                        lambda fam, ends: seen.append((fam, ends)) or family_min(fam, ends))
+    syn._decompose_all(targets)
+    return seen + [(syn.TwoStepFamily(np.array([[0, 0.6, 0.8]]), 0.0, DELTA),
+                    syn._PAD_AXIS[None, None])]
+
+
+def test_neighbour_kink_has_degree_one(monkeypatch):
+    # y₁z₂ - y₂z₁ = (n̂1 × n̂2)_x is a product of two degree-1 circles, so
+    # eight samples give its harmonics up to 3 exactly; _critical_thetas
+    # solves it in closed form, which holds only while its z^±2 ones vanish
+    rows = family_rows(monkeypatch, degenerate_and_random_targets(
+        np.random.default_rng(71), 40))
+    grid = np.arange(8) * (2 * np.pi / 8)
+    for fam, _ in rows:
+        n1, n2 = fam.axes(grid)
+        c = np.abs(np.fft.fft(n1[..., 1] * n2[..., 2] - n1[..., 2] * n2[..., 1]))
+        assert (c[:, [2, 6]] <= 1e-13 * c.max(axis=1, keepdims=True)).all()
+
+
+def test_family_min_matches_the_quartic_kink_search(monkeypatch):
+    # the closed-form kink roots plus θ = 0, π lose nothing against also
+    # taking every root of the kink as a quartic through _companion_roots,
+    # the deflation that once added 0 and π included
+    rows = family_rows(monkeypatch, degenerate_and_random_targets(
+        np.random.default_rng(73), 40))
+    grid = np.arange(8) * (2 * np.pi / 8)
+    for fam, ends in rows:
+        n1, n2 = fam.axes(grid)
+        kink = np.fft.fft(n1[..., 1] * n2[..., 2] - n1[..., 2] * n2[..., 1]) / 8
+        quartic = kink[:, [6, 7, 0, 1, 2]]  # Laurent z⁻², …, z²
+        thetas = np.concatenate([syn._critical_thetas(fam, ends),
+                                 syn._companion_roots(quartic)], axis=1)
+        ref = syn._chain_cost(fam, ends, np.mod(thetas, 2 * np.pi))[0]
+        ref = np.where(np.isfinite(ref), ref, np.inf).min(axis=1)
+        assert (syn._family_min(fam, ends)[0] <= ref + syn.TAU_TIE).all()
+
+
+@pytest.mark.parametrize("bad", ["turned", "nan"])
+def test_stacked_check_catches_any_bad_row(monkeypatch, bad):
+    # one stacked product checks every chain, the padded 2-step ones too:
+    # n̂1 of any one row turned by 1e-6, or NaN, must raise
+    targets = degenerate_and_random_targets(np.random.default_rng(79), 3)
+    (fam, ends), _ = family_rows(monkeypatch, targets)
+    monkeypatch.undo()
+    assert (ends[:, 0] == syn._PAD_AXIS).all(axis=1).any()
+    family_min = syn._family_min
+    for r in range(len(ends)):
+        def spoiled(fam, ends, r=r):
+            cost, t1, t2, n1, n2 = family_min(fam, ends)
+            n1 = n1.copy()
+            n1[r] = (np.nan if bad == "nan" else
+                     np.cos(1e-6) * n1[r] + np.sin(1e-6) * syn._perp(n1[r]))
+            return cost, t1, t2, n1, n2
+
+        monkeypatch.setattr(syn, "_family_min", spoiled)
+        with pytest.raises(AssertionError, match="recomposition defect"):
+            syn._decompose_all(targets)
+
+
 def test_gadget_realizes_fixed_rotation():
     # charge-1 block rotates by the fixed angle; charges 0 and 2 untouched
     rng = np.random.default_rng(11)
@@ -535,6 +608,45 @@ def test_compile_matches_per_placement_reference():
     assert syn.compile_two_qubit(-np.pi, -np.pi, -np.pi).kind == "no-f"
 
 
+def named_triples():
+    """compile_two_qubit's phase triple for every named gate it compiles."""
+    out = []
+    for g in (CZ, SWAP, ISWAP, u_psi_plus(-2 * np.pi / np.sqrt(3)), uzz(0.7)):
+        phases = syn._pi_u1_phases(g)
+        out.append(tuple(syn.wrap_pi(phases[k] - phases["psi-"])
+                         for k in ("00", "psi+", "11")))
+    return out
+
+
+def test_compile_builds_only_the_winner():
+    # plans are ranked on dec.tau plus their F parts' time and only the
+    # winner is built; reference_compile builds and times every plan
+    rng = np.random.default_rng(53)
+    triples = [tuple(p) for p in rng.uniform(-np.pi, np.pi, (200, 3))]
+    triples += named_triples() + [(-np.pi, -np.pi, -np.pi), (0.7, 1.1, -0.7)]
+    for phis in triples:
+        res = syn.compile_two_qubit(*phis)
+        label, circ = reference_compile(*phis)
+        assert (res.kind, res.circuit.gates) == (label, circ.gates), phis
+
+
+def test_compile_times_a_plan_whose_gadget_has_no_rz(monkeypatch):
+    # x rotations by 2.24 and 3.1 both end on a θ1 = 0 gadget.  Its rz pair
+    # drops, and for 3.1 simplify merges the tc pulses around it into
+    # 0.025 less than dec.tau, so f+fd wins though its dec.tau is larger
+    x_turns = [syn.aa_matrix(a, np.array([1.0, 0, 0])) for a in (2.24, 3.1)]
+    decs = [syn.decompose_fixed_angle(u) for u in x_turns]
+    assert all(d.eulers[-1][0] == 0 for d in decs)
+    assert decs[0].tau < decs[1].tau - 0.003
+    targets = cycle(x_turns)  # f+f's target, then f+fd's
+    monkeypatch.setattr(syn, "_su2_map_to_first", lambda v, phase: next(targets))
+    res = syn.compile_two_qubit(0.3, 1.2, -0.5)
+    label, circ = reference_compile(0.3, 1.2, -0.5)
+    assert res.kind == label == "f+fd"
+    assert res.circuit.gates == circ.gates
+    assert res.tau == interaction_time(circ) < decs[1].tau + 2 * syn.F_TAU - 0.02
+
+
 def test_compile_tie_goes_to_first_placement():
     # pool triples #14 and #27 of default_rng(0).uniform(-π, π, (2000, 3)):
     # their F† placements, no longer compiled, once were ahead of the F ones
@@ -571,6 +683,18 @@ def test_compile_runs_one_search(monkeypatch):
     syn.compile_two_qubit(*phis)
     # one chain-cost pass at every row's critical points
     assert calls == {"branches": 1, "axes": 1, "apply": 1}
+
+
+def test_compile_runs_one_eigvals(monkeypatch):
+    # the sextic stack is the only companion matrix: the kink has degree 1
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: calls.append(a.shape) or eigvals(a))
+    for phis in ((0.3, 1.2, -0.5), (-np.pi, -np.pi, -np.pi), (0.7, 1.1, -0.7)):
+        calls.clear()
+        syn.compile_two_qubit(*phis)
+        assert len(calls) == 1 and calls[0][-2:] == (6, 6), phis
 
 
 def test_f_dagger_placements_match_their_f_mirrors():
@@ -751,6 +875,14 @@ def test_named_swap_pin():
     assert len(res.circuit.gates) == 11
     assert min(abs(g.param) for g in res.circuit.gates if g.kind == "tc") >= 1e-9
     assert res.residual < 1e-13
+
+
+def test_named_iswap_has_no_rounding_pulse():
+    # the neighbour kink's roots are exact, so the tc(t2ᵢ₊₁ - t2ᵢ) that
+    # rounding left at -1.2e-15 merges to an exact 0 and drops
+    res = syn.named_gate("iswap")
+    assert len(res.circuit.gates) == 24
+    assert min(abs(g.param) for g in res.circuit.gates if g.kind == "tc") >= 1e-9
 
 
 def fibonacci_sphere(count):
