@@ -35,6 +35,7 @@ NEAR_IDENTITY = 1e-12               # angle or phase below which a target is rea
 
 _PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 _EYE2 = np.eye(2)
+_PSI_PM = 0.5 * np.array([[[1, 1], [1, 1]], [[1, -1], [-1, 1]]])  # Ψ± in (|01⟩, |10⟩)
 
 
 @dataclass(frozen=True)
@@ -45,9 +46,11 @@ class AxisAngle:
     angle: float
 
 
-def aa_matrix(angle: float, axis: np.ndarray) -> np.ndarray:
-    return np.cos(angle) * np.eye(2) + 1j * np.sin(angle) * np.einsum(
-        "i,ijk->jk", axis, _PAULI)
+def aa_matrix(angle, axis: np.ndarray) -> np.ndarray:
+    """exp(i·angle·axis·σ), angle (...) and axis (..., 3) broadcast."""
+    angle = np.asarray(angle, dtype=float)[..., None, None]
+    return np.cos(angle) * _EYE2 + 1j * np.sin(angle) * np.einsum(
+        "...i,ijk->...jk", axis, _PAULI)
 
 
 def su2_axis_angle(u: np.ndarray) -> AxisAngle:
@@ -88,8 +91,7 @@ def euler_embed(axis: np.ndarray) -> list[tuple[float, float]]:
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a × b over the last axis, the products np.cross takes, without its
-    per-call broadcasting set-up."""
+    """np.cross(a, b) without its per-call set-up, which dominates on few rows."""
     return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
 
 
@@ -277,8 +279,7 @@ def _critical_thetas(fam: TwoStepFamily, ends: np.ndarray) -> np.ndarray:
     y₂z₃ = y₃z₂), and is stationary where β₁', β₂' or β₁' ± β₂' vanish, with
     β' ∝ N = yz' - zy' of degree 1 (N₁ρ₂ ± N₂ρ₁ = 0, ρ = y² + z²).  A wrap
     of β moves only a branch with |t| ≈ π/√2, never in a cheapest chain.
-    y₁z₂ - y₂z₁, the x part of n̂1 × n̂2, turns with g: it has degree 1 too,
-    and θ = 0, π stay candidates, where its constant part once sat alone."""
+    y₁z₂ - y₂z₁ = (n̂1 × n̂2)_x has degree 1 too; θ = 0, π stay candidates."""
     # Laurent coefficients (z⁻¹, 1, z) of every axis component, (R, 2, 3, 3)
     circ = np.stack([(fam.B + 1j * fam.C) / 2,
                      np.broadcast_to(fam.A[:, None], fam.B.shape),
@@ -319,12 +320,9 @@ def _gadgets(steps, eulers) -> tuple[Gate, ...]:
 
 
 def _verify_steps(ks, axes, targets) -> None:
-    """Raise unless each chain's product of factors exp(i·kδ·axis·σ), in
-    time order, is its target: ks (..., 3), axes (..., 3, 3), targets
-    (..., 2, 2).  A k = 0 factor is the identity; it pads shorter chains."""
-    angle = DELTA * np.asarray(ks, dtype=float)[..., None, None]
-    f = np.cos(angle) * _EYE2 + 1j * np.sin(angle) * np.einsum(
-        "...i,ijk->...jk", axes, _PAULI)
+    """Raise unless each chain of factors exp(i·kδ·axis·σ), ks (..., 3) and axes
+    (..., 3, 3) in time order, multiplies to its target; k = 0 pads with I."""
+    f = aa_matrix(DELTA * np.asarray(ks), axes)
     defect = np.abs(f[..., 2, :, :] @ f[..., 1, :, :] @ f[..., 0, :, :] - targets).max()
     if not defect <= RECOMPOSE_ATOL:
         raise AssertionError(f"recomposition defect {defect:.2e}")
@@ -492,27 +490,16 @@ def compile_two_qubit(phi00: float, phi_psi_plus: float,
                       (Gate("rz", theta_p),), b2 @ rz11(theta) @ bf @ e1,
                       theta, theta_p))
     decs = _decompose_all([_su2_map_to_first(p[3], phi_psi_plus) for p in plans])
-
-    def build(i):
-        (_, before, after, *_), dec = plans[i], decs[i]
-        return simplify(Circuit(2, before + _gadgets(dec.steps, dec.eulers) + after))
-
-    # a plan takes dec.tau plus its F parts' time, unless a gadget's θ1 is
-    # exactly 0: its rz pair drops and simplify may merge its tc pulses
-    # with its neighbours' into less, so only such a plan is built to be timed
-    taus = [interaction_time(build(i)) if any(t1 == 0 for t1, _ in dec.eulers)
-            else dec.tau + (plans[i][0] != "no-f") * 2 * F_TAU
-            for i, dec in enumerate(decs)]
+    build = lambda p, d: simplify(Circuit(2, p[1] + _gadgets(d.steps, d.eulers) + p[2]))
+    # a plan takes dec.tau plus its F parts' time, unless a gadget's θ1 is 0:
+    # simplify drops its rz pair and may merge its tc pulses into less
+    taus = [interaction_time(build(p, dec)) if any(t1 == 0 for t1, _ in dec.eulers)
+            else dec.tau + (p[0] != "no-f") * 2 * F_TAU for p, dec in zip(plans, decs)]
     best = next(i for i, t in enumerate(taus) if t <= min(taus) + TAU_TIE)
     label, _, _, _, th, thp = plans[best]
-    circuit = build(best)
+    circuit = build(plans[best], decs[best])
     return _phase_result(circuit, interaction_time(circuit), label,
                          (phi00, phi_psi_plus, phi11), th, thp)
-
-
-# projectors onto Ψ± within the charge-1 pair (|01⟩, |10⟩)
-_PSI_PLUS = 0.5 * np.array([[1, 1], [1, 1]])
-_PSI_MINUS = 0.5 * np.array([[1, -1], [-1, 1]])
 
 
 def _phase_result(circuit: Circuit, tau: float, kind: str, phases,
@@ -523,7 +510,7 @@ def _phase_result(circuit: Circuit, tau: float, kind: str, phases,
     t = np.zeros((4, 4), dtype=complex)
     t[0, 0] = cmath.exp(1j * phi00)
     t[3, 3] = cmath.exp(1j * phi11)
-    t[1:3, 1:3] = cmath.exp(1j * phi_psi_plus) * _PSI_PLUS + _PSI_MINUS
+    t[1:3, 1:3] = cmath.exp(1j * phi_psi_plus) * _PSI_PM[0] + _PSI_PM[1]
     vs = vacuum_sandwich(apply_circuit(circuit, 2))
     return SynthesisResult(circuit, tau, kind, {"theta": theta, "theta_prime": theta_p,
                                                 "theta_plus": phi_psi_plus},
