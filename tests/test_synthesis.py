@@ -594,11 +594,17 @@ def reference_compile(phi00, phi_psi_plus, phi11):
 
 
 def test_compile_matches_per_placement_reference():
+    # compile_two_qubit ranks plans on dec.tau plus their F parts' time and
+    # builds only the winner; reference_compile builds and times every plan
     rng = np.random.default_rng(43)
-    triples = [tuple(rng.uniform(-np.pi, np.pi, 3)) for _ in range(7)]
+    triples = [tuple(rng.uniform(-np.pi, np.pi, 3)) for _ in range(200)]
     triples += [(0.7, 1.1, -0.7),  # φ00 + φ11 ≡ 0: the F-free shortcut
                 (-np.pi, -np.pi, -np.pi),  # SWAP: shortcut and an angle-π A
                 (1.4884739462014362, 2.4012876269253036, -2.439352522382718)]
+    for g in (CZ, ISWAP, u_psi_plus(-2 * np.pi / np.sqrt(3)), uzz(0.7)):
+        phases = syn._pi_u1_phases(g)
+        triples.append(tuple(syn.wrap_pi(phases[k] - phases["psi-"])
+                             for k in ("00", "psi+", "11")))
     for phis in triples:
         res = syn.compile_two_qubit(*phis)
         label, circ = reference_compile(*phis)
@@ -606,28 +612,6 @@ def test_compile_matches_per_placement_reference():
         assert res.circuit.gates == circ.gates, phis
         assert res.tau == interaction_time(circ)
     assert syn.compile_two_qubit(-np.pi, -np.pi, -np.pi).kind == "no-f"
-
-
-def named_triples():
-    """compile_two_qubit's phase triple for every named gate it compiles."""
-    out = []
-    for g in (CZ, SWAP, ISWAP, u_psi_plus(-2 * np.pi / np.sqrt(3)), uzz(0.7)):
-        phases = syn._pi_u1_phases(g)
-        out.append(tuple(syn.wrap_pi(phases[k] - phases["psi-"])
-                         for k in ("00", "psi+", "11")))
-    return out
-
-
-def test_compile_builds_only_the_winner():
-    # plans are ranked on dec.tau plus their F parts' time and only the
-    # winner is built; reference_compile builds and times every plan
-    rng = np.random.default_rng(53)
-    triples = [tuple(p) for p in rng.uniform(-np.pi, np.pi, (200, 3))]
-    triples += named_triples() + [(-np.pi, -np.pi, -np.pi), (0.7, 1.1, -0.7)]
-    for phis in triples:
-        res = syn.compile_two_qubit(*phis)
-        label, circ = reference_compile(*phis)
-        assert (res.kind, res.circuit.gates) == (label, circ.gates), phis
 
 
 def test_compile_times_a_plan_whose_gadget_has_no_rz(monkeypatch):
@@ -667,7 +651,7 @@ def test_compile_tie_goes_to_first_placement():
 def test_compile_runs_one_search(monkeypatch):
     phis = (0.3, 1.2, -0.5)  # no A target at angle π
     syn.compile_two_qubit(*phis)  # builds the cached F/F† blocks
-    calls = {"branches": 0, "axes": 0, "apply": 0}
+    calls = {"branches": 0, "axes": 0, "apply": 0, "eigvals": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -680,21 +664,11 @@ def test_compile_runs_one_search(monkeypatch):
     monkeypatch.setattr(syn.TwoStepFamily, "axes",
                         counted("axes", syn.TwoStepFamily.axes))
     monkeypatch.setattr(syn, "apply_circuit", counted("apply", syn.apply_circuit))
+    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
     syn.compile_two_qubit(*phis)
-    # one chain-cost pass at every row's critical points
-    assert calls == {"branches": 1, "axes": 1, "apply": 1}
-
-
-def test_compile_runs_one_eigvals(monkeypatch):
-    # the sextic stack is the only companion matrix: the kink has degree 1
-    calls = []
-    eigvals = np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals",
-                        lambda a: calls.append(a.shape) or eigvals(a))
-    for phis in ((0.3, 1.2, -0.5), (-np.pi, -np.pi, -np.pi), (0.7, 1.1, -0.7)):
-        calls.clear()
-        syn.compile_two_qubit(*phis)
-        assert len(calls) == 1 and calls[0][-2:] == (6, 6), phis
+    # one chain-cost pass at every row's critical points, and one eigvals
+    # call, on the sextic stack: the other polynomials have degree 1
+    assert calls == {"branches": 1, "axes": 1, "apply": 1, "eigvals": 1}
 
 
 def test_f_dagger_placements_match_their_f_mirrors():
