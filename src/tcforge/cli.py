@@ -20,7 +20,8 @@ from .dynamics import (Circuit, apply_circuit, evolve_vacuum_state,
                        interaction_time, vacuum_sandwich)
 from .operators import htc_block, jz_block
 from .sectors import (accidental_pairs, accidental_partner, enumerate_sectors,
-                      is_filled, multiplicity, require_tol, sector_dim)
+                      is_filled, multiplicity, require_int, require_tol,
+                      sector_dim)
 
 DESK_N = 6
 DESK_QMAX = 12
@@ -209,13 +210,12 @@ _SUITES = {"accidental": _suite_accidental, "lie": _suite_lie,
 def cmd_verify(args) -> int:
     if args.suite == "schwinger":  # its sizes are fixed: --n and --qmax do not apply
         args.n = args.qmax = None
-    elif args.n < 1:
-        raise ValueError(f"need at least one qubit, got n={args.n}")
-    elif args.qmax < 0:
-        raise ValueError(f"q_max must be non-negative, got {args.qmax}")
-    elif not args.override_scale and (args.n > DESK_N or args.qmax > DESK_QMAX):
-        raise ValueError(f"n = {args.n}, q_max = {args.qmax} exceeds desk scale "
-                         f"(n ≤ {DESK_N}, q_max ≤ {DESK_QMAX}); pass --override-scale")
+    else:
+        require_int(args.n, "--n", 1)
+        require_int(args.qmax, "--qmax", 0)
+        if not args.override_scale and (args.n > DESK_N or args.qmax > DESK_QMAX):
+            raise ValueError(f"n = {args.n}, q_max = {args.qmax} exceeds desk scale "
+                             f"(n ≤ {DESK_N}, q_max ≤ {DESK_QMAX}); pass --override-scale")
     require_tol(args.tol, "--tol")
     checks = _SUITES[args.suite](args.n, args.qmax, args.tol)
     ok = all(c["pass"] for c in checks)

@@ -158,12 +158,19 @@ def test_simulate_rejects_param_beyond_float_range(tmp_path, capsys):
 def test_simulate_state_above_qmax_fails(tmp_path, capsys):
     path = tmp_path / "tc.json"
     path.write_text('{"n": 2, "gates": [{"kind": "tc", "param": 1.0}]}')
-    for q_max in ("0", "1"):  # |00⟩⊗|0⟩ has charge 2
-        assert run(["simulate", str(path), "--state", "00",
-                    "--qmax", q_max]) == 1
+    wide = tmp_path / "tc3.json"
+    wide.write_text('{"n": 3, "gates": [{"kind": "tc", "param": 1.0}]}')
+    for circ, extra, message in (  # |00⟩⊗|0⟩ has charge 2
+            (path, ["--state", "00", "--qmax", "0"], "q = 2 above q_max = 0"),
+            (path, ["--state", "00", "--qmax", "1"], "q = 2 above q_max = 1"),
+            (wide, ["--state", "psi+"], "state 'psi+' is defined for n = 2 only"),
+            (path, ["--state", "0a"], "cannot parse state '0a' for n = 2"),
+            (path, ["--state", "000"], "cannot parse state '000' for n = 2")):
+        assert run(["simulate", str(circ)] + extra) == 1
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert message in out.err
 
 
 def test_verify_suites_pass(tmp_path):
@@ -296,7 +303,8 @@ def test_bad_counts_fail_with_one_error_line(capsys):
                  ["verify", "phases", "--n", "-2"],
                  ["verify", "realizability", "--qmax", "-1"],
                  ["verify", "phases", "--qmax", "-1"],
-                 ["sectors", "--n", "0"]):
+                 ["sectors", "--n", "0"],
+                 ["synthesize", "--phases", "0.1,0.2"]):
         assert run(argv) == 1
         out = capsys.readouterr()
         assert out.out == ""

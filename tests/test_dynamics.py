@@ -268,6 +268,9 @@ def test_evolve_vacuum_state_rejects_uncovered_or_non_finite_states():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             dyn.evolve_vacuum_state(circ, np.array([bad, 0, 0, 0]), 2)
+    for wrong in (np.ones(8), np.ones(2), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="^state must have length 4$"):
+            dyn.evolve_vacuum_state(circ, wrong, 3)
 
 
 @pytest.mark.parametrize("backend", ["charge", "jtower"])

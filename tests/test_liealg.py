@@ -46,6 +46,9 @@ def test_closure_idempotent_and_monotone():
 def test_closure_rejects_non_skew():
     with pytest.raises(ValueError):
         la.lie_closure([SX])
+    for other in (1j * np.eye(3), np.zeros((2, 3))):
+        with pytest.raises(ValueError, match="^generators must share one square shape$"):
+            la.lie_closure([1j * SX, other])
 
 
 def test_closure_rejects_non_finite():

@@ -100,9 +100,12 @@ def test_sector_equivalence():
                                         SectorIndex(4, 3, 4))
     assert ops.sector_equivalence_check(SectorIndex(2, 1, 2),
                                         SectorIndex(2, 1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^spin mismatch"):
         ops.sector_equivalence_check(SectorIndex(6, 4, 4),
                                      SectorIndex(4, 3, 2))
+    with pytest.raises(ValueError, match="^charges not related"):
+        ops.sector_equivalence_check(SectorIndex(6, 4, 4),
+                                     SectorIndex(4, 2, 4))
 
 
 def test_accidental_pair_matrices():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tcforge import qubits as qb
-from tcforge.sectors import j_min2, multiplicity
+from tcforge.sectors import SectorIndex, j_min2, multiplicity
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -59,6 +59,9 @@ def test_assemble_pi_identity():
     u_by_j = {jj: np.eye(jj + 1, dtype=complex)
               for jj in range(j_min2(n), n + 1, 2)}
     assert np.abs(qb.assemble_pi(n, u_by_j) - np.eye(8)).max() < 1e-9
+    u_by_j[3] = np.eye(3)
+    with pytest.raises(ValueError, match=r"^block for 2j=3 must be \(4, 4\)$"):
+        qb.assemble_pi(n, u_by_j)
 
 
 def test_full_space_projection_matches_blocks():
@@ -69,6 +72,8 @@ def test_full_space_projection_matches_blocks():
     for idx in enumerate_sectors(n, 6):
         brute = qb.project_full(h, idx, k_cut)
         assert np.abs(brute - htc_block(idx)).max() < 1e-10
+    with pytest.raises(ValueError, match="^need k_cut ≥ 6 for"):
+        qb.sector_vectors(SectorIndex(n, 6, 3), 5)  # |j, -j⟩⊗|6⟩
 
 
 def test_textbook_gate_identities():

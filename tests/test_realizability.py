@@ -655,6 +655,17 @@ def _identity_blocks_with(block):
                  r"^n must be an integer ≥ 1, got 0$", id="diagonal-zero-n"),
     pytest.param(lambda: rz.check_diagonal(True, {-1: 0.0, 1: 0.0}),
                  r"^n must be an integer ≥ 1, got True$", id="diagonal-bool-n"),
+    pytest.param(lambda: rz.check_diagonal(2, {-2: 0.0, 2: 0.0}),
+                 r"^need one phase per 2m in \{-n\.\.n\}$", id="diagonal-missing-key"),
+    pytest.param(lambda: rz.check_symmetric_phase_constraint(2, 2, [0.0, 0.0]),
+                 r"^need θ_q for q = 0\.\.2$", id="symmetric-short-theta"),
+    pytest.param(lambda: rz.state_convertible(2, {(1, 0): 1.0}, {(2, 0): 1.0}),
+                 r"^bad symmetric-state label \(2m=1, k=0\)$", id="state-odd-label"),
+    pytest.param(lambda: rz.state_convertible(2, {(2, 0): 1.0}, {(4, 0): 1.0}),
+                 r"^bad symmetric-state label \(2m=4, k=0\)$", id="state-label-above-n"),
+    pytest.param(lambda: rz.block_target_from_unitary(dyn.apply_circuit(
+                     Circuit(2, [Gate("tc", 1.0)]), 2, backend="jtower")),
+                 r"^need a charge-backend block unitary$", id="jtower-unitary"),
 ])
 def test_ill_typed_targets_rejected(make, message):
     with pytest.raises(ValueError, match=message):

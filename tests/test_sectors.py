@@ -24,6 +24,11 @@ def test_invalid_indices_rejected():
         SectorIndex(4, 0, 2)  # empty: j < n/2 - q
     with pytest.raises(ValueError):
         SectorIndex(2, -1, 2)
+    for jj in (-2, 4):
+        with pytest.raises(ValueError, match="outside"):
+            SectorIndex(2, 1, jj)
+        with pytest.raises(ValueError, match=rf"^2j={jj} outside \[0, 2\]$"):
+            multiplicity(2, jj)
 
 
 @pytest.mark.parametrize("call, args, name", [

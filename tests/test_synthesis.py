@@ -449,6 +449,9 @@ def test_axes_must_be_finite():
             syn.euler_embed(axis)
         with pytest.raises(ValueError, match="^target axis must be finite"):
             syn.solve_two_step(syn.AxisAngle(axis, 1.0), DELTA)
+    for step in (0.0, np.pi, -2 * np.pi):
+        with pytest.raises(ValueError, match="^step angle must not be a multiple of π$"):
+            syn.solve_two_step(syn.AxisAngle(np.array([0, 0, 1.0]), 1.0), step)
 
 
 def test_a_gate_rejects_bad_targets():
@@ -851,6 +854,42 @@ def test_named_swap_pin():
     assert res.residual < 1e-13
 
 
+# Circuits that hang on the explicit θ = 0, π candidates of _critical_thetas:
+# without them τ agrees to 1e-15, yet the gates move in their last bits.  The
+# triple is #37 of the synth benchmark's pool (default_rng(0), 2000 × 3).
+PINNED_CIRCUITS = {
+    "swap": (
+        ("rz", -3.141592653589793), ("tc", -0.15031914094812485),
+        ("rz", -0.5411648916823302), ("tc", 2.565099660323728),
+        ("rz", -2.059262870225133), ("tc", 2.565099660323728),
+        ("rz", 2.600427761907463), ("tc", 0.15031914094812485),
+        ("rz", 1.5707963267948966), ("tc", 2.565099660323728),
+        ("rz", -1.5707963267948966)),
+    (-2.9633678082757333, 1.3773984556682217, -3.041113653610896): (
+        ("rz", -1.064893096409941), ("tc", 1.282549830161864),
+        ("rz", 0.5589898660249855), ("tc", 1.282549830161864),
+        ("rz", -0.5589898660249855), ("tc", 1.282549830161864),
+        ("rz", -3.0022407309433143), ("tc", -1.282549830161864),
+        ("rz", 0.5589898660249855), ("tc", -1.282549830161864),
+        ("rz", -0.5589898660249855), ("tc", -1.282549830161864),
+        ("rz", 1.064893096409941), ("tc", 0.05090299022932414),
+        ("rz", -0.3057145598471127), ("tc", 2.565099660323728),
+        ("rz", 0.3057145598471127), ("tc", 0.08313714285859679),
+        ("rz", -0.7663693793012949), ("tc", 2.565099660323728),
+        ("rz", 0.7663693793012949), ("tc", 0.06123217668363262),
+        ("rz", -0.5203922798505424), ("tc", 2.565099660323728),
+        ("rz", 0.5203922798505424), ("tc", -0.19527230977155355),
+        ("rz", -0.03887292266758102)),
+}
+
+
+def test_compiled_circuits_are_pinned_gate_for_gate():
+    for target, gates in PINNED_CIRCUITS.items():
+        res = (syn.named_gate(target) if isinstance(target, str)
+               else syn.compile_two_qubit(*target))
+        assert tuple((g.kind, g.param) for g in res.circuit.gates) == gates, target
+
+
 def test_named_iswap_has_no_rounding_pulse():
     # the neighbour kink's roots are exact, so the tc(t2ᵢ₊₁ - t2ᵢ) that
     # rounding left at -1.2e-15 merges to an exact 0 and drops
@@ -920,6 +959,10 @@ def test_pi_u1_phases_rejects_nan():
     # NaN phases once came back in place of this error
     with pytest.raises(ValueError, match="not PI and U\\(1\\)-invariant"):
         syn._pi_u1_phases(np.full((4, 4), np.nan))
+    # unit-modulus Ψ± diagonals, but |Ψ+⟩⟨Ψ-| couples the singlet in
+    psi_p, psi_m = np.array([0, 1, 1, 0]) / np.sqrt(2), np.array([0, 1, -1, 0]) / np.sqrt(2)
+    with pytest.raises(ValueError, match="^target mixes the singlet with the triplet$"):
+        syn._pi_u1_phases(np.eye(4) + np.outer(psi_p, psi_m))
 
 
 def test_qubit_osc_swap_mapping():
