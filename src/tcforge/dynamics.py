@@ -346,7 +346,7 @@ def evolve_vacuum_state(circ: Circuit, psi_qubits: np.ndarray,
     """
     n = circ.n
     require_int(q_max, "q_max", 0)
-    psi_qubits = np.asarray(psi_qubits, dtype=complex)
+    psi_qubits = np.ascontiguousarray(psi_qubits, dtype=complex)
     if psi_qubits.shape != (2 ** n,):
         raise ValueError(f"state must have length {2 ** n}")
     if not np.isfinite(psi_qubits).all():
@@ -356,12 +356,13 @@ def evolve_vacuum_state(circ: Circuit, psi_qubits: np.ndarray,
     if q_top > q_max:
         raise ValueError(f"state has support at charge q = {q_top} "
                          f"above q_max = {q_max}")
-    basis = jm_basis(n)
+    basis, amps = jm_basis(n), psi_qubits.view(float).reshape(-1, 2)
     joint = np.zeros((2 ** n, tower_k_max(circ, q_max, n) + 1), dtype=complex)
     for jj, _, k_max, gates in _towers(circ, q_max):  # 2j = n: the widest tower
         frames = basis[jj]  # frames[r]: the copies of |j, m = j - r⟩
         vacuum = np.arange(k_max + 1)[:, None] == np.zeros(jj + 1, int)  # k = 0
-        state = _evolve(gates, jj, k_max, vacuum) @ (
-            frames.conj().transpose(0, 2, 1) @ psi_qubits)
-        joint[:, :k_max + 1] += (frames @ state.transpose(1, 2, 0)).sum(0)
+        state = _evolve(gates, jj, k_max, vacuum) @ (  # real Fᵀ on ψ's float view
+            frames.transpose(0, 2, 1) @ amps).view(complex)[..., 0]
+        state = np.ascontiguousarray(state.transpose(1, 2, 0)).view(float)
+        joint[:, :k_max + 1] += (frames @ state).sum(0).view(complex)
     return joint

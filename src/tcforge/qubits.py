@@ -4,15 +4,17 @@ Everything here works on the untruncated 2^n qubit space (optionally
 tensored with a finite oscillator ladder) and exists to cross-check the
 per-sector matrices against first principles, and to assemble
 permutationally-invariant block operators back into 2^n x 2^n matrices.
-Intended for desk scale (n ≤ 6).
+The real |j,m,alpha⟩ frames come from the J- ladder alone and fill 2^n x 2^n
+floats, 34 MB at n = 11; the dense spin and Fock matrices suit n ≤ 6.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
+from .operators import _ladder
 from .sectors import SectorIndex, basis_labels, j_min2, multiplicity
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -20,58 +22,52 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def _one_site(n: int, i: int, op: np.ndarray) -> np.ndarray:
-    full = np.array([[1.0 + 0j]])
-    for site in range(n):
-        full = np.kron(full, op if site == i else np.eye(2))
-    return full
-
-
 def collective(n: int, op: np.ndarray) -> np.ndarray:
     """J_w = (1/2) sum_i sigma_w^(i) for a single-qubit operator sigma_w."""
-    return 0.5 * sum(_one_site(n, i, op) for i in range(n))
+    return 0.5 * sum(reduce(np.kron, [op if s == i else np.eye(2) for s in range(n)])
+                     for i in range(n))
 
 
-@lru_cache(maxsize=None)
 def spin_ops(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    jx = collective(n, SIGMA_X)
-    jy = collective(n, SIGMA_Y)
-    jz = collective(n, SIGMA_Z)
-    return jx, jy, jz
+    """Dense complex J_x, J_y, J_z on 2^n amplitudes: the independent oracle."""
+    return tuple(collective(n, s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+
+
+def _lower(x: np.ndarray, n: int) -> np.ndarray:
+    """J- on the last axis of x, [..., 2^n]: one strided add per site, from
+    its bit 0 (m = +1/2) into its bit 1; site 0 is the top bit."""
+    out = np.zeros_like(x)
+    for p in range(n):
+        src = x.reshape(*x.shape[:-1], 2 ** (n - 1 - p), 2, 2 ** p)
+        out.reshape(src.shape)[..., 1, :] += src[..., 0, :]
+    return out
 
 
 @lru_cache(maxsize=None)
 def jm_basis(n: int) -> dict[int, np.ndarray]:
-    """Orthonormal |j,m,alpha⟩ vectors, keyed by the doubled spin 2j.
+    """Orthonormal real |j,m,alpha⟩ vectors, keyed by the doubled spin 2j.
 
-    Each value is a (2j+1, 2^n, multiplicity) stack of frames: row r holds
-    m = j - r, the m index of ``jx_operator`` and the dynamics towers, and
-    the columns of a frame are the multiplicity copies.  Copies for
-    different m of the same j are tied together by explicit lowering from
-    the highest-weight space, so a permutationally-invariant operator is
-    exactly alpha-diagonal in this basis.
+    Each value is a (2j+1, 2^n, multiplicity) float64 stack of frames: row r
+    holds m = j - r, the m index of ``jx_operator`` and the dynamics towers,
+    and the columns of a frame are the multiplicity copies.  From 2j = n
+    down, the copies at m = j complete the higher spins' copies at that m,
+    and J- lowers them to the other rows, so a permutationally-invariant
+    operator is exactly alpha-diagonal in this basis.
     """
-    jx, jy, jz = spin_ops(n)
-    jplus = jx + 1j * jy
-    jminus = jx - 1j * jy
-    mz = np.real(np.diag(jz))
+    ones = np.array([b.bit_count() for b in range(2 ** n)])
     out: dict[int, np.ndarray] = {}
     for jj in range(n, j_min2(n) - 1, -2):
-        j = jj / 2
-        # highest-weight space: kernel of J+ inside the m = j eigenspace
-        cols = np.flatnonzero(np.abs(mz - j) < 1e-9)
-        block = jplus[:, cols]
-        _, s, vh = np.linalg.svd(block, full_matrices=True)
-        rank = int(np.sum(s > 1e-9)) if s.size else 0
-        null = vh.conj().T[:, rank:]
-        hw = np.zeros((2 ** n, null.shape[1]), dtype=complex)
-        hw[cols, :] = null
-        assert hw.shape[1] == multiplicity(n, jj)
-        frames = [hw]
-        for mm in range(jj, -jj, -2):  # lower |j,m⟩ to |j,m-1⟩
-            norm = np.sqrt((j + mm / 2) * (j - mm / 2 + 1))
-            frames.append((jminus @ frames[-1]) / norm)
-        out[jj] = np.stack(frames)
+        cols = np.flatnonzero(ones == (n - jj) // 2)  # the states with m = j
+        # Q's columns after the higher spins' copies complete them; the
+        # identity keeps the QR off an empty matrix at 2j = n
+        taken = np.hstack([f[(big - jj) // 2, cols] for big, f in out.items()]
+                          + [np.eye(len(cols))])
+        top = np.zeros((multiplicity(n, jj), 2 ** n))
+        top[:, cols] = np.linalg.qr(taken)[0][:, len(cols) - len(top):].T
+        rows = [top]  # frames transposed, [alpha, p] per r
+        for norm in np.sqrt(_ladder(jj, np.arange(jj, -jj, -2))):
+            rows.append(_lower(rows[-1], n) / norm)
+        out[jj] = np.stack(rows).transpose(0, 2, 1)
     return out
 
 
@@ -125,9 +121,11 @@ def assemble_pi(n: int, u_by_j: dict[int, np.ndarray]) -> np.ndarray:
     for jj, u in u_by_j.items():
         if u.shape != (jj + 1, jj + 1):
             raise ValueError(f"block for 2j={jj} must be {(jj + 1, jj + 1)}")
-        frames = basis[jj]  # F[r, p, alpha]; out += F (u ⊗ I_mult) F†
-        right = np.einsum("rc,cqa->raq", u, frames.conj()).reshape(-1, 2 ** n)
-        out += frames.transpose(1, 0, 2).reshape(2 ** n, -1) @ right
+        frames = basis[jj]  # F[r, p, alpha]; out += F (u ⊗ I_mult) Fᵀ
+        left = frames.transpose(1, 0, 2).reshape(2 ** n, -1)
+        rows = frames.transpose(0, 2, 1).reshape(jj + 1, -1)  # Fᵀ, [c, (alpha, q)]
+        for part, dest in ((u.real, out.real), (u.imag, out.imag)):
+            dest += left @ (part @ rows).reshape(-1, 2 ** n)
     return out
 
 

@@ -698,7 +698,9 @@ def _vacuum_state_with_identity(circ, psi, q_max):
     for jj, k_max in k_maxes.items():
         frames = jm_basis(circ.n)[jj]
         tower = _columns_with_identity(circ.gates, jj, k_max, _vacuum_mask(jj, k_max))
-        state = tower @ (frames.conj().transpose(0, 2, 1) @ psi)
+        # Fᵀψ on ψ's float view, as evolve_vacuum_state takes it
+        state = tower @ (frames.transpose(0, 2, 1)
+                         @ psi.view(float).reshape(-1, 2)).view(complex)[..., 0]
         joint[:, :k_max + 1] += (frames @ state.transpose(1, 2, 0)).sum(0)
     return joint
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +16,7 @@ def test_jm_basis_orthonormal_complete(n):
     total = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for jj, frames in basis.items():
         assert frames.shape == (jj + 1, 2 ** n, multiplicity(n, jj))
+        assert frames.dtype == np.float64
         for frame in frames:
             gram = frame.conj().T @ frame
             assert np.abs(gram - np.eye(frame.shape[1])).max() < 1e-10
@@ -27,6 +33,31 @@ def test_jm_basis_eigenvectors(n):
             j, m = jj / 2, jj / 2 - r
             assert np.abs(j2 @ frame - j * (j + 1) * frame).max() < 1e-9
             assert np.abs(jz @ frame - m * frame).max() < 1e-9
+
+
+def test_n11_vacuum_state_in_a_fresh_process_stays_small():
+    # a fresh process, so no cached frames of another test count; the real
+    # frames hold 2^n x 2^n floats, 34 MB at n = 11, where dense complex spin
+    # matrices and an SVD once peaked near 690 MB
+    code = """if True:
+        import resource
+        import numpy as np
+        from tcforge.dynamics import Circuit, Gate, evolve_vacuum_state
+        n = 11
+        psi = np.random.default_rng(3).normal(size=(2, 2 ** n)).T @ [1, 1j]
+        circ = Circuit(n, [Gate("tc", 0.7), Gate("rz", 0.3), Gate("rx", 0.4),
+                           Gate("tc", -0.5)])
+        joint = evolve_vacuum_state(circ, psi / np.linalg.norm(psi), n)
+        print(np.linalg.norm(joint), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    norm, max_rss_kb = map(float, proc.stdout.split())
+    assert abs(norm - 1) <= 1e-12
+    assert max_rss_kb < 300 * 1024  # ru_maxrss is in kB on Linux
 
 
 def test_jm_basis_two_qubits_bell():
