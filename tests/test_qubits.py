@@ -37,8 +37,8 @@ def test_jm_basis_eigenvectors(n):
 
 def test_n11_vacuum_state_in_a_fresh_process_stays_small():
     # a fresh process, so no cached frames of another test count; the real
-    # frames hold 2^n x 2^n floats, 34 MB at n = 11, where dense complex spin
-    # matrices and an SVD once peaked near 690 MB
+    # frames hold 2^n x 2^n floats, 34 MB at n = 11, and no dense spin matrix
+    # may be built on the way
     code = """if True:
         import resource
         import numpy as np
