@@ -8,9 +8,9 @@ r-major as [r, s, cols], r = j - m, over the charge diagonals s = k - r + 2j.
 A coupling pulse conserves s, and its (2j+1)-square diagonal blocks are real
 symmetric: a pulse v diag(e^{-irw}) vᵀ is two real stacked products of their
 cached eigenvectors on float views of the complex run.  rz is a phase on r.
-Each run of tc and rz gates between rx gates is multiplied out on that
-[s, r, r] stack from its first gate on, with one exp for all its phases of
-each kind.  rx conserves k and acts on r of the tower [k, r, cols], a view
+Each run of tc and rz gates between rx gates is multiplied out in place on
+that [s, r, r] stack from its first tc on, with one exp for all its phases
+of each kind.  rx conserves k and acts on r of the tower [k, r, cols], a view
 of the state, so no product moves data.  One loop, _towers, yields each
 spin's cutoffs and gates (none on the singlet, where each is 1): its
 columns of charge q ≤ q_max lie on the diagonals s ≤ k0, and k_max keeps
@@ -71,6 +71,11 @@ class Circuit:
 
     def has_rx(self) -> bool:
         return any(g.kind == "rx" for g in self.gates)
+
+    @cached_property
+    def _rx_runs(self) -> int:  # counted once per circuit: see tower_k_max
+        kinds = [g.kind for g in self.gates if g.kind != "rz"]
+        return sum(a == "rx" and b == "tc" for a, b in zip(kinds, kinds[1:]))
 
     def total_tc_time(self) -> float:
         """Raw Σ|r| over coupling pulses (units of 1/g)."""
@@ -158,19 +163,25 @@ def _rx_eig(jj: int):
 def _run(gates, jj: int, k_max: int, size: int) -> np.ndarray:
     """Product of rx-free gates on the first `size` charge diagonals of the jj
     tower truncated at k_max, an [s, r, r] stack.  One exp gives the phases of
-    all tc gates, [G, s, r], one those of all rz gates, [G, r].  A tc is vt,
-    its phases, then v, each real factor a GEMM on the stack's float view."""
+    all tc gates, [G, s, r], one those of all rz gates, laid out [G, r, r].  A
+    tc is vt, its phases, then v, each real factor a GEMM on float views."""
     w, v, vt = (a[:size] for a in _tc_eig(jj, k_max))
     run = np.eye(jj + 1, dtype=complex)  # leading rz gates keep it [r, r]
-    tc, rz = (iter(np.exp(-1j * np.multiply.outer(
-        [g.param for g in gates if g.kind == kind], e)))
+    tc, rz = (np.exp(-1j * np.multiply.outer(
+        [g.param for g in gates if g.kind == kind], e))[..., None]
         for kind, e in (("tc", w), ("rz", jj / 2 - np.arange(jj + 1))))
+    tc, rz = iter(tc), iter(np.repeat(rz, jj + 1, axis=-1))
     for i, g in enumerate(gates):
-        if g.kind == "rz":
-            run = next(rz)[:, None] * run
-        else:  # a first tc skips vt @ I
-            y = vt if i == 0 else (vt @ run.view(float)).view(complex)
-            run = (v @ (y * next(tc)[:, :, None]).view(float)).view(complex)
+        if g.kind == "rz":  # phase first: complex * is not bitwise symmetric
+            np.multiply(next(rz), run, out=run)
+        elif run.ndim == 3:  # in place, through the views the first tc took
+            np.matmul(vt, rf, out=yf)
+            np.multiply(y, next(tc), out=y)
+            np.matmul(v, yf, out=rf)
+        else:  # the first tc allocates run and its spare y; at i == 0 no vt @ I
+            y = (vt if i == 0 else (vt @ run.view(float)).view(complex)) * next(tc)
+            yf, rf = y.view(float), v @ y.view(float)
+            run = rf.view(complex)
     return run if run.ndim == 3 else np.tile(run, (len(w), 1, 1))
 
 
@@ -246,9 +257,7 @@ def tower_k_max(circ: Circuit, q_max: int, jj: int) -> int:
     rz conserves the charge and ends no run, so the runs are counted as the
     rx → tc steps of the gate kinds with rz left out.
     """
-    kinds = [g.kind for g in circ.gates if g.kind != "rz"]
-    runs = sum(a == "rx" and b == "tc" for a, b in zip(kinds, kinds[1:]))
-    return max(0, q_max + runs * jj + (jj - circ.n) // 2)
+    return max(0, q_max + circ._rx_runs * jj + (jj - circ.n) // 2)
 
 
 def _towers(circ: Circuit, q_max: int):
@@ -261,6 +270,13 @@ def _towers(circ: Circuit, q_max: int):
             yield jj, k0, tower_k_max(circ, q_max, jj), circ.gates if jj else ()
 
 
+@lru_cache(maxsize=None)
+def _sector_slots(n: int, q_max: int) -> tuple:
+    """(sector, 2j, s, dim) of each sector q ≤ q_max: its charge block is the
+    [s, -dim:, -dim:] slice of the 2j run stack, whose last slots have k ≥ 0."""
+    return tuple((i, i.jj, i.q - (n - i.jj) // 2, i.dim) for i in enumerate_sectors(n, q_max))
+
+
 def apply_circuit(circ: Circuit, q_max: int, backend: str = "auto") -> BlockUnitary:
     """Evolve the whole circuit; every block is unitary, on jtower an isometry,
     to ~1e-14."""
@@ -271,22 +287,18 @@ def apply_circuit(circ: Circuit, q_max: int, backend: str = "auto") -> BlockUnit
         raise ValueError(f"unknown backend {backend!r}")
     if backend == "charge" and circ.has_rx():
         raise ValueError("rx gates break charge conservation; use the jtower backend")
+    if backend == "charge":  # rx-free, so k_max = k0: _evolve's first run
+        runs = {jj: _run(gates, jj, k_max, k0 + 1)
+                for jj, k0, k_max, gates in _towers(circ, q_max)}
+        return BlockUnitary("charge", circ.n, q_max, {  # views of the run stacks
+            idx: runs[jj][s, -d:, -d:] for idx, jj, s, d in _sector_slots(circ.n, q_max)})
     blocks, kmaxes, columns = {}, {}, {}
     for jj, k0, k_max, gates in _towers(circ, q_max):
-        if backend == "charge":  # rx-free, so k_max = k0: _evolve's first run
-            blocks[jj] = _run(gates, jj, k_max, k0 + 1)
-            continue
         kmaxes[jj], cols = k_max, _skew(jj, k_max)[0] <= k0
         # tower order; column (k, 2m) from its slot (k, r = j - m)
         columns[jj] = np.argwhere(cols) * [1, -2] + [0, jj]
         blocks[jj] = _evolve(gates, jj, k_max, cols).reshape(-1, len(columns[jj]))
-    if backend == "jtower":
-        return BlockUnitary("jtower", circ.n, q_max, blocks, kmaxes, columns)
-    sectors = {}  # views of the run stacks: the last dim slots r have k ≥ 0
-    for idx in enumerate_sectors(circ.n, q_max):
-        d, s = idx.dim, idx.q - (circ.n - idx.jj) // 2
-        sectors[idx] = blocks[idx.jj][s, -d:, -d:]
-    return BlockUnitary("charge", circ.n, q_max, sectors)
+    return BlockUnitary("jtower", circ.n, q_max, blocks, kmaxes, columns)
 
 
 @dataclass

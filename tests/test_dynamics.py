@@ -542,6 +542,37 @@ def test_float_view_pulse_matches_the_complex_product():
             assert np.abs(got - want).max() <= 1e-14, (jj, k_max, lead)
 
 
+def test_results_own_their_memory():
+    # runs multiply in place: a work buffer kept across calls would make a
+    # second call overwrite, or alias, the first call's results.  The rx
+    # sequences end in either of _evolve's two buffers; at even n the
+    # singlet's jtower block is a view of the first
+    rng = np.random.default_rng(24)
+    n, q_max = 4, 4
+    psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    calls = {
+        "charge": lambda c: list(dyn.apply_circuit(c, q_max, "charge").blocks.values()),
+        "jtower": lambda c: list(dyn.apply_circuit(c, q_max, "jtower").blocks.values()),
+        "state": lambda c: [dyn.evolve_vacuum_state(c, psi, q_max)]}
+    for kinds, names in [(["rz", "tc", "rz", "tc", "rz"], ("charge", "jtower", "state")),
+                         (["rz", "tc", "rz", "rx", "tc", "rz", "tc"], ("jtower", "state")),
+                         (["tc", "rz", "rx", "tc", "rx"], ("jtower", "state"))]:
+        for call in map(calls.get, names):
+            first, second = (Circuit(n, [Gate(k, float(rng.uniform(-2, 2)))
+                                         for k in kinds]) for _ in range(2))
+            out = call(first)
+            kept = [a.copy() for a in out]
+            again = call(second)
+            factors = [f for jj, _, k_max, _ in dyn._towers(first, q_max)
+                       for f in (*dyn._tc_eig(jj, k_max), *dyn._rx_eig(jj))]
+            for a in out:
+                assert not any(np.shares_memory(a, b) for b in again + factors), kinds
+            for b in again:
+                assert not any(np.shares_memory(b, f) for f in factors), kinds
+            for a, want in zip(out, kept):
+                assert np.array_equal(a, want), kinds
+
+
 def test_apply_circuit_never_builds_the_dense_tower(monkeypatch):
     from tcforge import operators as ops
 

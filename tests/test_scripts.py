@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,18 @@ def test_script_runs(argv):
     proc = _run(argv, "src")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_same_output_of_a_tree_with_itself():
+    # scripts/same_output.py compares CLI output of two source trees; a tree
+    # against itself must read "same" on every command, and quickly
+    start = time.perf_counter()
+    proc = _run(["scripts/same_output.py", "src", "src"])
+    assert time.perf_counter() - start <= 3.0
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[:-1]]
+    assert all(r[0] == "same" for r in rows)
+    assert {r[1] for r in rows} == {"report", "synthesize", "simulate", "verify", "sectors"}
 
 
 def test_bench_layers_install():
