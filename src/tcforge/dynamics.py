@@ -272,8 +272,7 @@ def _towers(circ: Circuit, q_max: int):
 
 @lru_cache(maxsize=None)
 def _sector_slots(n: int, q_max: int) -> tuple:
-    """(sector, 2j, s, dim) of each sector q ≤ q_max: its charge block is the
-    [s, -dim:, -dim:] slice of the 2j run stack, whose last slots have k ≥ 0."""
+    """(sector, 2j, s, dim) per sector; its block is [s, -dim:, -dim:] of run 2j."""
     return tuple((i, i.jj, i.q - (n - i.jj) // 2, i.dim) for i in enumerate_sectors(n, q_max))
 
 
@@ -290,7 +289,7 @@ def apply_circuit(circ: Circuit, q_max: int, backend: str = "auto") -> BlockUnit
     if backend == "charge":  # rx-free, so k_max = k0: _evolve's first run
         runs = {jj: _run(gates, jj, k_max, k0 + 1)
                 for jj, k0, k_max, gates in _towers(circ, q_max)}
-        return BlockUnitary("charge", circ.n, q_max, {  # views of the run stacks
+        return BlockUnitary("charge", circ.n, q_max, {  # views: last slots r have k ≥ 0
             idx: runs[jj][s, -d:, -d:] for idx, jj, s, d in _sector_slots(circ.n, q_max)})
     blocks, kmaxes, columns = {}, {}, {}
     for jj, k0, k_max, gates in _towers(circ, q_max):
