@@ -32,7 +32,7 @@ import numpy as np
 from . import operators as ops
 from .qubits import assemble_pi, jm_basis
 from .sectors import (SectorIndex, enumerate_sectors, j_min2, multiplicity,
-                      require_int, require_real)
+                      require_finite, require_int, require_real)
 
 GATE_KINDS = ("tc", "rz", "rx")
 
@@ -357,11 +357,9 @@ def evolve_vacuum_state(circ: Circuit, psi_qubits: np.ndarray,
     """
     n = circ.n
     require_int(q_max, "q_max", 0)
-    psi_qubits = np.ascontiguousarray(psi_qubits, dtype=complex)
+    psi_qubits = require_finite(psi_qubits, "state amplitudes", complex)
     if psi_qubits.shape != (2 ** n,):
         raise ValueError(f"state must have length {2 ** n}")
-    if not np.isfinite(psi_qubits).all():
-        raise ValueError("state amplitudes must be finite")
     q_top = max((n - int(b).bit_count() for b in np.flatnonzero(psi_qubits)),
                 default=0)
     if q_top > q_max:

@@ -17,8 +17,8 @@ import numpy as np
 from .operators import (_ladder, coupling, energy_variance_exact, htc_block,
                         jx_operator, jz_block)
 from .sectors import (SectorIndex, accidental_pairs, accidental_partner,
-                      basis_labels, enumerate_sectors, require_int,
-                      require_tol, schwinger_image, sector_dim)
+                      basis_labels, enumerate_sectors, require_finite,
+                      require_int, require_tol, schwinger_image, sector_dim)
 
 
 @dataclass
@@ -44,15 +44,13 @@ def lie_closure(generators, tol: float = 1e-8) -> OperatorBasis:
     errors compound until noise passes the cutoff (seen from d = 12).
     """
     require_tol(tol, "tol")
-    gens = [np.asarray(g, dtype=complex) for g in generators]
+    gens = [require_finite(g, "generators", complex) for g in generators]
     if not gens:
         return OperatorBasis((), 0)
     d = gens[0].shape[0]
     for g in gens:
         if g.shape != (d, d):
             raise ValueError("generators must share one square shape")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("generators must be finite")
         if not np.abs(g + g.conj().T).max() <= 1e-9 * max(1.0, np.abs(g).max()):
             raise ValueError("generators must be skew-Hermitian")
     traced = any(abs(np.trace(g)) > tol * np.sqrt(d) * np.linalg.norm(g)

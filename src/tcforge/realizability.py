@@ -31,17 +31,12 @@ import numpy as np
 
 from .operators import charge_vector
 from .sectors import (SectorIndex, accidental_pairs, enumerate_sectors, j_min2,
-                      require_int, require_tol, wrap_pi)
+                      require_finite, require_int, require_tol, wrap_pi)
 
 # identifiers used in violation reports
 AFFINE_LOWEST_WEIGHT = "lowest-weight-phase-affine"
 PARTNER_EQUALITY = "partner-block-equality"
 DETERMINANT_PHASE = "determinant-phase"
-
-
-def _require_finite(phases, what: str) -> None:
-    if not np.isfinite(np.asarray(phases, dtype=float)).all():
-        raise ValueError(f"{what} must be finite")
 
 
 @lru_cache(maxsize=None)
@@ -81,7 +76,7 @@ class PiU1Target:
         require_int(self.n, "n", 1)
         if self.phases.keys() != _levels(self.n):
             raise ValueError("phase map must cover every (2j, 2m) level")
-        _require_finite(list(self.phases.values()), "level phases")
+        require_finite(list(self.phases.values()), "level phases")
 
 
 @dataclass(frozen=True)
@@ -150,26 +145,18 @@ def _solve_phase_system(c, d, theta, tol: float, theta_z_candidates=None):
 
     Returns (θ_z, α, worst residual) of the first candidate that fits every
     equation, or (None, None, r) with r the smallest worst residual over
-    all candidates.  Candidates come either from a supplied θ_z list, in
-    its order, or from exhaustive winding enumeration on two low sectors.
-    θ is reduced mod 2π first, so that the winding ranges cover it.
+    all candidates.  Candidates come either from a θ_z list, in its order
+    (θ_z = 0 alone when no two rows are independent), or from exhaustive
+    winding enumeration on two independent low sectors.  θ is reduced mod 2π
+    first, so that the winding ranges cover it.
     """
     theta = theta - 2 * np.pi * np.round(theta / (2 * np.pi))  # exact on |θ| ≤ π
-    if theta_z_candidates is not None:
-        i = int(np.argmin(d))
-        w_max = int(np.ceil(abs(c[i]) + d[i] / 2)) + 2
-        tz, w = np.meshgrid(theta_z_candidates, np.arange(-w_max, w_max + 1),
-                            indexing="ij")
-        al = (theta[i] - c[i] * tz + 2 * np.pi * w) / d[i]
-    else:
+    if theta_z_candidates is None:
         r = np.argsort(np.abs(c) + d, kind="stable")
         det = c[r, None] * d[r] - c[r] * d[r, None]
         first = np.flatnonzero(np.triu(np.abs(det) > 1e-9, 1))
         if not len(first):
-            # all rows parallel; pin θ_z = 0 and fit α from the smallest block
-            i = r[0]
-            al = (theta[i] + 2 * np.pi * np.arange(-(d[i] + 2), d[i] + 3)) / d[i]
-            tz = np.zeros_like(al)
+            theta_z_candidates = np.zeros(1)  # all rows parallel: pin θ_z = 0
         else:
             a, b = divmod(int(first[0]), len(r))
             i, k, det = r[a], r[b], det[a, b]
@@ -179,6 +166,12 @@ def _solve_phase_system(c, d, theta, tol: float, theta_z_candidates=None):
             rk = theta[k] + 2 * np.pi * np.arange(-wk_max, wk_max + 1)
             tz = (d[k] * ri - d[i] * rk) / det
             al = (-c[k] * ri + c[i] * rk) / det
+    if theta_z_candidates is not None:
+        i = int(np.argmin(d))
+        w_max = int(np.ceil(abs(c[i]) + d[i] / 2)) + 2
+        tz, w = np.meshgrid(theta_z_candidates, np.arange(-w_max, w_max + 1),
+                            indexing="ij")
+        al = (theta[i] - c[i] * tz + 2 * np.pi * w) / d[i]
     tz, al = tz.ravel(), al.ravel()
     keep = (-2 * np.pi <= tz) & (tz < 2 * np.pi) & (-np.pi <= al) & (al < np.pi)
     tz, al = tz[keep], al[keep]
@@ -224,7 +217,7 @@ def check_diagonal(n: int, phases: dict[int, float],
     mms = list(range(-n, n + 1, 2))
     if set(phases) != set(mms):
         raise ValueError("need one phase per 2m in {-n..n}")
-    _require_finite(list(phases.values()), "diagonal phases")
+    require_finite(list(phases.values()), "diagonal phases")
     neg = [mm for mm in mms if mm <= 0]
     return _affine_verdict([mm / 2 for mm in neg],
                            np.array([phases[mm] for mm in neg], dtype=float),
@@ -301,12 +294,11 @@ def check_symmetric_phase_constraint(n: int, q_max: int, theta_q: list[float],
     require_tol(tol, "tol")
     if len(theta_q) != q_max + 1:
         raise ValueError(f"need θ_q for q = 0..{q_max}")
-    _require_finite(theta_q, "θ_q")
-    q = np.arange(q_max + 1)
-    d = np.minimum(q, n) + 1
-    c = np.where(q <= n, d * (q - n) / 2, 0.0)
-    return _phase_verdict(c, d, np.asarray(theta_q, dtype=float),
-                          [SectorIndex(n, int(x), n) for x in q], tol)
+    theta = require_finite(theta_q, "θ_q")
+    sectors = [SectorIndex(n, q, n) for q in range(q_max + 1)]
+    c = np.array([float(charge_vector(idx, "jz")) for idx in sectors])
+    d = np.array([idx.dim for idx in sectors])
+    return _phase_verdict(c, d, theta, sectors, tol)
 
 
 def state_convertible(n: int, psi: dict[tuple[int, int], complex],

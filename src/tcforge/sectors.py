@@ -48,6 +48,18 @@ def require_real(value, name: str) -> float:
     return float(value)
 
 
+def require_finite(value, name: str, dtype=float) -> np.ndarray:
+    """value as a contiguous array of dtype; raise ValueError naming the
+    argument unless every entry is a finite number, and a real one unless
+    dtype is complex (bools, strings and objects are not numbers here)."""
+    arr = np.asarray(value)
+    if arr.dtype.kind in ("iufc" if np.dtype(dtype).kind == "c" else "iuf"):
+        arr = np.ascontiguousarray(arr, dtype=dtype)
+        if np.isfinite(arr).all():
+            return arr
+    raise ValueError(f"{name} must be finite")
+
+
 def require_tol(value, name: str) -> None:
     """Raise ValueError naming the argument unless value is a finite real
     number > 0 (not a bool): under a NaN tolerance no comparison holds, and
@@ -62,6 +74,16 @@ def j_min2(n: int) -> int:
     return n & 1
 
 
+def _require_spin(n: int, jj: int) -> None:
+    """Raise ValueError unless jj = 2j is a spin of n ≥ 1 qubits."""
+    require_int(n, "n", 1)
+    require_int(jj, "jj")
+    if (jj ^ n) & 1:
+        raise ValueError(f"2j={jj} and n={n} must have equal parity")
+    if not j_min2(n) <= jj <= n:
+        raise ValueError(f"2j={jj} outside [{j_min2(n)}, {n}]")
+
+
 @dataclass(frozen=True)
 class SectorIndex:
     """One invariant block H_{q,j}; ``jj`` is the doubled spin 2j."""
@@ -71,13 +93,8 @@ class SectorIndex:
     jj: int
 
     def __post_init__(self):
-        require_int(self.n, "n", 1)
+        _require_spin(self.n, self.jj)
         require_int(self.q, "q", 0)
-        require_int(self.jj, "jj")
-        if (self.jj ^ self.n) & 1:
-            raise ValueError(f"2j={self.jj} and n={self.n} must have equal parity")
-        if not j_min2(self.n) <= self.jj <= self.n:
-            raise ValueError(f"2j={self.jj} outside [{j_min2(self.n)}, {self.n}]")
         if 2 * self.q < self.n - self.jj:
             raise ValueError(f"empty sector: q={self.q} < n/2 - j for 2j={self.jj}")
         # the generated hash, once: every block dict lookup asks for it
@@ -107,12 +124,7 @@ def is_filled(idx: SectorIndex) -> bool:
 
 def multiplicity(n: int, jj: int) -> int:
     """Number of spin-j copies in (C^2)^⊗n: C(n, n/2-j)·(2j+1)/(n/2+j+1)."""
-    require_int(n, "n", 1)
-    require_int(jj, "jj")
-    if (jj ^ n) & 1:
-        raise ValueError(f"2j={jj} and n={n} must have equal parity")
-    if not 0 <= jj <= n:
-        raise ValueError(f"2j={jj} outside [0, {n}]")
+    _require_spin(n, jj)
     num = comb(n, (n - jj) // 2) * (jj + 1)
     den = (n + jj) // 2 + 1
     assert num % den == 0

@@ -25,7 +25,7 @@ import numpy as np
 from .dynamics import Circuit, Gate, apply_circuit, interaction_time, \
     simplify, vacuum_sandwich
 from .qubits import CZ, ISWAP, SIGMA_X, SIGMA_Y, SIGMA_Z, SQRT_ISWAP, SWAP, u_psi_plus, uzz
-from .sectors import SectorIndex, require_real, wrap_pi
+from .sectors import SectorIndex, require_finite, require_real, wrap_pi
 
 DELTA = 2 * np.pi / np.sqrt(3)      # fixed Bloch rotation angle per pulse
 CORE_R = 2 * np.pi / np.sqrt(6)     # tc parameter realizing one such pulse
@@ -83,10 +83,7 @@ def euler_embed(axis: np.ndarray) -> list[tuple[float, float]]:
     """Four (θ1, θ2) pairs conjugating the x axis of the charge-1 block
     onto ``axis``: n_x = cos(2γ), n_y = -sin(2γ)cos(2β), n_z = sin(2γ)sin(2β),
     with θ1 = 2γ and θ2 = β/√2."""
-    axis = np.asarray(axis, dtype=float)
-    if not np.isfinite(axis).all():
-        raise ValueError(f"axis must be finite, got {axis}")
-    theta1, theta2 = _euler_options(axis)
+    theta1, theta2 = _euler_options(require_finite(axis, "axis"))
     return [(float(t1), float(t2)) for t1, t2 in zip(theta1, theta2)]
 
 
@@ -160,8 +157,8 @@ def _axis_or_z(aa: AxisAngle) -> np.ndarray:
 def solve_two_step(target: AxisAngle, step_angle: float) -> Optional[TwoStepFamily]:
     """Family of decompositions into two rotations of fixed ``step_angle``,
     or None when cos(target.angle) < cos(2·step_angle)."""
-    if target.axis is not None and not np.isfinite(target.axis).all():
-        raise ValueError(f"target axis must be finite, got {target.axis}")
+    if target.axis is not None:
+        require_finite(target.axis, "target axis")
     if abs(np.sin(step_angle)) < 1e-12:
         raise ValueError("step angle must not be a multiple of π")
     if not _two_step_ok(target.angle, step_angle):
@@ -498,11 +495,10 @@ def compile_two_qubit(phi00: float, phi_psi_plus: float,
     best = next(i for i, t in enumerate(taus) if t <= min(taus) + TAU_TIE)
     label, _, _, _, th, thp = plans[best]
     circuit = build(plans[best], decs[best])
-    return _phase_result(circuit, interaction_time(circuit), label,
-                         (phi00, phi_psi_plus, phi11), th, thp)
+    return _phase_result(circuit, label, (phi00, phi_psi_plus, phi11), th, thp)
 
 
-def _phase_result(circuit: Circuit, tau: float, kind: str, phases,
+def _phase_result(circuit: Circuit, kind: str, phases,
                   theta: float, theta_p: float) -> SynthesisResult:
     """Result for diag phases (φ00, φΨ+, φ11, 0 on the singlet), with the
     residual of the circuit's vacuum sandwich against them."""
@@ -512,8 +508,9 @@ def _phase_result(circuit: Circuit, tau: float, kind: str, phases,
     t[3, 3] = cmath.exp(1j * phi11)
     t[1:3, 1:3] = cmath.exp(1j * phi_psi_plus) * _PSI_PM[0] + _PSI_PM[1]
     vs = vacuum_sandwich(apply_circuit(circuit, 2))
-    return SynthesisResult(circuit, tau, kind, {"theta": theta, "theta_prime": theta_p,
-                                                "theta_plus": phi_psi_plus},
+    return SynthesisResult(circuit, interaction_time(circuit), kind,
+                           {"theta": theta, "theta_prime": theta_p,
+                            "theta_plus": phi_psi_plus},
                            float(np.abs(vs.matrix - t).max()), 0.0, t)
 
 
@@ -559,8 +556,7 @@ def _published_sqrt_iswap() -> SynthesisResult:
               for (_k, ax), t2_ref in zip(steps, seed_t2)]
     circuit = Circuit(2, fd.gates + (Gate("rz", theta),) + fd.gates
                       + _gadgets(steps, eulers))
-    return _phase_result(circuit, interaction_time(circuit), "fd+fd",
-                         (phi00, phi_p, phi11), theta, 0.0)
+    return _phase_result(circuit, "fd+fd", (phi00, phi_p, phi11), theta, 0.0)
 
 
 def named_gate(name: str, phi: Optional[float] = None) -> SynthesisResult:
