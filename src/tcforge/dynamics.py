@@ -340,6 +340,7 @@ def vacuum_sandwich(bu: BlockUnitary) -> VacuumSandwich:
 
 def distance_up_to_phase(u: np.ndarray, v: np.ndarray) -> float:
     """min over α of ‖u - e^{iα} v‖_F; zero iff equal up to a global phase."""
+    u, v = require_finite(u, "u", complex), require_finite(v, "v", complex)
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch {u.shape} vs {v.shape}")
     tr = np.trace(v.conj().T @ u)

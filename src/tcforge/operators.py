@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .sectors import SectorIndex, basis_labels, require_int
+from .sectors import SectorIndex, basis_labels, require_int, require_tol
 
 DEFAULT_ATOL = 1e-10
 
@@ -111,6 +111,7 @@ def sector_equivalence_check(idx_a: SectorIndex, idx_b: SectorIndex,
                              atol: float = DEFAULT_ATOL) -> bool:
     """Entrywise equality of the (q,j) block of n qubits with the matching
     block of n' = 2j qubits (q_b = q_a - n/2 + j)."""
+    require_tol(atol, "atol")
     if idx_a.jj != idx_b.jj:
         raise ValueError(f"spin mismatch: 2j={idx_a.jj} vs {idx_b.jj}")
     if idx_b.q != idx_a.q - (idx_a.n - idx_a.jj) // 2 + (idx_b.n - idx_b.jj) // 2:

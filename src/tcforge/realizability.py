@@ -23,8 +23,10 @@ test slices the partners' blocks out of it.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Number
 from typing import Optional
 
 import numpy as np
@@ -106,7 +108,9 @@ class BlockTarget:
             if b.shape != (dim, dim):
                 raise ValueError(f"block for {idx} has shape {b.shape}")
             slot[top - dim:, top - dim:] = b
-        defect = np.abs(stack.conj().swapaxes(1, 2) @ stack - np.eye(top)).max(axis=(1, 2))
+        with np.errstate(invalid="ignore", over="ignore"):  # inf and NaN fail below
+            defect = np.abs(stack.conj().swapaxes(1, 2) @ stack
+                            - np.eye(top)).max(axis=(1, 2))
         bad = np.flatnonzero(~(defect <= 1e-10))  # NaN fails
         if len(bad):
             raise ValueError(f"block for {sectors[bad[0]]} is not unitary")
@@ -131,6 +135,7 @@ def constraint_gap(n: int) -> int:
     """Dimension gap between all PI U(1)-invariant unitaries and the
     realizable subgroup: the number of affine-constrained lowest-weight
     phases minus the two fit parameters."""
+    require_int(n, "n", 1)
     n_spins = (n - j_min2(n)) // 2 + 1
     return max(0, n_spins - 2)
 
@@ -316,7 +321,8 @@ def state_convertible(n: int, psi: dict[tuple[int, int], complex],
             require_int(k, "k", 0)
             if not -n <= mm <= n or (mm ^ n) & 1:
                 raise ValueError(f"bad symmetric-state label (2m={mm}, k={k})")
-            if not np.isfinite(amp):
+            if (isinstance(amp, bool) or not isinstance(amp, Number)
+                    or not cmath.isfinite(amp)):
                 raise ValueError(f"non-finite amplitude {amp!r} at (2m={mm}, k={k})")
             w = abs(amp) ** 2
             q = k + (mm + n) // 2

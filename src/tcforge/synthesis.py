@@ -157,6 +157,8 @@ def _axis_or_z(aa: AxisAngle) -> np.ndarray:
 def solve_two_step(target: AxisAngle, step_angle: float) -> Optional[TwoStepFamily]:
     """Family of decompositions into two rotations of fixed ``step_angle``,
     or None when cos(target.angle) < cos(2·step_angle)."""
+    step_angle = require_real(step_angle, "step_angle")
+    require_real(target.angle, "target angle")
     if target.axis is not None:
         require_finite(target.axis, "target axis")
     if abs(np.sin(step_angle)) < 1e-12:
@@ -329,7 +331,7 @@ def decompose_fixed_angle(u: np.ndarray) -> Decomposition:
     """Best fixed-angle product for an SU(2) target u (ValueError if it is
     not one), minimizing interaction time over feasible step counts, the
     axis-family parameter and the four Euler branches per axis."""
-    return _decompose_all([u])[0]
+    return _decompose_all([require_finite(u, "u", complex)])[0]
 
 
 def _decompose_all(us) -> list[Decomposition]:
@@ -563,6 +565,9 @@ def named_gate(name: str, phi: Optional[float] = None) -> SynthesisResult:
     """Compile a named two-qubit gate; matches the textbook matrix up to a
     reported global phase.  sqrt_iswap is pinned to the reference
     construction (see _SQRT_ISWAP_SEED); everything else is compiled fresh."""
+    if not isinstance(name, str):
+        raise ValueError(f"unknown gate {name!r}")
+    phi = None if phi is None else require_real(phi, "phi")
     name = name.lower()
     if name == "sqrt_iswap":
         res = _published_sqrt_iswap()

@@ -173,6 +173,9 @@ def test_block_target_rejects_nan_block():
     blocks[SectorIndex(2, 1, 2)] = np.diag([1.0, np.nan]).astype(complex)
     with pytest.raises(ValueError, match="not unitary"):
         rz.BlockTarget(2, 2, blocks)
+    blocks[SectorIndex(2, 1, 2)] = np.diag([1.0, np.inf]).astype(complex)
+    with pytest.raises(ValueError, match="not unitary"):  # with no RuntimeWarning
+        rz.BlockTarget(2, 2, blocks)
 
 
 def test_all_identity_blocks_trivial():
@@ -516,7 +519,7 @@ def test_non_finite_phases_rejected():
 
 def test_state_convertible_rejects_non_finite_amplitudes():
     phi = {(-2, 2): 1.0}
-    for bad in (np.nan, np.inf, complex(1, np.nan)):
+    for bad in (np.nan, np.inf, complex(1, np.nan), "1"):
         with pytest.raises(ValueError, match="non-finite"):
             rz.state_convertible(2, {(2, 0): bad}, phi)
         with pytest.raises(ValueError, match="non-finite"):
@@ -663,6 +666,12 @@ def _identity_blocks_with(block):
                  r"^bad symmetric-state label \(2m=1, k=0\)$", id="state-odd-label"),
     pytest.param(lambda: rz.state_convertible(2, {(2, 0): 1.0}, {(4, 0): 1.0}),
                  r"^bad symmetric-state label \(2m=4, k=0\)$", id="state-label-above-n"),
+    pytest.param(lambda: rz.constraint_gap(-3), r"^n must be an integer ≥ 1, got -3$",
+                 id="gap-negative-n"),
+    pytest.param(lambda: rz.constraint_gap(True), r"^n must be an integer ≥ 1, got True$",
+                 id="gap-bool-n"),
+    pytest.param(lambda: rz.constraint_gap(4.0), r"^n must be an integer ≥ 1, got 4\.0$",
+                 id="gap-float-n"),
     pytest.param(lambda: rz.block_target_from_unitary(dyn.apply_circuit(
                      Circuit(2, [Gate("tc", 1.0)]), 2, backend="jtower")),
                  r"^need a charge-backend block unitary$", id="jtower-unitary"),

@@ -452,6 +452,13 @@ def test_axes_must_be_finite():
     for step in (0.0, np.pi, -2 * np.pi):
         with pytest.raises(ValueError, match="^step angle must not be a multiple of π$"):
             syn.solve_two_step(syn.AxisAngle(np.array([0, 0, 1.0]), 1.0), step)
+    # a NaN angle once read as "infeasible", a complex axis lost its imaginary part
+    with pytest.raises(ValueError, match="^step_angle must be a finite real number"):
+        syn.solve_two_step(syn.AxisAngle(np.array([0, 0, 1.0]), 1.0), np.nan)
+    with pytest.raises(ValueError, match="^target angle must be a finite real number"):
+        syn.solve_two_step(syn.AxisAngle(np.array([0, 0, 1.0]), np.nan), DELTA)
+    with pytest.raises(ValueError, match="^axis must be finite$"):
+        syn.euler_embed(np.array([1, 1j, 0]))
 
 
 def test_a_gate_rejects_bad_targets():
@@ -953,6 +960,8 @@ def test_named_uzz_and_psi_plus():
         syn.named_gate("uzz")
     with pytest.raises(ValueError):
         syn.named_gate("toffoli")
+    with pytest.raises(ValueError, match="^unknown gate 1.5$"):  # was AttributeError
+        syn.named_gate(1.5)
 
 
 def test_pi_u1_phases_rejects_nan():
