@@ -122,9 +122,8 @@ def cmd_simulate(args) -> int:
                                  "columns": bu.columns[jj].tolist(),
                                  "matrix": _matrix_json(m)}
                                 for jj, m in sorted(bu.blocks.items())]
-        if not circ.has_rx() and q_max >= circ.n:
-            vs = vacuum_sandwich(bu)
-            result["vacuum_residual"] = vs.residual
+        if q_max >= circ.n:
+            result["vacuum_residual"] = vacuum_sandwich(bu).residual
     _dump(result, args.out)
     return 0
 

@@ -85,7 +85,7 @@ def test_simulate_psi_plus_entangles(tmp_path):
 
 
 def test_simulate_rx_circuit_reports_towers(tmp_path):
-    from tcforge.dynamics import tower_k_max
+    from tcforge.dynamics import apply_circuit, tower_k_max, vacuum_sandwich
     from tcforge.synthesis import ghz_circuit
     circ = ghz_circuit()
     path = tmp_path / "ghz.json"
@@ -93,7 +93,12 @@ def test_simulate_rx_circuit_reports_towers(tmp_path):
     out = tmp_path / "towers.json"
     assert run(["simulate", str(path), "--out", str(out)]) == 0
     res = json.loads(out.read_text())
-    assert "blocks" not in res and "vacuum_residual" not in res  # rx breaks q
+    assert "blocks" not in res  # rx breaks q
+    # the towers hold every |j,m⟩⊗|0⟩ once q_max ≥ n, and only then
+    want = vacuum_sandwich(apply_circuit(circ, res["q_max"], "jtower")).residual
+    assert res["vacuum_residual"] == want < 1e-12  # GHZ leaves the oscillator in vacuum
+    assert run(["simulate", str(path), "--qmax", "1", "--out", str(out)]) == 0
+    assert "vacuum_residual" not in json.loads(out.read_text())
     assert [t["jj"] for t in res["towers"]] == [0, 2]
     for t in res["towers"]:
         assert t["k_max"] == tower_k_max(circ, res["q_max"], t["jj"])
