@@ -108,9 +108,11 @@ class BlockTarget:
             if b.shape != (dim, dim):
                 raise ValueError(f"block for {idx} has shape {b.shape}")
             slot[top - dim:, top - dim:] = b
-        with np.errstate(invalid="ignore", over="ignore"):  # inf and NaN fail below
-            defect = np.abs(stack.conj().swapaxes(1, 2) @ stack
-                            - np.eye(top)).max(axis=(1, 2))
+        # unitary blocks give Σ|b|² = size / D; past size (or inf, NaN), zero each
+        # block with an entry outside the unit square: it fails, and B†B stays finite
+        if not np.vdot(stack, stack).real <= stack.size:
+            stack[~(np.abs(stack.view(float)) <= 1 + 1e-10).all(axis=(1, 2))] = 0
+        defect = np.abs(stack.conj().swapaxes(1, 2) @ stack - np.eye(top)).max(axis=(1, 2))
         bad = np.flatnonzero(~(defect <= 1e-10))  # NaN fails
         if len(bad):
             raise ValueError(f"block for {sectors[bad[0]]} is not unitary")
