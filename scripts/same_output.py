@@ -42,7 +42,12 @@ def commands(circuits: Path) -> list[list[str]]:
             + [["simulate", path(2, 1), "--state", "psi+"],
                ["simulate", path(6, 2), "--state", "010011"]]
             + [["verify", s, "--n", "6", "--qmax", "12"] for s in SUITES]
-            + [["sectors", "--n", "6"]])
+            + [["sectors", "--n", "6"]]
+            # odd n, where the spins start at 2j = 1, and the CSV writers
+            + [["verify", "phases", "--n", "5"],
+               ["verify", "accidental", "--n", "5", "--qmax", "9"],
+               ["sectors", "--n", "5", "--format", "csv"],
+               ["report", "--format", "csv"]])
 
 
 def write_circuits(folder: Path) -> None:
