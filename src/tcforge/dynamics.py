@@ -31,8 +31,8 @@ import numpy as np
 
 from . import operators as ops
 from .qubits import assemble_pi, jm_basis
-from .sectors import (SectorIndex, enumerate_sectors, j_min2, multiplicity,
-                      require_finite, require_int, require_real)
+from .sectors import (SectorIndex, enumerate_sectors, multiplicity, require_finite,
+                      require_int, require_real, spins)
 
 GATE_KINDS = ("tc", "rz", "rx")
 
@@ -118,10 +118,6 @@ def simplify(circ: Circuit) -> Circuit:
 def interaction_time(circ: Circuit) -> float:
     """Total coupling-on time Σ|r|, in units of 2π/g."""
     return float(circ.total_tc_time() / (2 * np.pi))
-
-
-def _spins(n: int) -> range:
-    return range(n, j_min2(n) - 1, -2)
 
 
 @lru_cache(maxsize=None)
@@ -264,7 +260,7 @@ def _towers(circ: Circuit, q_max: int):
     """(2j, k0, k_max, gates) of each spin with a state of charge q ≤ q_max:
     those lie on the diagonals s ≤ k0 = q_max + (2j - n)/2, k_max keeps them
     exact, and the singlet, where every gate is exactly 1, gets no gates."""
-    for jj in _spins(circ.n):
+    for jj in spins(circ.n):
         k0 = q_max + (jj - circ.n) // 2
         if k0 >= 0:
             yield jj, k0, tower_k_max(circ, q_max, jj), circ.gates if jj else ()
@@ -326,7 +322,7 @@ def vacuum_sandwich(bu: BlockUnitary) -> VacuumSandwich:
     if bu.backend == "charge":
         # |j,m⟩⊗|0⟩ is the first basis label of its sector q = m + n/2
         u_by_j = {}
-        for jj in _spins(n):
+        for jj in spins(n):
             qs = range((n + jj) // 2, (n - jj) // 2 - 1, -1)  # m = j .. -j
             u_by_j[jj] = np.diag([bu.blocks[SectorIndex(n, q, jj)][0, 0]
                                   for q in qs])

@@ -150,23 +150,15 @@ class VarianceSeparationReport:
 def variance_separation_check(n: int, q_max: int) -> VarianceSeparationReport:
     """Among sectors of equal dimension ≥ 2, the coupling-energy variance
     must coincide exactly on partnered pairs and nowhere else."""
-    sectors = [s for s in enumerate_sectors(n, q_max) if sector_dim(s) >= 2]
-    partner_pairs = []
-    equal_nonpartner = []
-    checked = 0
-    for i, a in enumerate(sectors):
-        for b in sectors[i + 1:]:
-            if sector_dim(a) != sector_dim(b):
-                continue
-            checked += 1
-            equal = energy_variance_exact(a) == energy_variance_exact(b)
-            partnered = accidental_partner(a) == b
-            if partnered:
-                partner_pairs.append((a, b, equal))
-            elif equal:
-                equal_nonpartner.append((a, b))
+    rows = [(s, s.dim, energy_variance_exact(s), accidental_partner(s))
+            for s in enumerate_sectors(n, q_max) if s.dim >= 2]
+    pairs = [(a, b, va == vb, pa == b) for i, (a, d, va, pa) in enumerate(rows)
+             for b, e, vb, _ in rows[i + 1:] if d == e]
+    partner_pairs = [(a, b, equal) for a, b, equal, partnered in pairs if partnered]
+    equal_nonpartner = [(a, b) for a, b, equal, partnered in pairs
+                        if equal and not partnered]
     ok = not equal_nonpartner and all(eq for _, _, eq in partner_pairs)
-    return VarianceSeparationReport(n, q_max, checked, partner_pairs,
+    return VarianceSeparationReport(n, q_max, len(pairs), partner_pairs,
                                     equal_nonpartner, ok)
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .sectors import SectorIndex, basis_labels, require_int, require_tol
+from .sectors import SectorIndex, basis_labels, is_filled, require_int, require_tol
 
 DEFAULT_ATOL = 1e-10
 
@@ -81,7 +81,7 @@ def energy_variance_exact(idx: SectorIndex) -> Fraction:
     """Tr(H² τ_{q,j}) in closed form, exact."""
     n, q, jj = idx.n, idx.q, idx.jj
     j = Fraction(jj, 2)
-    if 2 * q >= n + jj:
+    if is_filled(idx):
         return 2 * j * (j + 1) * (2 * q - n + 1) / 3
     s = q - Fraction(n, 2) + j
     return s * (s + 2) * (3 * j - q + Fraction(n, 2) + 1) / 6
@@ -92,18 +92,16 @@ def energy_variance(idx: SectorIndex) -> float:
 
 
 def charge_vector(idx: SectorIndex, which: str) -> Fraction:
-    """Per-copy sector trace Tr(π_{q,j}(J_z)) or Tr(π_{q,j}(a†a)), exact."""
-    n, q, jj = idx.n, idx.q, idx.jj
-    j = Fraction(jj, 2)
-    half_n = Fraction(n, 2)
+    """Per-copy sector trace Tr(π_{q,j}(J_z)) or Tr(π_{q,j}(a†a)), exact.
+    The charge Q = a†a + J_z + n/2 is q on the sector, which fixes
+    Tr a†a = (q - n/2)·dim - Tr J_z."""
+    j, half_n = Fraction(idx.jj, 2), Fraction(idx.n, 2)
     if which == "jz":
-        if 2 * q > n + jj:
+        if is_filled(idx):  # Σ m over every m
             return Fraction(0)
-        return Fraction(1, 2) * (q + j - half_n + 1) * (q - j - half_n)
+        return (idx.q + j - half_n + 1) * (idx.q - j - half_n) / 2  # m = -j .. q - n/2
     if which == "n":
-        if 2 * q > n + jj:
-            return (jj + 1) * (q - half_n)
-        return (q + j - half_n + 1) * (q + j - half_n) / 2
+        return (idx.q - half_n) * idx.dim - charge_vector(idx, "jz")
     raise ValueError(f"unknown charge vector {which!r}; use 'jz' or 'n'")
 
 

@@ -15,7 +15,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .operators import _ladder
-from .sectors import SectorIndex, basis_labels, j_min2, multiplicity
+from .sectors import SectorIndex, basis_labels, multiplicity, spins
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -56,7 +56,7 @@ def jm_basis(n: int) -> dict[int, np.ndarray]:
     """
     ones = np.array([b.bit_count() for b in range(2 ** n)])
     out: dict[int, np.ndarray] = {}
-    for jj in range(n, j_min2(n) - 1, -2):
+    for jj in spins(n):
         cols = np.flatnonzero(ones == (n - jj) // 2)  # the states with m = j
         # Q's columns after the higher spins' copies complete them; the
         # identity keeps the QR off an empty matrix at 2j = n

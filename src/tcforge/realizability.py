@@ -32,8 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .operators import charge_vector
-from .sectors import (SectorIndex, accidental_pairs, enumerate_sectors, j_min2,
-                      require_finite, require_int, require_tol, wrap_pi)
+from .sectors import (SectorIndex, accidental_pairs, enumerate_sectors, require_finite,
+                      require_int, require_tol, spins, wrap_pi)
 
 # identifiers used in violation reports
 AFFINE_LOWEST_WEIGHT = "lowest-weight-phase-affine"
@@ -63,8 +63,7 @@ def _sector_table(n: int, q_max: int):
 @lru_cache(maxsize=None)
 def _levels(n: int) -> frozenset[tuple[int, int]]:
     """Every (2j, 2m) level of n qubits."""
-    return frozenset((jj, mm) for jj in range(j_min2(n), n + 1, 2)
-                     for mm in range(-jj, jj + 1, 2))
+    return frozenset((jj, mm) for jj in spins(n) for mm in range(-jj, jj + 1, 2))
 
 
 @dataclass(frozen=True)
@@ -138,8 +137,7 @@ def constraint_gap(n: int) -> int:
     realizable subgroup: the number of affine-constrained lowest-weight
     phases minus the two fit parameters."""
     require_int(n, "n", 1)
-    n_spins = (n - j_min2(n)) // 2 + 1
-    return max(0, n_spins - 2)
+    return max(0, len(spins(n)) - 2)
 
 
 def _residuals(c, d, theta, theta_z, alpha) -> np.ndarray:
@@ -210,7 +208,7 @@ def _affine_verdict(c, theta, levels, tol: float) -> RealizabilityVerdict:
 def check_pi_u1(target: PiU1Target, tol: float = 1e-8) -> RealizabilityVerdict:
     """Realizable iff the lowest-weight phases fit φ_{j,-j} ≡ α + jβ."""
     require_tol(tol, "tol")
-    jjs = range(j_min2(target.n), target.n + 1, 2)
+    jjs = spins(target.n)[::-1]
     return _affine_verdict([jj / 2 for jj in jjs],
                            np.array([target.phases[(jj, -jj)] for jj in jjs]),
                            [[jj, -jj] for jj in jjs], tol)
@@ -302,10 +300,9 @@ def check_symmetric_phase_constraint(n: int, q_max: int, theta_q: list[float],
     if len(theta_q) != q_max + 1:
         raise ValueError(f"need θ_q for q = 0..{q_max}")
     theta = require_finite(theta_q, "θ_q")
-    sectors = [SectorIndex(n, q, n) for q in range(q_max + 1)]
-    c = np.array([float(charge_vector(idx, "jz")) for idx in sectors])
-    d = np.array([idx.dim for idx in sectors])
-    return _phase_verdict(c, d, theta, sectors, tol)
+    sectors, c, d, _ = _sector_table(n, q_max)
+    top = [i for i, idx in enumerate(sectors) if idx.jj == n]  # one per q
+    return _phase_verdict(c[top], d[top], theta, [sectors[i] for i in top], tol)
 
 
 def state_convertible(n: int, psi: dict[tuple[int, int], complex],
@@ -341,18 +338,20 @@ def state_convertible(n: int, psi: dict[tuple[int, int], complex],
     return True
 
 
+def _pi_on(n: int, mm: int) -> PiU1Target:
+    """A π phase on the level (2j, 2m) = (n, mm) and 0 on every other."""
+    return PiU1Target(n, {lvl: np.pi if lvl == (n, mm) else 0.0
+                          for lvl in sorted(_levels(n))})
+
+
 def cz_controlled_target(n: int) -> PiU1Target:
     """CZ on n qubits controlled by n-1 of them: a π phase on |1...1⟩."""
-    phases = dict.fromkeys(sorted(_levels(n)), 0.0)
-    phases[(n, -n)] = np.pi
-    return PiU1Target(n, phases)
+    return _pi_on(n, -n)
 
 
 def anti_cz_target(n: int) -> PiU1Target:
     """The conjugated variant: a π phase on |0...0⟩ instead."""
-    phases = dict.fromkeys(sorted(_levels(n)), 0.0)
-    phases[(n, n)] = np.pi
-    return PiU1Target(n, phases)
+    return _pi_on(n, n)
 
 
 def block_target_from_unitary(bu) -> BlockTarget:

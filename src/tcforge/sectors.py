@@ -74,6 +74,11 @@ def j_min2(n: int) -> int:
     return n & 1
 
 
+def spins(n: int) -> range:
+    """The doubled spins 2j of n qubits, from n down to j_min2(n)."""
+    return range(n, j_min2(n) - 1, -2)
+
+
 def _require_spin(n: int, jj: int) -> None:
     """Raise ValueError unless jj = 2j is a spin of n ≥ 1 qubits."""
     require_int(n, "n", 1)
@@ -139,7 +144,7 @@ def enumerate_sectors(n: int, q_max: int) -> tuple[SectorIndex, ...]:
     require_int(n, "n", 1)
     require_int(q_max, "q_max", 0)
     return tuple(SectorIndex(n, q, jj) for q in range(q_max + 1)
-                 for jj in range(n, max(j_min2(n), n - 2 * q) - 1, -2))
+                 for jj in spins(n)[:q + 1])  # nonempty: n - 2j ≤ 2q
 
 
 def basis_labels(idx: SectorIndex) -> list[tuple[int, int, int]]:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tcforge import dynamics as dyn
 from tcforge.dynamics import Circuit, Gate
 from tcforge.qubits import CZ
-from tcforge.sectors import SectorIndex, basis_labels
+from tcforge.sectors import SectorIndex, basis_labels, spins
 from tcforge.synthesis import f_gate, named_gate
 
 
@@ -692,7 +692,7 @@ def _blocks_with_identity(circ, q_max, backend):
             r0 = max(0, idx.jj - s)
             blocks[idx] = _evolve_with_identity(circ.gates, idx.jj, k_max, x)[s, r0:, r0:]
         return blocks
-    for jj in dyn._spins(n):
+    for jj in spins(n):
         k0 = q_max + (jj - n) // 2  # the exact columns lie on diagonals s ≤ k0
         if k0 < 0:
             continue
@@ -724,7 +724,7 @@ def _vacuum_mask(jj, k_max):
 def _vacuum_state_with_identity(circ, psi, q_max):
     # the 2j+1 vacuum columns of each spin, then the state's coefficients
     from tcforge.qubits import jm_basis
-    k_maxes = {jj: dyn.tower_k_max(circ, q_max, jj) for jj in dyn._spins(circ.n)}
+    k_maxes = {jj: dyn.tower_k_max(circ, q_max, jj) for jj in spins(circ.n)}
     joint = np.zeros((2 ** circ.n, max(k_maxes.values()) + 1), dtype=complex)
     for jj, k_max in k_maxes.items():
         frames = jm_basis(circ.n)[jj]
