@@ -562,13 +562,15 @@ def _published_sqrt_iswap() -> SynthesisResult:
 
 
 def named_gate(name: str, phi: Optional[float] = None) -> SynthesisResult:
-    """Compile a named two-qubit gate; matches the textbook matrix up to a
-    reported global phase.  sqrt_iswap is pinned to the reference
-    construction (see _SQRT_ISWAP_SEED); everything else is compiled fresh."""
+    """Compile cz, swap, iswap, sqrt_iswap, uzz or upsiplus up to a reported
+    global phase; phi is the angle of uzz (required) and of upsiplus only.
+    sqrt_iswap is the reference construction (see _SQRT_ISWAP_SEED)."""
     if not isinstance(name, str):
         raise ValueError(f"unknown gate {name!r}")
     phi = None if phi is None else require_real(phi, "phi")
     name = name.lower()
+    if phi is not None and name in NAMED_TARGETS:  # cz, swap, iswap, sqrt_iswap
+        raise ValueError(f"phi applies to uzz and upsiplus only, not to {name}")
     if name == "sqrt_iswap":
         res = _published_sqrt_iswap()
         res.global_phase = float(-np.pi / 4)
@@ -580,7 +582,7 @@ def named_gate(name: str, phi: Optional[float] = None) -> SynthesisResult:
         if phi is None:
             raise ValueError("uzz needs --phi")
         g = uzz(phi)
-    elif name in ("upsiplus", "u_psi_plus"):
+    elif name == "upsiplus":
         g = u_psi_plus(phi if phi is not None else -2 * np.pi / np.sqrt(3))
     else:
         raise ValueError(f"unknown gate {name!r}")

@@ -23,6 +23,14 @@ def test_synthesize_cz(tmp_path, capsys):
     assert circ.n == 2 and len(circ.gates) > 0
 
 
+def test_synthesize_refuses_phi_for_a_gate_without_one(tmp_path, capsys):
+    rc = run(["synthesize", "--gate", "cz", "--phi", "0.3", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: phi applies to uzz and upsiplus only, not to cz\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_synthesize_phases_identity(tmp_path):
     rc = run(["synthesize", "--phases", "0,0,0", "--out", str(tmp_path)])
     assert rc == 0

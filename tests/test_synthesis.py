@@ -964,6 +964,21 @@ def test_named_uzz_and_psi_plus():
         syn.named_gate(1.5)
 
 
+@pytest.mark.parametrize("name", ["cz", "swap", "iswap", "sqrt_iswap", "CZ"])
+def test_named_gate_refuses_phi_where_it_takes_none(name):
+    # phi was silently ignored: named_gate("cz", phi=0.3) compiled plain CZ
+    with pytest.raises(ValueError, match="^phi applies to uzz and upsiplus only"):
+        syn.named_gate(name, phi=0.3)
+
+
+def test_named_gate_knows_only_its_documented_names():
+    with pytest.raises(ValueError, match="^unknown gate 'u_psi_plus'$"):
+        syn.named_gate("u_psi_plus")
+    # upsiplus keeps its phi, defaulting to the reference angle
+    given = syn.named_gate("upsiplus", phi=-2 * np.pi / np.sqrt(3))
+    assert given.circuit.gates == syn.named_gate("upsiplus").circuit.gates
+
+
 def test_pi_u1_phases_rejects_nan():
     # NaN phases once came back in place of this error
     with pytest.raises(ValueError, match="not PI and U\\(1\\)-invariant"):
