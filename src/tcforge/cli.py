@@ -198,7 +198,8 @@ def _suite_schwinger(n: int, q_max: int, tol: float):
     jj_max, k_max = 8, 10
     rep = liealg.schwinger_check(jj_max, k_max)
     return [{"scope": f"schwinger 2j<={jj_max} k<={k_max}",
-             "residuals": [rep.conjugation_dev], "pass": rep.ok}]
+             "residuals": [rep.conjugation_dev],
+             "pass": rep.involution_ok and rep.conjugation_dev <= tol}]
 
 
 _SUITES = {"accidental": _suite_accidental, "lie": _suite_lie,

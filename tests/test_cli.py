@@ -203,6 +203,19 @@ def test_verify_schwinger_names_its_fixed_sizes(tmp_path):
     assert [c["scope"] for c in checks] == ["schwinger 2j<=8 k<=10"]
 
 
+def test_verify_schwinger_reads_tol(tmp_path, monkeypatch):
+    # the suite reports --tol in its JSON, so its verdict must use it too
+    from tcforge import liealg
+    rep = dataclasses.replace(liealg.schwinger_check(8, 10), conjugation_dev=1e-9)
+    monkeypatch.setattr(liealg, "schwinger_check", lambda jj_max, k_max: rep)
+    for tol, code in (("1e-8", 0), ("1e-10", 2)):
+        out = tmp_path / f"schwinger_{tol}.json"
+        assert run(["verify", "schwinger", "--tol", tol, "--out", str(out)]) == code
+        res = json.loads(out.read_text())
+        assert res["tol"] == float(tol) and res["pass"] == (code == 0)
+        assert res["checks"][0]["residuals"] == [1e-9]
+
+
 def test_verify_schwinger_ignores_the_scale_guard(tmp_path):
     # --n and --qmax do not reach the suite, so they cannot exceed desk scale
     out = tmp_path / "schwinger.json"
