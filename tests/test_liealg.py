@@ -181,6 +181,29 @@ def test_variance_separation():
         assert len(rep.partner_pairs) == want_pairs
 
 
+def test_variance_separation_matches_pairwise_loop():
+    # the check computes each variance once; a plain double loop over the
+    # same-dimension pairs must give the whole report, lists in order
+    from tcforge.operators import energy_variance_exact
+    for n in range(1, 9):
+        for q_max in range(13):
+            sectors = [s for s in enumerate_sectors(n, q_max) if sector_dim(s) >= 2]
+            checked, partner_pairs, equal_nonpartner = 0, [], []
+            for i, a in enumerate(sectors):
+                for b in sectors[i + 1:]:
+                    if sector_dim(a) != sector_dim(b):
+                        continue
+                    checked += 1
+                    equal = energy_variance_exact(a) == energy_variance_exact(b)
+                    if accidental_partner(a) == b:
+                        partner_pairs.append((a, b, equal))
+                    elif equal:
+                        equal_nonpartner.append((a, b))
+            ok = not equal_nonpartner and all(eq for _, _, eq in partner_pairs)
+            assert la.variance_separation_check(n, q_max) == la.VarianceSeparationReport(
+                n, q_max, checked, partner_pairs, equal_nonpartner, ok), (n, q_max)
+
+
 def test_symmetric_variance_increases_when_filled():
     from tcforge.operators import energy_variance_exact
     for n in (2, 4):

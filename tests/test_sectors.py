@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from tcforge.sectors import (SectorIndex, accidental_pairs,
                              accidental_partner, basis_labels,
                              enumerate_sectors, is_filled, j_min2,
-                             multiplicity, sector_dim)
+                             multiplicity, sector_dim, spins)
 from tcforge.liealg import schwinger_check, verify_pi_universality
 from tcforge.operators import jx_operator
 from tcforge.realizability import state_convertible
@@ -74,6 +74,14 @@ def test_multiplicity_examples():
 def test_multiplicity_completeness(n):
     assert sum(multiplicity(n, jj) * (jj + 1)
                for jj in range(j_min2(n), n + 1, 2)) == 2 ** n
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_spins_are_those_the_sectors_carry(n):
+    # by q = n every spin has a sector; spins(n) lists them from 2j = n down
+    carried = dict.fromkeys(s.jj for s in enumerate_sectors(n, n))
+    assert list(spins(n)) == list(carried)
+    assert list(spins(n)) == [jj for jj in range(n + 1) if (n - jj) % 2 == 0][::-1]
 
 
 def test_enumerate_examples():
