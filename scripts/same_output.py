@@ -47,7 +47,11 @@ def commands(circuits: Path) -> list[list[str]]:
             + [["verify", "phases", "--n", "5"],
                ["verify", "accidental", "--n", "5", "--qmax", "9"],
                ["sectors", "--n", "5", "--format", "csv"],
-               ["report", "--format", "csv"]])
+               ["report", "--format", "csv"]]
+            # error output: a missing input file and an --out folder that
+            # does not exist, both relative so that both trees print the same
+            + [["simulate", "missing.circuit.json"],
+               ["report", "--out", "missing/r.json"]])
 
 
 def write_circuits(folder: Path) -> None:
