@@ -56,8 +56,7 @@ def cmd_synthesize(args) -> int:
         res = synthesis.compile_two_qubit(*parts)
         target_name = f"phases({parts[0]},{parts[1]},{parts[2]})"
     else:
-        print("synthesize needs --gate or --phases", file=sys.stderr)
-        return 1
+        raise ValueError("synthesize needs --gate or --phases")
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     stem = target_name.replace("(", "_").replace(")", "").replace(",", "_")
@@ -93,11 +92,7 @@ def _parse_state(spec: str, n: int) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        circ = Circuit.from_json(Path(args.circuit).read_text())
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        print(f"error reading circuit: {exc}", file=sys.stderr)
-        return 1
+    circ = Circuit.from_json(Path(args.circuit).read_text())
     q_max = args.qmax if args.qmax is not None else max(circ.n, 2)
     result = {"n": circ.n, "q_max": q_max,
               "interaction_time": interaction_time(circ)}
@@ -309,10 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     try:
         return args.fn(args)
-    except ValueError as exc:  # bad input found past argument parsing
+    except (OSError, ValueError) as exc:  # bad values, unreadable files, unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,3 +351,25 @@ def test_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error: --tol must be finite and > 0")
     assert not list(tmp_path.iterdir())  # synthesize wrote nothing
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["verify", "bogus"], 1, None),  # argparse usage errors, once exit 2
+    (["sectors", "--n", "2", "--qmax", "x"], 1, None),
+    (["simulate", "missing.circuit.json"], 1, "error: "),
+    (["report", "--out", "missing/r.json"], 1, "error: "),  # once a traceback
+    (["synthesize"], 1, "error: synthesize needs --gate or --phases\n"),
+    (["--help"], 0, None),
+    (["verify", "phases", "--n", "3"], 0, None),
+    (["synthesize", "--gate", "cz", "--tol", "1e-20"], 2, None),
+])
+def test_console_exit_codes(tmp_path, argv, code, err):
+    # python -m tcforge.cli runs sys.exit(main()), as the tcforge script does:
+    # 0 on success, 1 on a usage or input error, 2 on a failed tolerance
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "tcforge.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if err is not None:  # one error line, from main
+        assert proc.stderr.startswith(err) and proc.stderr.count("\n") == 1
