@@ -87,18 +87,18 @@ def lie_closure(generators, tol: float = 1e-8) -> OperatorBasis:
     return OperatorBasis(tuple(basis), len(basis))
 
 
+def _sector_closure(idx: SectorIndex, tol: float) -> OperatorBasis:
+    """Lie closure of iH and iH̄ = [H, J_z], the z-conjugate, on a sector of d ≥ 2."""
+    h, jz = htc_block(idx), jz_block(idx)
+    return lie_closure([1j * h, h * jz - jz[:, None] * h], tol=tol)
+
+
 def sector_rank_check(idx: SectorIndex, tol: float = 1e-8) -> bool:
     """True iff the coupling pulse and its z-conjugate generate the full
     special unitary algebra on the sector (rank d²-1); vacuous for d = 1."""
     require_tol(tol, "tol")
     d = sector_dim(idx)
-    if d < 2:
-        return True
-    h = htc_block(idx)
-    jz = jz_block(idx)
-    hbar = 1j * (jz[:, None] * h - h * jz)
-    basis = lie_closure([1j * h, 1j * hbar], tol=tol)
-    return basis.rank == d * d - 1
+    return d < 2 or _sector_closure(idx, tol).rank == d * d - 1
 
 
 @dataclass

@@ -328,6 +328,24 @@ def test_verify_lie_closed_form_check_is_computed(monkeypatch):
     assert closed(cli._suite_lie(2, 4, 1e-8))[0]["pass"] is False
 
 
+def test_verify_lie_reports_the_rank_it_measured(tmp_path, monkeypatch):
+    # a closure one element short must show as rank expected - 1 and fail
+    from tcforge import liealg
+    real = liealg.lie_closure
+
+    def short(gens, tol):
+        basis = real(gens, tol)
+        return liealg.OperatorBasis(basis.elements[:-1], basis.rank - 1)
+
+    monkeypatch.setattr(liealg, "lie_closure", short)
+    out = tmp_path / "lie.json"
+    assert run(["verify", "lie", "--n", "2", "--qmax", "4", "--out", str(out)]) == 2
+    ranks = [c for c in json.loads(out.read_text())["checks"]
+             if c["scope"].startswith("rank ")]
+    assert ranks and all(c["rank"] == c["expected"] - 1 and c["pass"] is False
+                         for c in ranks)
+
+
 def test_bad_counts_fail_with_one_error_line(capsys):
     for argv in (["verify", "phases", "--n", "0"],
                  ["verify", "phases", "--n", "-2"],
