@@ -41,7 +41,7 @@ def _dump(obj, out) -> None:
 
 def _matrix_json(m: np.ndarray):
     """[re, im] pairs; + 0.0 turns -0.0, an accident of the arithmetic, into 0.0."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m + 0.0]
+    return (np.stack((m.real, m.imag), -1) + 0.0).tolist()
 
 
 def cmd_synthesize(args) -> int:
