@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tcforge import cli
 from tcforge.cli import main
 from tcforge.dynamics import Circuit
 from tcforge.sectors import enumerate_sectors, sector_dim
@@ -156,6 +157,17 @@ def test_simulate_prints_exact_zeros_as_plus_zero(tmp_path, n, gates):
     zeros = [x for x in _floats(json.loads(text)) if x == 0]
     assert zeros and all(np.copysign(1.0, x) == 1.0 for x in zeros)
     assert "-0.0," not in text and "-0.0]" not in text
+
+
+def test_matrix_json_matches_the_element_loop():
+    # the element-by-element writer it replaced is the reference: the same
+    # floats in the same nesting, with every -0.0 printed as 0.0
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    m[0, 0], m[1, 2], m[2, 3] = -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)
+    loop = [[[float(z.real), float(z.imag)] for z in row] for row in m + 0.0]
+    assert json.dumps(cli._matrix_json(m)) == json.dumps(loop)
+    assert "-0.0" not in json.dumps(cli._matrix_json(m))
 
 
 def test_simulate_bad_file(tmp_path):
