@@ -143,7 +143,7 @@ def _suite_accidental(n: int, q_max: int, tol: float):
 def _suite_lie(n: int, q_max: int, tol: float):
     checks = [{"scope": f"rank q={s.q} 2j={s.jj}", "rank": rank,
                "expected": s.dim ** 2 - 1, "pass": rank == s.dim ** 2 - 1}
-              for s in enumerate_sectors(n, q_max) if s.dim >= 2
+              for s in enumerate_sectors(n, q_max) if sector_dim(s) >= 2
               for rank in [liealg._sector_closure(s, tol).rank]]
     failed = 0
     for s in enumerate_sectors(n, q_max):
