@@ -182,23 +182,32 @@ def test_euler_branches_reproduce_axis(seed):
         assert np.abs(got - axis).max() < 1e-9
 
 
+# ±x̂, ±ŷ, ±ẑ: axes whose Euler branches tie exactly in the chain cost
+TIE_AXES = np.concatenate([np.eye(3), -np.eye(3)])
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 4))
 def test_best_over_branches_matches_brute_force(seed, s):
     rng = np.random.default_rng(seed)
-    axes = [np.stack([rand_axis(rng) for _ in range(5)]) for _ in range(s)]
+    axes = [np.stack([TIE_AXES[rng.integers(6)] if rng.random() < 0.5
+                      else rand_axis(rng) for _ in range(5)]) for _ in range(s)]
     cost, t1, t2 = syn._best_over_branches(axes)
     for g in range(5):
         options = [syn.euler_embed(a[g]) for a in axes]
-        chains = [[options[i][b][1] for i, b in enumerate(combo)]
+        # product varies its first index slowest: the last factor's branch,
+        # so the combos run in (tₛ, …, t₁) order
+        chains = [[options[i][b][1] for i, b in enumerate(combo[::-1])]
                   for combo in product(range(4), repeat=s)]
-        want = min(abs(c[0]) + abs(c[-1])
-                   + sum(abs(c[i + 1] - c[i]) for i in range(s - 1))
-                   for c in chains)
-        assert abs(cost[g] - want) < 1e-12
-        got = list(t2[g])
-        assert abs(abs(got[0]) + abs(got[-1]) + sum(
-            abs(got[i + 1] - got[i]) for i in range(s - 1)) - cost[g]) < 1e-12
+        costs = []
+        for c in chains:  # summed left to right: |t₁|, then each step, then |tₛ|
+            total = abs(c[0])
+            for i in range(s - 1):
+                total += abs(c[i + 1] - c[i])
+            costs.append(total + abs(c[-1]))
+        first = costs.index(min(costs))  # ties go to the first least combo
+        assert abs(cost[g] - costs[first]) < 1e-12
+        assert list(t2[g]) == chains[first]
         assert all(tuple(p) in options[i] for i, p in enumerate(zip(t1[g], t2[g])))
 
 
