@@ -183,30 +183,21 @@ class Decomposition:
     tau: float
 
 
-def _best_over_branches(
-        axes_list: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Min chain cost over the 4^s Euler branch combos, per grid point.
-
-    The chain cost |t₁| + Σ|tᵢ₊₁-tᵢ| + |tₛ| of the θ2 angles couples only
-    neighbouring factors, so its minimum is a shortest path through the
-    four branches of each factor: s - 1 (G, 4, 4) steps, not 4^s combos.
-    axes_list holds gadget axes, each (G, 3).  Returns (cost (G,), θ1 (G, s),
-    θ2 (G, s)) of the branch combo achieving it.
+def _best_over_branches(axes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least chain cost ((|t₁| + |t₂-t₁|) + |t₃-t₂|) + |t₃| of the θ2 angles
+    over the 4³ Euler branch combos of three gadget axes, each (..., 3);
+    ties go to the first combo in (t₃, t₂, t₁) order.  Returns (cost (...),
+    θ1 (..., 3), θ2 (..., 3)) of the combo achieving it.
     """
-    t1, t2 = _euler_options(np.stack(axes_list, axis=1))  # (G, s, 4)
-    g = np.arange(len(t2))
-    cost = np.abs(t2[:, 0])  # cheapest chain ending in each branch
-    back = []
-    for i in range(1, t2.shape[1]):
-        step = cost[:, :, None] + np.abs(t2[:, i, None, :] - t2[:, i - 1, :, None])
-        back.append(np.argmin(step, axis=1))
-        cost = step.min(axis=1)
-    cost = cost + np.abs(t2[:, -1])
-    picks = [np.argmin(cost, axis=1)]
-    for b in reversed(back):
-        picks.append(b[g, picks[-1]])
-    combo = np.stack(picks[::-1], axis=1)[..., None]  # (G, s, 1)
-    return (cost[g, picks[0]], np.take_along_axis(t1, combo, -1)[..., 0],
+    t1, t2 = _euler_options(np.stack(np.broadcast_arrays(*axes), axis=-2))
+    a, b, c = (t2[..., i, :] for i in range(3))  # (..., 4) each
+    ab = np.abs(a)[..., None, :] + np.abs(b[..., :, None] - a[..., None, :])  # [b₂, b₁]
+    cost = (ab[..., None, :, :] + np.abs(c[..., :, None, None] - b[..., None, :, None])
+            + np.abs(c)[..., :, None, None])  # [..., b₃, b₂, b₁]
+    i = np.argmin(cost.reshape(cost.shape[:-3] + (64,)), axis=-1)[..., None]
+    combo = np.stack([i % 4, i // 4 % 4, i // 16], axis=-2)  # (..., 3, 1): b₁, b₂, b₃
+    return (cost.min(axis=(-3, -2, -1)),
+            np.take_along_axis(t1, combo, -1)[..., 0],
             np.take_along_axis(t2, combo, -1)[..., 0])
 
 
@@ -216,7 +207,7 @@ def _best_over_branches(
 # 27 % of the μ_x = 0 great circle
 _MINUS_I_AXIS = np.array([0.0, 1.0, 0])
 
-# gadget axis padding a two-factor chain to three: its Euler branch 0 is
+# gadget axis padding a shorter chain to three factors: its Euler branch 0 is
 # θ1 = θ2 = 0, which adds exactly 0 to the chain cost
 _PAD_AXIS = np.array([1.0, 0, 0])
 
@@ -226,10 +217,7 @@ def _chain_cost(fam: TwoStepFamily, ends: np.ndarray, thetas):
     family parameters thetas (gadgets realize exp(-ikδ n̂·σ)).  Returns the
     (..., G) chain cost, the (..., G, 3) θ1 and θ2, and n̂1, n̂2."""
     n1, n2 = fam.axes(thetas)
-    gaxes = [-n1, -n2, np.broadcast_to(ends, n1.shape)]
-    cost, t1, t2 = _best_over_branches([a.reshape(-1, 3) for a in gaxes])
-    return (cost.reshape(n1.shape[:-1]), t1.reshape(n1.shape),
-            t2.reshape(n1.shape), n1, n2)
+    return _best_over_branches([-n1, -n2, ends]) + (n1, n2)
 
 
 @lru_cache(maxsize=None)
@@ -395,11 +383,10 @@ def _candidates(u: np.ndarray) -> tuple[list[tuple], list[Decomposition]]:
     if aa.axis is None or not abs(np.cos(aa.angle) - np.cos(DELTA)) < 1e-12:
         return chains, []
     n_hat = aa.axis * np.sign(np.sin(aa.angle) / np.sin(DELTA))
-    steps = ((1, n_hat),)
-    t1, t2 = min(euler_embed(-n_hat), key=lambda e: abs(e[1]))
+    cost, t1, t2 = _best_over_branches([-n_hat, _PAD_AXIS, _PAD_AXIS])
     _verify_steps((1, 0, 0), np.stack([n_hat] * 3), u)
-    return chains, [Decomposition("1-step", steps, ((t1, t2),),
-                                  (CORE_R + 2 * abs(t2)) / (2 * np.pi))]
+    return chains, [Decomposition("1-step", ((1, n_hat),), ((float(t1[0]), float(t2[0])),),
+                                  float((CORE_R + cost) / (2 * np.pi)))]
 
 
 def a_gate(u: np.ndarray) -> Circuit:
