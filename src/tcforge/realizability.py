@@ -278,8 +278,8 @@ def check_block_target(target: BlockTarget,
         worst = dev.max(axis=1)
         if not (worst <= tol).any():
             best = int(np.argmax(worst <= worst.min() + tol))  # first within tol
-            a, b = accidental_pairs(target.n, target.q_max)[
-                int(np.argmax(dev[best] >= worst[best] - tol))]
+            i, j, _, _ = pairs[int(np.argmax(dev[best] >= worst[best] - tol))]
+            a, b = sectors[i], sectors[j]
             resid = float(worst[best])
             return RealizabilityVerdict(
                 False, violation={"constraint": PARTNER_EQUALITY,
