@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import liealg, realizability as rz, synthesis
-from .dynamics import (Circuit, apply_circuit, evolve_vacuum_state,
+from .dynamics import (Circuit, Gate, apply_circuit, evolve_vacuum_state,
                        interaction_time, vacuum_sandwich)
 from .operators import htc_block, jz_block
 from .sectors import (accidental_pairs, accidental_partner, enumerate_sectors,
@@ -161,21 +161,20 @@ def _suite_phases(n: int, q_max: int, tol: float):
     v_cz = rz.check_pi_u1(rz.cz_controlled_target(n), tol)
     v_anti = rz.check_pi_u1(rz.anti_cz_target(n), tol)
     want_cz = n < 4
+    gap, want_gap = rz.constraint_gap(n), max(0, n // 2 - 1)
     return [
         {"scope": "cz-controlled", "pass": v_cz.realizable == want_cz,
          "verdict": v_cz.to_json_dict()},
         {"scope": "anti-cz", "pass": v_anti.realizable,
          "verdict": v_anti.to_json_dict()},
-        {"scope": "constraint-gap", "rank": rz.constraint_gap(n),
-         "expected": max(0, n // 2 - 1),
-         "pass": rz.constraint_gap(n) == max(0, n // 2 - 1)},
+        {"scope": "constraint-gap", "rank": gap, "expected": want_gap,
+         "pass": gap == want_gap},
     ]
 
 
 def _suite_realizability(n: int, q_max: int, tol: float):
     rng = np.random.default_rng(20240901)
     checks = []
-    from .dynamics import Gate
     for trial in range(10):
         gates = [Gate(str(rng.choice(["tc", "rz"])), float(rng.uniform(-2, 2)))
                  for _ in range(int(rng.integers(5, 25)))]
