@@ -363,7 +363,7 @@ def _decompose_all(us) -> list[Decomposition]:
 
 def _candidates(u: np.ndarray) -> tuple[list[tuple], list[Decomposition]]:
     """One target's chains (k, mu, alpha, last) for _decompose_all (2- and
-    4-step, then 3-step) and its candidates that need no search."""
+    4-step, then 3-step) and its candidates that need no family search."""
     aa = su2_axis_angle(u)
     if aa.axis is None and aa.angle < NEAR_IDENTITY:
         return [], [Decomposition("0-step", (), (), 0.0)]
