@@ -33,15 +33,17 @@ class OperatorBasis:
 def lie_closure(generators, tol: float = 1e-8) -> OperatorBasis:
     """Breadth-first commutator closure with Gram-Schmidt rank tracking.
 
-    New elements pair with all earlier ones in order, and candidates below
-    the relative cutoff are discarded.  Commutators are traceless, so the
-    closure lies in su(d) when no generator has an identity component above
-    tol times its norm, and in u(d) otherwise.  The loop stops once the
-    basis has that dimension (d² - 1 or d²): no later candidate could add to
-    it, so the elements are the prefix the unbounded loop would return,
-    while a closure onto a proper subalgebra still runs to completion.
-    Accepted candidates are orthogonalised twice; one pass lets rounding
-    errors compound until noise passes the cutoff (seen from d = 12).
+    New elements pair with all earlier ones in order.  A candidate adds a
+    direction when what two Gram-Schmidt passes leave of it exceeds tol
+    times the scale it was computed at: ‖g‖ for a generator g, and 1 for
+    the bracket of two unit elements, whose rounding follows its operands
+    and not its own norm (one pass, or a cutoff relative to that norm, let
+    noise through from d = 12).  Commutators are traceless, so the closure
+    lies in su(d) when no generator has an identity component above tol
+    times its norm, and in u(d) otherwise.  The loop stops once the basis
+    has that dimension (d² - 1 or d²): no later candidate could add to it,
+    so the elements are the prefix the unbounded loop would return, while a
+    closure onto a proper subalgebra still runs to completion.
     """
     require_tol(tol, "tol")
     gens = [require_finite(g, "generators", complex) for g in generators]
@@ -60,27 +62,23 @@ def lie_closure(generators, tol: float = 1e-8) -> OperatorBasis:
     basis: list[np.ndarray] = []
     flat = np.zeros((0, d * d), dtype=complex)
 
-    def try_add(cand: np.ndarray) -> None:
+    def try_add(resid: np.ndarray, scale: float) -> None:
         nonlocal flat
-        nrm = np.linalg.norm(cand)
-        if nrm < 1e-14:
-            return
-        resid = cand
         for _ in range(2):
             coeffs = (flat.conj() @ resid.ravel()).real
             resid = resid - (coeffs @ flat).reshape(d, d)
             rn = np.linalg.norm(resid)
-            if rn <= tol * nrm:
+            if rn <= tol * scale:
                 return
         basis.append(resid / rn)
         flat = np.vstack([flat, basis[-1].ravel()])
 
     for g in gens:
-        try_add(g)
+        try_add(g, np.linalg.norm(g))
     k = 0
     while k < len(basis) < top:
         for i in range(k):
-            try_add(basis[k] @ basis[i] - basis[i] @ basis[k])
+            try_add(basis[k] @ basis[i] - basis[i] @ basis[k], 1.0)
             if len(basis) == top:
                 break
         k += 1
@@ -262,10 +260,5 @@ def verify_pi_universality(jj: int, tol: float = 1e-8) -> bool:
     unitary algebra of the spin-j block: rank (2j+1)²."""
     require_int(jj, "jj", 0)
     d = jj + 1
-    gens = []
-    for r in range(d):
-        p = np.zeros((d, d), dtype=complex)
-        p[r, r] = 1.0
-        gens.append(1j * p)
-    gens.append(1j * jx_operator(jj))
+    gens = [1j * np.diag(row) for row in np.eye(d)] + [1j * jx_operator(jj)]
     return lie_closure(gens, tol=tol).rank == d * d

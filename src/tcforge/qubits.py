@@ -22,15 +22,11 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def collective(n: int, op: np.ndarray) -> np.ndarray:
-    """J_w = (1/2) sum_i sigma_w^(i) for a single-qubit operator sigma_w."""
-    return 0.5 * sum(reduce(np.kron, [op if s == i else np.eye(2) for s in range(n)])
-                     for i in range(n))
-
-
 def spin_ops(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense complex J_x, J_y, J_z on 2^n amplitudes: the independent oracle."""
-    return tuple(collective(n, s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+    """Dense complex J_w = (1/2) sum_i sigma_w^(i), w = x, y, z, on 2^n
+    amplitudes: the independent oracle."""
+    return tuple(0.5 * sum(reduce(np.kron, [op if s == i else np.eye(2) for s in range(n)])
+                           for i in range(n)) for op in (SIGMA_X, SIGMA_Y, SIGMA_Z))
 
 
 def _lower(x: np.ndarray, n: int) -> np.ndarray:
@@ -71,13 +67,6 @@ def jm_basis(n: int) -> dict[int, np.ndarray]:
     return out
 
 
-def fock_destroy(k_cut: int) -> np.ndarray:
-    a = np.zeros((k_cut + 1, k_cut + 1), dtype=complex)
-    for k in range(1, k_cut + 1):
-        a[k - 1, k] = np.sqrt(k)
-    return a
-
-
 def htc_full(n: int, k_cut: int) -> np.ndarray:
     """J+a + J-a† on (C^2)^⊗n ⊗ Fock(k ≤ k_cut), qubit-major ordering.
 
@@ -86,8 +75,7 @@ def htc_full(n: int, k_cut: int) -> np.ndarray:
     """
     jx, jy, _ = spin_ops(n)
     jplus = jx + 1j * jy
-    a = fock_destroy(k_cut)
-    h = np.kron(jplus, a)
+    h = np.kron(jplus, np.diag(np.sqrt(np.arange(1, k_cut + 1)), 1))
     return h + h.conj().T
 
 

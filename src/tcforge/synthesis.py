@@ -558,11 +558,6 @@ def named_gate(name: str, phi: Optional[float] = None) -> SynthesisResult:
     name = name.lower()
     if phi is not None and name in NAMED_TARGETS:  # cz, swap, iswap, sqrt_iswap
         raise ValueError(f"phi applies to uzz and upsiplus only, not to {name}")
-    if name == "sqrt_iswap":
-        res = _published_sqrt_iswap()
-        res.global_phase = float(-np.pi / 4)
-        res.target = SQRT_ISWAP
-        return res
     if name in NAMED_TARGETS:
         g = NAMED_TARGETS[name]
     elif name == "uzz":
@@ -573,11 +568,14 @@ def named_gate(name: str, phi: Optional[float] = None) -> SynthesisResult:
         g = u_psi_plus(phi if phi is not None else -2 * np.pi / np.sqrt(3))
     else:
         raise ValueError(f"unknown gate {name!r}")
-    phases = _pi_u1_phases(g)
-    alpha = phases["psi-"]
-    res = compile_two_qubit(wrap_pi(phases["00"] - alpha),
-                            wrap_pi(phases["psi+"] - alpha),
-                            wrap_pi(phases["11"] - alpha))
+    if name == "sqrt_iswap":
+        res, alpha = _published_sqrt_iswap(), -np.pi / 4
+    else:
+        phases = _pi_u1_phases(g)
+        alpha = phases["psi-"]
+        res = compile_two_qubit(wrap_pi(phases["00"] - alpha),
+                                wrap_pi(phases["psi+"] - alpha),
+                                wrap_pi(phases["11"] - alpha))
     res.global_phase = float(wrap_pi(alpha))
     res.target = g
     return res

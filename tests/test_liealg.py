@@ -144,6 +144,24 @@ def test_large_sectors_reach_full_rank():
     assert la.verify_pi_universality(11)
 
 
+@pytest.mark.parametrize("jj,traceless,rank", [(11, False, 72), (12, False, 84),
+                                               (12, True, 84)])
+def test_closure_of_a_proper_subalgebra_stays_proper(jj, traceless, rank):
+    # iJ_x and iJ_z² both commute with exp(-iπJ_x), so they generate a proper
+    # subalgebra; a cutoff relative to each bracket's own norm let rounding
+    # in brackets of nearly commuting elements fill u(d) from d = 12
+    jz2 = np.diag((np.arange(jj, -jj - 1, -2) / 2) ** 2)
+    if traceless:
+        jz2 -= np.trace(jz2) / (jj + 1) * np.eye(jj + 1)
+    assert la.lie_closure([1j * jx_operator(jj), 1j * jz2]).rank == rank
+
+
+def test_closure_keeps_a_generator_at_any_nonzero_norm():
+    assert la.lie_closure([1e-20j * SX]).rank == 1
+    assert la.lie_closure([1e-20j * SX, 1e-20j * SZ]).rank == 3
+    assert la.lie_closure([0 * SX]).rank == 0
+
+
 def test_anharmonicity_closed_form():
     for n in (2, 3, 4, 6):
         for idx in enumerate_sectors(n, 10):
