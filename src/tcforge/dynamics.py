@@ -115,6 +115,8 @@ def simplify(circ: Circuit) -> Circuit:
 
 def interaction_time(circ: Circuit) -> float:
     """Total coupling-on time Σ|r|, in units of 2π/g."""
+    if not isinstance(circ, Circuit):
+        raise ValueError(f"circ must be a Circuit, got {type(circ).__name__}")
     return float(circ.total_tc_time() / (2 * np.pi))
 
 
@@ -273,6 +275,8 @@ def _sector_slots(n: int, q_max: int) -> tuple:
 def apply_circuit(circ: Circuit, q_max: int, backend: str = "auto") -> BlockUnitary:
     """Evolve the whole circuit; every block is unitary, on jtower an isometry,
     to ~1e-14."""
+    if not isinstance(circ, Circuit):
+        raise ValueError(f"circ must be a Circuit, got {type(circ).__name__}")
     require_int(q_max, "q_max", 0)
     if backend == "auto":
         backend = "jtower" if circ.has_rx() else "charge"
@@ -314,6 +318,8 @@ def vacuum_sandwich(bu: BlockUnitary) -> VacuumSandwich:
     The result need not be unitary; the deviation ‖U†U - I‖_F measures how
     much the circuit entangles the qubits with the oscillator.
     """
+    if not isinstance(bu, BlockUnitary):
+        raise ValueError(f"bu must be a BlockUnitary, got {type(bu).__name__}")
     n = bu.n
     if bu.q_max < n:  # the states |j,m⟩⊗|0⟩ reach charge q = n
         raise ValueError(f"vacuum sandwich needs q_max ≥ n = {n}")

@@ -49,6 +49,8 @@ def coupling(labels) -> np.ndarray:
 
 def htc_block(idx: SectorIndex) -> np.ndarray:
     """Coupling Hamiltonian on one sector: (d, d), tridiagonal, zero diagonal."""
+    if not isinstance(idx, SectorIndex):
+        raise ValueError(f"idx must be a SectorIndex, got {type(idx).__name__}")
     return coupling(basis_labels(idx))
 
 

@@ -64,6 +64,7 @@ def jm_basis(n: int) -> dict[int, np.ndarray]:
         for norm in np.sqrt(_ladder(jj, np.arange(jj, -jj, -2))):
             rows.append(_lower(rows[-1], n) / norm)
         out[jj] = np.stack(rows).transpose(0, 2, 1)
+        out[jj].setflags(write=False)  # cached: shared by every later caller
     return out
 
 

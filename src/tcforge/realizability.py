@@ -102,7 +102,7 @@ class BlockTarget:
             b = self.blocks.get(idx)
             if b is None:
                 raise ValueError(f"missing block for {idx}")
-            if not isinstance(b, np.ndarray) or b.dtype.kind not in "biufc":
+            if not isinstance(b, np.ndarray) or b.dtype.kind not in "iufc":
                 raise ValueError(f"block for {idx} is not a numeric array")
             if b.shape != (dim, dim):
                 raise ValueError(f"block for {idx} has shape {b.shape}")
@@ -263,6 +263,8 @@ def _pair_phase_candidates(v_unfilled, v_filled, jgap: int):
 def check_block_target(target: BlockTarget,
                        tol: float = 1e-8) -> RealizabilityVerdict:
     """Full joint-space decision: partner equality plus determinant phases."""
+    if not isinstance(target, BlockTarget):
+        raise ValueError(f"target must be a BlockTarget, got {type(target).__name__}")
     require_tol(tol, "tol")
     sectors, c, d, pairs = _sector_table(target.n, target.q_max)
     s = target._stack

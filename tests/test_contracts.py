@@ -7,7 +7,8 @@ in place of one valid value, and the call must raise a ValueError whose
 message starts with the argument's name, with no warning on the way.
 Object-typed arguments (sectors, circuits, block unitaries, targets, state
 and phase maps) are out of scope, so a name that takes only those, or
-nothing, has an empty row.
+nothing, has an empty row.  Of them, only the five in OBJECT_ARGS are
+checked: fed a str, None or a dict, they raise the same kind of ValueError.
 """
 
 import re
@@ -172,3 +173,28 @@ def test_bad_argument_raises_value_error_naming_it(call, kwargs, label):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{re.escape(label)} must be"):
             call(**kwargs)
+
+
+BU = tc.apply_circuit(CIRC, 2)
+# a callable, its valid arguments, and its one object-typed argument's type
+OBJECT_ARGS = {
+    "apply_circuit": (tc.apply_circuit, dict(circ=CIRC, q_max=2), "circ", "Circuit"),
+    "interaction_time": (tc.interaction_time, dict(circ=CIRC), "circ", "Circuit"),
+    "vacuum_sandwich": (tc.vacuum_sandwich, dict(bu=BU), "bu", "BlockUnitary"),
+    "check_block_target": (tc.check_block_target,
+                           dict(target=tc.BlockTarget(2, 2, BLOCKS)), "target",
+                           "BlockTarget"),
+    "htc_block": (tc.htc_block, dict(idx=IDX), "idx", "SectorIndex"),
+}
+
+
+@pytest.mark.parametrize("name", OBJECT_ARGS)
+@pytest.mark.parametrize("bad", ["x", None, {}], ids=["str", "None", "dict"])
+def test_object_argument_of_the_wrong_type_raises_value_error_naming_it(name, bad):
+    call, valid, arg, kind = OBJECT_ARGS[name]
+    call(**valid)
+    message = f"^{arg} must be a {kind}, got {type(bad).__name__}$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            call(**{**valid, arg: bad})

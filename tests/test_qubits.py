@@ -24,6 +24,13 @@ def test_jm_basis_orthonormal_complete(n):
     assert np.abs(total - np.eye(2 ** n)).max() < 1e-9
 
 
+def test_cached_jm_basis_frames_are_read_only():
+    # jm_basis is cached, so a write would reach every later caller at that n
+    for frames in qb.jm_basis(3).values():
+        with pytest.raises(ValueError, match="read-only"):
+            frames[0, 0, 0] = 1.0
+
+
 @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
 def test_jm_basis_frames_stay_orthonormal_across_spins(n):
     # lowering is isometric only on its own spin, so rounding along the

@@ -639,6 +639,13 @@ def _identity_blocks_with(block):
     return blocks
 
 
+def test_block_target_rejects_bool_blocks():
+    # bools are not numbers here, as in sectors.require_finite
+    with pytest.raises(ValueError, match=r"^block for SectorIndex\(n=2, q=1, j=1\) "
+                                         r"is not a numeric array$"):
+        rz.BlockTarget(2, 2, _identity_blocks_with(np.eye(2, dtype=bool)))
+
+
 @pytest.mark.parametrize("make, message", [
     pytest.param(lambda: rz.BlockTarget(2, 2, _identity_blocks_with([[1, 0], [0, 1]])),
                  r"^block for SectorIndex\(n=2, q=1, j=1\) is not a numeric array$",
