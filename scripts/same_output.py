@@ -39,6 +39,8 @@ def commands(circuits: Path) -> list[list[str]]:
             + [["synthesize", "--gate", g] for g in GATES]
             + [["synthesize", "--phases", "0.3,-1.1,2.0"]]
             + [["simulate", path(n, rx)] for n, rx in CIRCUITS]
+            # the charge blocks up to the n = 8 maximum, as the benchmark's CLI call
+            + [["simulate", path(8, 0), "--qmax", "16"]]
             + [["simulate", path(2, 1), "--state", "psi+"],
                ["simulate", path(6, 2), "--state", "010011"]]
             + [["verify", s, "--n", "6", "--qmax", "12"] for s in SUITES]
