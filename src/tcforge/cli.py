@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +37,40 @@ def _emit(text: str, out) -> None:
 
 
 def _dump(obj, out) -> None:
-    _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", out)
+    """Write json.dumps(obj, sort_keys=True, indent=2), byte for byte, but
+    render each array (from _matrix_json) from its shape's cached layout:
+    json's indenting encoder is pure Python and holds it out as a string."""
+    arrays = []
+
+    def hold(a: np.ndarray) -> str:
+        arrays.append(a)  # anything but a float array fails below, with TypeError
+        return "\0matrix\0"
+    parts = json.dumps(obj, sort_keys=True, indent=2, default=hold).split(
+        json.dumps("\0matrix\0"))
+    if len(parts) != len(arrays) + 1:
+        raise RuntimeError("a string in the output reads as the matrix placeholder")
+    text = parts[:1]
+    for a, before, after in zip(arrays, parts, parts[1:]):
+        line = before[before.rfind("\n") + 1:]  # the line the array opens on
+        fmt = float.__repr__ if np.isfinite(a).all() else json.dumps  # NaN, Infinity
+        text += [_layout(a.shape, len(line) - len(line.lstrip(" ")))
+                 % tuple(map(fmt, a.ravel().tolist())), after]
+    _emit("".join(text) + "\n", out)
 
 
-def _matrix_json(m: np.ndarray):
+@lru_cache
+def _layout(shape: tuple, indent: int) -> str:
+    """json's indent=2 text of nested lists of that shape, %s for each float."""
+    if not shape:
+        return "%s"
+    gap = "\n" + " " * (indent + 2)
+    items = ("," + gap).join([_layout(shape[1:], indent + 2)] * shape[0])
+    return "[" + gap + items + "\n" + " " * indent + "]" if shape[0] else "[]"
+
+
+def _matrix_json(m: np.ndarray) -> np.ndarray:
     """[re, im] pairs; + 0.0 turns -0.0, an accident of the arithmetic, into 0.0."""
-    return (np.stack((m.real, m.imag), -1) + 0.0).tolist()
+    return np.stack((m.real, m.imag), -1) + 0.0
 
 
 def cmd_synthesize(args) -> int:

@@ -159,15 +159,54 @@ def test_simulate_prints_exact_zeros_as_plus_zero(tmp_path, n, gates):
     assert "-0.0," not in text and "-0.0]" not in text
 
 
-def test_matrix_json_matches_the_element_loop():
+def test_matrix_json_matches_the_element_loop(tmp_path):
     # the element-by-element writer it replaced is the reference: the same
     # floats in the same nesting, with every -0.0 printed as 0.0
     rng = np.random.default_rng(3)
     m = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
     m[0, 0], m[1, 2], m[2, 3] = -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)
     loop = [[[float(z.real), float(z.imag)] for z in row] for row in m + 0.0]
-    assert json.dumps(cli._matrix_json(m)) == json.dumps(loop)
-    assert "-0.0" not in json.dumps(cli._matrix_json(m))
+    text = _dump_text(tmp_path, {"blocks": [{"matrix": cli._matrix_json(m)}]})
+    assert text == json.dumps({"blocks": [{"matrix": loop}]}, indent=2) + "\n"
+    assert "-0.0" not in text
+
+
+def test_matrix_json_writes_non_finite_floats_as_json_does(tmp_path):
+    m = np.array([[complex(np.nan, np.inf), complex(-np.inf, 0.5)], [1.0, -2.0j]])
+    loop = [[[float(z.real), float(z.imag)] for z in row] for row in m + 0.0]
+    text = _dump_text(tmp_path, {"matrix": cli._matrix_json(m)})
+    assert text == json.dumps({"matrix": loop}, indent=2) + "\n"
+    assert "NaN" in text and "-Infinity" in text
+
+
+def _dump_text(tmp_path, obj) -> str:
+    cli._dump(obj, tmp_path / "out.json")
+    return (tmp_path / "out.json").read_text()
+
+
+_LAYOUT_CIRCUITS = {"charge.json": Circuit.from_json(
+    '{"n": 3, "gates": [{"kind": "tc", "param": 0.7}, {"kind": "rz", "param": -1.2},'
+    ' {"kind": "tc", "param": 1.3}]}'), "jtower.json": Circuit.from_json(
+    '{"n": 3, "gates": [{"kind": "tc", "param": 0.7}, {"kind": "rx", "param": 0.4},'
+    ' {"kind": "tc", "param": -1.1}]}')}
+
+
+@pytest.mark.parametrize("argv", [
+    ["report"], ["synthesize", "--gate", "cz"], ["simulate", "charge.json"],
+    ["simulate", "jtower.json"], ["simulate", "charge.json", "--state", "011"],
+    *[["verify", suite] for suite in sorted(cli._SUITES)], ["sectors", "--n", "4"],
+], ids=lambda argv: "_".join(a.removesuffix(".json").lstrip("-") for a in argv))
+def test_json_output_is_json_own_indented_layout(tmp_path, argv):
+    # every JSON file is json.dumps(..., sort_keys=True, indent=2) byte for
+    # byte; json reads floats back exactly, so re-encoding what a command
+    # wrote pins that layout without a second tree to compare with
+    for name, circ in _LAYOUT_CIRCUITS.items():
+        (tmp_path / name).write_text(circ.to_json())
+    argv = [str(tmp_path / a) if a in _LAYOUT_CIRCUITS else a for a in argv]
+    synth = argv[0] == "synthesize"
+    assert run([*argv, "--out", str(tmp_path / ("" if synth else "out.json"))]) == 0
+    text = (tmp_path / ("cz.report.json" if synth else "out.json")).read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def test_simulate_bad_file(tmp_path):
