@@ -11,6 +11,7 @@ floats, 34 MB at n = 11; the dense spin and Fock matrices suit n ≤ 6.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from types import MappingProxyType
 
 import numpy as np
 
@@ -40,7 +41,7 @@ def _lower(x: np.ndarray, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def jm_basis(n: int) -> dict[int, np.ndarray]:
+def jm_basis(n: int) -> MappingProxyType:
     """Orthonormal real |j,m,alpha⟩ vectors, keyed by the doubled spin 2j.
 
     Each value is a (2j+1, 2^n, multiplicity) float64 stack of frames: row r
@@ -65,7 +66,7 @@ def jm_basis(n: int) -> dict[int, np.ndarray]:
             rows.append(_lower(rows[-1], n) / norm)
         out[jj] = np.stack(rows).transpose(0, 2, 1)
         out[jj].setflags(write=False)  # cached: shared by every later caller
-    return out
+    return MappingProxyType(out)  # read-only too, so no caller can pop a spin
 
 
 def htc_full(n: int, k_cut: int) -> np.ndarray:

@@ -162,6 +162,12 @@ def test_closure_keeps_a_generator_at_any_nonzero_norm():
     assert la.lie_closure([0 * SX]).rank == 0
 
 
+def test_closure_reads_a_small_identity_component_at_tol():
+    # 1e-5·i·I puts the closure in u(2), not su(2): the identity test runs at
+    # tol, far below that component
+    assert la.lie_closure([1j * SX, 1j * SZ + 1e-5j * np.eye(2)]).rank == 4
+
+
 def test_anharmonicity_closed_form():
     for n in (2, 3, 4, 6):
         for idx in enumerate_sectors(n, 10):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tcforge import qubits as qb
+from tcforge.dynamics import Circuit, Gate, apply_circuit, vacuum_sandwich
 from tcforge.sectors import SectorIndex, j_min2, multiplicity
 
 
@@ -29,6 +30,19 @@ def test_cached_jm_basis_frames_are_read_only():
     for frames in qb.jm_basis(3).values():
         with pytest.raises(ValueError, match="read-only"):
             frames[0, 0, 0] = 1.0
+
+
+def test_cached_jm_basis_mapping_is_read_only():
+    # a spin popped or replaced would be gone or wrong for every later caller
+    basis = qb.jm_basis(3)
+    with pytest.raises(AttributeError):
+        basis.pop(1)
+    with pytest.raises(TypeError):
+        basis[1] = basis[3]
+    with pytest.raises(TypeError):
+        del basis[1]
+    circ = Circuit(3, [Gate("tc", 0.7), Gate("rz", 0.3), Gate("tc", -1.1)])
+    assert vacuum_sandwich(apply_circuit(circ, 3)).matrix.shape == (8, 8)
 
 
 @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
