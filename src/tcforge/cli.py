@@ -37,22 +37,21 @@ def _emit(text: str, out) -> None:
 
 
 def _dump(obj, out) -> None:
-    """Write json.dumps(obj, sort_keys=True, indent=2), byte for byte, but
-    render each array (from _matrix_json) from its shape's cached layout:
-    json's indenting encoder is pure Python and holds it out as a string."""
-    arrays = []
+    """Write json.dumps(obj, sort_keys=True, indent=2) byte for byte.  Each
+    array (from _matrix_json) is held out of json's indenting encoder, which
+    is pure Python, as a placeholder string, and rendered from its layout."""
+    mark, arrays = "\0matrix\0", []
 
     def hold(a: np.ndarray) -> str:
         arrays.append(a)  # anything but a float array fails below, with TypeError
-        return "\0matrix\0"
-    parts = json.dumps(obj, sort_keys=True, indent=2, default=hold).split(
-        json.dumps("\0matrix\0"))
+        return mark
+    parts = json.dumps(obj, sort_keys=True, indent=2, default=hold).split(json.dumps(mark))
     if len(parts) != len(arrays) + 1:
         raise RuntimeError("a string in the output reads as the matrix placeholder")
     text = parts[:1]
     for a, before, after in zip(arrays, parts, parts[1:]):
         line = before[before.rfind("\n") + 1:]  # the line the array opens on
-        fmt = float.__repr__ if np.isfinite(a).all() else json.dumps  # NaN, Infinity
+        fmt = float.__repr__ if np.isfinite(a).all() else json.dumps  # json's NaN, Infinity
         text += [_layout(a.shape, len(line) - len(line.lstrip(" ")))
                  % tuple(map(fmt, a.ravel().tolist())), after]
     _emit("".join(text) + "\n", out)
