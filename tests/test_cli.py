@@ -161,7 +161,8 @@ def test_simulate_prints_exact_zeros_as_plus_zero(tmp_path, n, gates):
 
 def test_matrix_json_matches_the_element_loop(tmp_path):
     # the element-by-element writer it replaced is the reference: the same
-    # floats in the same nesting, with every -0.0 printed as 0.0
+    # floats in the same nesting, in json's indent=2 layout at the depth of a
+    # simulate block, with every -0.0 printed as 0.0
     rng = np.random.default_rng(3)
     m = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
     m[0, 0], m[1, 2], m[2, 3] = -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)
@@ -179,16 +180,21 @@ def test_matrix_json_writes_non_finite_floats_as_json_does(tmp_path):
     assert "NaN" in text and "-Infinity" in text
 
 
+def test_dump_refuses_a_string_that_reads_as_its_placeholder(tmp_path):
+    with pytest.raises(RuntimeError, match="placeholder"):
+        _dump_text(tmp_path, {"matrix": cli._matrix_json(np.eye(2)), "x": "\0matrix\0"})
+
+
 def _dump_text(tmp_path, obj) -> str:
     cli._dump(obj, tmp_path / "out.json")
     return (tmp_path / "out.json").read_text()
 
 
-_LAYOUT_CIRCUITS = {"charge.json": Circuit.from_json(
-    '{"n": 3, "gates": [{"kind": "tc", "param": 0.7}, {"kind": "rz", "param": -1.2},'
-    ' {"kind": "tc", "param": 1.3}]}'), "jtower.json": Circuit.from_json(
-    '{"n": 3, "gates": [{"kind": "tc", "param": 0.7}, {"kind": "rx", "param": 0.4},'
-    ' {"kind": "tc", "param": -1.1}]}')}
+_LAYOUT_CIRCUITS = {
+    "charge.json": '{"n": 3, "gates": [{"kind": "tc", "param": 0.7}, '
+                   '{"kind": "rz", "param": -1.2}, {"kind": "tc", "param": 1.3}]}',
+    "jtower.json": '{"n": 3, "gates": [{"kind": "tc", "param": 0.7}, '
+                   '{"kind": "rx", "param": 0.4}, {"kind": "tc", "param": -1.1}]}'}
 
 
 @pytest.mark.parametrize("argv", [
@@ -201,7 +207,7 @@ def test_json_output_is_json_own_indented_layout(tmp_path, argv):
     # byte; json reads floats back exactly, so re-encoding what a command
     # wrote pins that layout without a second tree to compare with
     for name, circ in _LAYOUT_CIRCUITS.items():
-        (tmp_path / name).write_text(circ.to_json())
+        (tmp_path / name).write_text(circ)
     argv = [str(tmp_path / a) if a in _LAYOUT_CIRCUITS else a for a in argv]
     synth = argv[0] == "synthesize"
     assert run([*argv, "--out", str(tmp_path / ("" if synth else "out.json"))]) == 0
