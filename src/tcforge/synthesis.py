@@ -505,53 +505,24 @@ def _phase_result(circuit: Circuit, kind: str, phases,
 
 NAMED_TARGETS = {"cz": CZ, "swap": SWAP, "iswap": ISWAP, "sqrt_iswap": SQRT_ISWAP}
 
-# Reference 3-step configuration for the sqrt(iSWAP) A-gate: (θ1, θ2) per
-# factor, with the factors applied in the order n1, n2, n and the pulses of
-# neighbouring conjugation stages kept separate.  The free optimizer finds a
-# faster Euler configuration for this target; this seed pins the synthesis
-# to the reference construction so the reported time stays comparable.
-_SQRT_ISWAP_SEED = {
-    "n2": (2.28652854, 0.58015043),
-    "n1": (1.69646350, -0.09519097),
-    "n": (2.54885204, 0.07041776),
-}
-
-
-def _axis_from_angles(theta1: float, theta2: float) -> np.ndarray:
-    two_beta = 2 * np.sqrt(2) * theta2
-    return np.array([np.cos(theta1),
-                     -np.sin(theta1) * np.cos(two_beta),
-                     np.sin(theta1) * np.sin(two_beta)])
+# The paper's sqrt(iSWAP) A gate, (θ1, θ2) per gadget in time order: the exact chain nearest
+# its 8-digit angles, kept as the reference (τ = 2.687; the free compile reaches 2.511).
+_SQRT_ISWAP_EULERS = ((-1.4451291482376805, -0.09519096998959584),
+                      (-0.8550641169509537, 0.5801504325823696),
+                      (-0.5927406115207456, 0.07041775718392888))
 
 
 def _published_sqrt_iswap() -> SynthesisResult:
-    phi00, phi_p, phi11 = np.pi / 4, np.pi / 2, np.pi / 4
-    theta = np.pi / 4
-    fd, f1d = _f_parts()["fd"]
-    m = f1d @ np.diag([1.0, np.exp(1j * theta)]) @ f1d
-    u_a = _su2_map_to_first(m @ np.array([1.0, 0]), phi_p)
-    mu = su2_axis_angle(u_a)
-    rest = aa_matrix(DELTA, mu.axis) @ u_a  # third factor is exp(-iδ μ̂·σ)
-    fam = solve_two_step(su2_axis_angle(rest), DELTA)
-    refs = np.stack([_axis_from_angles(*_SQRT_ISWAP_SEED[k]) for k in ("n1", "n2")])
-    # family axes are unit vectors, so Σ‖n̂ᵢ(θ) - refᵢ‖² = const - 2Σ refᵢ·n̂ᵢ(θ),
-    # least where Σ refᵢ·(Bᵢ cos θ + Cᵢ sin θ) peaks
-    th = np.arctan2(np.sum(refs * fam.C), np.sum(refs * fam.B))
-    n1, n2 = (n[0] for n in fam.axes([th]))
-    steps = ((1, n1), (1, n2), (1, -mu.axis))
-    _verify_steps((1, 1, 1), np.stack([ax for _k, ax in steps]), u_a)
-    seed_t2 = [_SQRT_ISWAP_SEED[k][1] for k in ("n1", "n2", "n")]
-    eulers = [min(euler_embed(-ax), key=lambda e: abs(e[1] - t2_ref))
-              for (_k, ax), t2_ref in zip(steps, seed_t2)]
-    circuit = Circuit(2, fd.gates + (Gate("rz", theta),) + fd.gates
-                      + _gadgets(steps, eulers))
-    return _phase_result(circuit, "fd+fd", (phi00, phi_p, phi11), theta, 0.0)
+    fd = _f_parts()["fd"][0].gates
+    circuit = Circuit(2, fd + (Gate("rz", np.pi / 4),) + fd
+                      + _gadgets([(1, None)] * 3, _SQRT_ISWAP_EULERS))
+    return _phase_result(circuit, "fd+fd", (np.pi / 4, np.pi / 2, np.pi / 4), np.pi / 4, 0.0)
 
 
 def named_gate(name: str, phi: Optional[float] = None) -> SynthesisResult:
     """Compile cz, swap, iswap, sqrt_iswap, uzz or upsiplus up to a reported
     global phase; phi is the angle of uzz (required) and of upsiplus only.
-    sqrt_iswap is the reference construction (see _SQRT_ISWAP_SEED)."""
+    sqrt_iswap is the reference construction (see _SQRT_ISWAP_EULERS)."""
     if not isinstance(name, str):
         raise ValueError(f"unknown gate {name!r}")
     phi = None if phi is None else require_real(phi, "phi")

@@ -173,12 +173,20 @@ def test_euler_embed_examples():
         assert -np.pi / np.sqrt(2) <= t2 <= np.pi / np.sqrt(2)
 
 
+def _axis_from_angles(theta1, theta2):
+    """The axis whose Euler branches include (θ1, θ2): euler_embed's inverse."""
+    two_beta = 2 * np.sqrt(2) * theta2
+    return np.array([np.cos(theta1),
+                     -np.sin(theta1) * np.cos(two_beta),
+                     np.sin(theta1) * np.sin(two_beta)])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_euler_branches_reproduce_axis(seed):
     axis = rand_axis(np.random.default_rng(seed))
     for t1, t2 in syn.euler_embed(axis):
-        got = syn._axis_from_angles(t1, t2)
+        got = _axis_from_angles(t1, t2)
         assert np.abs(got - axis).max() < 1e-9
 
 
@@ -936,24 +944,28 @@ def test_minus_identity_axis_beats_a_sphere_scan():
     assert abs(dec.tau * 2 * np.pi - 3 * syn.CORE_R - cost[0]) < 1e-12
 
 
-def test_sqrt_iswap_family_point_is_nearest_the_reference(monkeypatch):
-    # the closed-form θ leaves no point of a 4097-point grid closer to the
-    # reference axes in summed squared distance
-    verify, seen = syn._verify_steps, []
-    monkeypatch.setattr(syn, "_verify_steps",
-                        lambda ks, axes, target: seen.append((axes, target))
-                        or verify(ks, axes, target))
+# the paper's 8-digit (θ1, θ2) of the sqrt(iSWAP) A gate's three gadgets
+SQRT_ISWAP_PAPER_ANGLES = [(1.69646350, -0.09519097), (2.28652854, 0.58015043),
+                           (2.54885204, 0.07041776)]
+
+
+def test_sqrt_iswap_pinned_angles_are_the_papers_made_exact():
+    eulers = np.array(syn._SQRT_ISWAP_EULERS)
+    paper = np.array(SQRT_ISWAP_PAPER_ANGLES)
+    # the first θ1 + π, 1.6964635054, is the one 5.4e-9 from the paper's digits
+    assert np.abs(eulers[:, 1] - paper[:, 1]).max() < 5e-9
+    assert np.abs(eulers[:, 0] + np.pi - paper[:, 0]).max() < 6e-9
+    # gadgets exp(-iδ n̂·σ) in time order recompose the fd+fd A gate
+    f1d = syn._pi11(syn.f_gate_dagger())
+    u_a = syn._su2_map_to_first(
+        f1d @ np.diag([1.0, np.exp(1j * np.pi / 4)]) @ f1d @ [1.0, 0], np.pi / 2)
+    product = np.eye(2)
+    for t1, t2 in eulers:
+        product = syn.aa_matrix(-DELTA, _axis_from_angles(t1, t2)) @ product
+    assert np.abs(product - u_a).max() <= syn.RECOMPOSE_ATOL
     res = syn.named_gate("sqrt_iswap")
     assert abs(res.tau - 2.686872256045596) < 1e-12
     assert res.residual < 1e-13
-    (n1, n2, _), u_a = seen[-1]
-    mu = syn.su2_axis_angle(u_a).axis
-    fam = syn.solve_two_step(syn.su2_axis_angle(syn.aa_matrix(DELTA, mu) @ u_a), DELTA)
-    refs = [syn._axis_from_angles(*syn._SQRT_ISWAP_SEED[k]) for k in ("n1", "n2")]
-    n1s, n2s = fam.axes(np.linspace(0, 2 * np.pi, 4097))
-    grid = ((n1s - refs[0]) ** 2).sum(-1) + ((n2s - refs[1]) ** 2).sum(-1)
-    got = ((n1 - refs[0]) ** 2).sum() + ((n2 - refs[1]) ** 2).sum()
-    assert got <= grid.min() + 1e-12
 
 
 def test_named_uzz_and_psi_plus():
