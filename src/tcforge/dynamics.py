@@ -32,7 +32,7 @@ import numpy as np
 from . import operators as ops
 from .qubits import assemble_pi, jm_basis
 from .sectors import (SectorIndex, enumerate_sectors, multiplicity, require_finite,
-                      require_int, require_real, spins)
+                      require_int, require_real, require_type, spins)
 
 GATE_KINDS = ("tc", "rz", "rx")
 
@@ -100,8 +100,7 @@ class Circuit:
 
 def simplify(circ: Circuit) -> Circuit:
     """Merge adjacent same-kind gates and drop zero-parameter gates."""
-    if not isinstance(circ, Circuit):
-        raise ValueError(f"circ must be a Circuit, got {type(circ).__name__}")
+    require_type(circ, Circuit, "circ")
     out: list[Gate] = []
     for g in circ.gates:
         if out and out[-1].kind == g.kind:
@@ -115,8 +114,7 @@ def simplify(circ: Circuit) -> Circuit:
 
 def interaction_time(circ: Circuit) -> float:
     """Total coupling-on time Σ|r|, in units of 2π/g."""
-    if not isinstance(circ, Circuit):
-        raise ValueError(f"circ must be a Circuit, got {type(circ).__name__}")
+    require_type(circ, Circuit, "circ")
     return float(circ.total_tc_time() / (2 * np.pi))
 
 
@@ -275,8 +273,7 @@ def _sector_slots(n: int, q_max: int) -> tuple:
 def apply_circuit(circ: Circuit, q_max: int, backend: str = "auto") -> BlockUnitary:
     """Evolve the whole circuit; every block is unitary, on jtower an isometry,
     to ~1e-14."""
-    if not isinstance(circ, Circuit):
-        raise ValueError(f"circ must be a Circuit, got {type(circ).__name__}")
+    require_type(circ, Circuit, "circ")
     require_int(q_max, "q_max", 0)
     if backend == "auto":
         backend = "jtower" if circ.has_rx() else "charge"
@@ -318,8 +315,7 @@ def vacuum_sandwich(bu: BlockUnitary) -> VacuumSandwich:
     The result need not be unitary; the deviation ‖U†U - I‖_F measures how
     much the circuit entangles the qubits with the oscillator.
     """
-    if not isinstance(bu, BlockUnitary):
-        raise ValueError(f"bu must be a BlockUnitary, got {type(bu).__name__}")
+    require_type(bu, BlockUnitary, "bu")
     n = bu.n
     if bu.q_max < n:  # the states |j,m⟩⊗|0⟩ reach charge q = n
         raise ValueError(f"vacuum sandwich needs q_max ≥ n = {n}")
@@ -356,6 +352,7 @@ def evolve_vacuum_state(circ: Circuit, psi_qubits: np.ndarray,
     q_max must cover the initial charge support: |b⟩⊗|0⟩ has q = the number
     of zeros in b, so q_max ≥ n suffices for any qubit state on vacuum.
     """
+    require_type(circ, Circuit, "circ")
     n = circ.n
     require_int(q_max, "q_max", 0)
     psi_qubits = require_finite(psi_qubits, "state amplitudes", complex)

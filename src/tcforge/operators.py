@@ -21,7 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .sectors import SectorIndex, basis_labels, is_filled, require_int, require_tol
+from .sectors import (SectorIndex, basis_labels, is_filled, require_int, require_tol,
+                      require_type)
 
 DEFAULT_ATOL = 1e-10
 
@@ -49,8 +50,7 @@ def coupling(labels) -> np.ndarray:
 
 def htc_block(idx: SectorIndex) -> np.ndarray:
     """Coupling Hamiltonian on one sector: (d, d), tridiagonal, zero diagonal."""
-    if not isinstance(idx, SectorIndex):
-        raise ValueError(f"idx must be a SectorIndex, got {type(idx).__name__}")
+    require_type(idx, SectorIndex, "idx")
     return coupling(basis_labels(idx))
 
 

@@ -31,9 +31,10 @@ from typing import Optional
 
 import numpy as np
 
+from .dynamics import BlockUnitary
 from .operators import charge_vector
 from .sectors import (SectorIndex, accidental_pairs, enumerate_sectors, require_finite,
-                      require_int, require_tol, spins, wrap_pi)
+                      require_int, require_tol, require_type, spins, wrap_pi)
 
 # identifiers used in violation reports
 AFFINE_LOWEST_WEIGHT = "lowest-weight-phase-affine"
@@ -263,8 +264,7 @@ def _pair_phase_candidates(v_unfilled, v_filled, jgap: int):
 def check_block_target(target: BlockTarget,
                        tol: float = 1e-8) -> RealizabilityVerdict:
     """Full joint-space decision: partner equality plus determinant phases."""
-    if not isinstance(target, BlockTarget):
-        raise ValueError(f"target must be a BlockTarget, got {type(target).__name__}")
+    require_type(target, BlockTarget, "target")
     require_tol(tol, "tol")
     sectors, c, d, pairs = _sector_table(target.n, target.q_max)
     s = target._stack
@@ -356,8 +356,9 @@ def anti_cz_target(n: int) -> PiU1Target:
     return _pi_on(n, n)
 
 
-def block_target_from_unitary(bu) -> BlockTarget:
+def block_target_from_unitary(bu: BlockUnitary) -> BlockTarget:
     """Adapt a charge-backend BlockUnitary into a decision-ready target."""
+    require_type(bu, BlockUnitary, "bu")
     if bu.backend != "charge":
         raise ValueError("need a charge-backend block unitary")
     return BlockTarget(bu.n, bu.q_max, dict(bu.blocks))

@@ -36,6 +36,12 @@ def require_int(value, name: str, lo: Optional[int] = None) -> None:
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
+def require_type(value, cls: type, name: str) -> None:
+    """Raise ValueError naming the argument unless value is a cls."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def require_real(value, name: str) -> float:
     """value as a float; raise ValueError naming the argument unless it is a
     finite real number (not a bool)."""

@@ -7,7 +7,7 @@ in place of one valid value, and the call must raise a ValueError whose
 message starts with the argument's name, with no warning on the way.
 Object-typed arguments (sectors, circuits, block unitaries, targets, state
 and phase maps) are out of scope, so a name that takes only those, or
-nothing, has an empty row.  Of them, only the five in OBJECT_ARGS are
+nothing, has an empty row.  Of them, only the eight in OBJECT_ARGS are
 checked: fed a str, None or a dict, they raise the same kind of ValueError.
 """
 
@@ -19,7 +19,7 @@ import pytest
 
 import tcforge as tc
 from tcforge.operators import jx_operator
-from tcforge.realizability import cz_controlled_target
+from tcforge.realizability import block_target_from_unitary, cz_controlled_target
 from tcforge.synthesis import DELTA
 
 IDX = tc.SectorIndex(2, 1, 2)
@@ -179,8 +179,14 @@ BU = tc.apply_circuit(CIRC, 2)
 # a callable, its valid arguments, and its one object-typed argument's type
 OBJECT_ARGS = {
     "apply_circuit": (tc.apply_circuit, dict(circ=CIRC, q_max=2), "circ", "Circuit"),
+    "simplify": (tc.simplify, dict(circ=CIRC), "circ", "Circuit"),
+    "evolve_vacuum_state": (tc.evolve_vacuum_state,
+                            dict(circ=CIRC, psi_qubits=np.array([0, 0, 0, 1.0]), q_max=2),
+                            "circ", "Circuit"),
     "interaction_time": (tc.interaction_time, dict(circ=CIRC), "circ", "Circuit"),
     "vacuum_sandwich": (tc.vacuum_sandwich, dict(bu=BU), "bu", "BlockUnitary"),
+    "block_target_from_unitary": (block_target_from_unitary, dict(bu=BU), "bu",
+                                  "BlockUnitary"),
     "check_block_target": (tc.check_block_target,
                            dict(target=tc.BlockTarget(2, 2, BLOCKS)), "target",
                            "BlockTarget"),
