@@ -43,6 +43,10 @@ def test_closure_idempotent_and_monotone():
     assert la.lie_closure([1j * SX]).rank <= basis.rank
 
 
+def test_closure_of_no_generators_is_empty():
+    assert la.lie_closure([]) == la.OperatorBasis((), 0)
+
+
 def test_closure_rejects_non_skew():
     with pytest.raises(ValueError):
         la.lie_closure([SX])

@@ -147,6 +147,34 @@ def test_block_rejects_independent_pair():
     assert v.violation["constraint"] == rz.PARTNER_EQUALITY
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_partner_candidates_follow_a_small_trace_phase(seed):
+    # |tr(W†V)| ≈ 1e-4 between the first pair's blocks lies above the 1e-6
+    # below which θ_z candidates come from one entry's phase instead, so the
+    # reported residual is the least partner deviation over the candidates
+    # e^{-i·jgap·θ_z} = tr/|tr|
+    from tcforge.sectors import accidental_pairs
+    rng = np.random.default_rng(seed)
+    n, q_max = 4, 8
+    blocks = dict(dyn.apply_circuit(random_circuit(n, rng), q_max, backend="charge").blocks)
+    (a, b), = accidental_pairs(n, q_max)
+    jgap = (a.jj - b.jj) // 2
+    # V = W·X, X unitary with tr X = e^{iφ}(e^{iε} - 1): the d-th roots of
+    # unity, one of them moved by ε = 1e-4
+    lam = (rng.uniform(-np.pi, np.pi) + 2 * np.pi * np.arange(a.dim) / a.dim
+           + 1e-4 * np.eye(a.dim)[0])
+    u = haar(a.dim, rng)
+    blocks[a] = blocks[b] @ (u * np.exp(1j * lam)) @ u.conj().T
+    tr = np.trace(blocks[b].conj().T @ blocks[a])
+    assert 0.9e-4 < abs(tr) < 1.1e-4
+    tz = -(np.angle(tr) + 2 * np.pi * np.arange(-10, 11)) / jgap
+    tz = tz[(-2 * np.pi <= tz) & (tz < 2 * np.pi)]
+    least = min(np.abs(blocks[a] - np.exp(-1j * jgap * t) * blocks[b]).max() for t in tz)
+    v = rz.check_block_target(rz.BlockTarget(n, q_max, blocks))
+    assert v.violation["constraint"] == rz.PARTNER_EQUALITY
+    assert abs(v.max_residual - least) <= 1e-8
+
+
 def test_block_rejects_bad_determinant_phases():
     # identity blocks except one sector with a phase no affine fit matches
     n, q_max = 4, 6
